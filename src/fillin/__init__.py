@@ -47,7 +47,7 @@ from .instances import (
     serialize_dimacs,
     serialize_edgelist,
 )
-from .lp import LpConfig, LpProblem, LpResult, solve_lp
+from .lp import LpProblem, LpResult, solve_lp
 from .oracle import (
     EnumerationBudget,
     OracleBudgetError,
@@ -69,7 +69,7 @@ from .solver import SolveResult, SolverConfig, root_initialize, solve
 
 __all__ = [
     "Cut", "CutError", "Cycle", "EnumerationBudget", "FamilyInapplicableError",
-    "Graph", "GraphError", "InstanceError", "LpConfig", "LpProblem", "LpResult",
+    "Graph", "GraphError", "InstanceError", "LpProblem", "LpResult",
     "OracleBudgetError", "Point", "SeparationCapabilityError", "SeparationError",
     "SeparationReport", "SolveResult", "SolverConfig", "affine_rank",
     "apply_completion", "brute_force_mccp", "chordalize_with_order", "cut_i1",

@@ -39,7 +39,6 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
                     help="chordless cycles harvested per separation call")
     sp.add_argument("--all-positions", action="store_true",
                     help="emit every I2/I4 position per cycle, not one")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json-out", default=None, metavar="PATH",
                     help="also write the JSON result to this file")
 
@@ -54,7 +53,6 @@ def _solver_config(args) -> SolverConfig:
         max_cycles_per_call=args.max_cycles,
         time_limit_s=args.time_limit,
         node_limit=args.node_limit,
-        seed=args.seed,
         emit_all_positions=args.all_positions,
     )
 
@@ -67,7 +65,6 @@ def cmd_solve(args) -> int:
         "instance": args.instance,
         "config": cfg.as_dict(),
         "version": __version__,
-        "seed": args.seed,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     result = solve(g, cfg)
@@ -189,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("p2", type=int, help="columns")
         fp.add_argument("--out", default=None)
         fp.add_argument("--format", choices=["el", "col"], default=None)
-        fp.add_argument("--seed", type=int, default=0)
         fp.set_defaults(func=cmd_generate, family=fam)
     fp = gen_sub.add_parser("caveman", help="relaxed caveman graph")
     fp.add_argument("p1", type=int, help="clique size")

@@ -1,5 +1,8 @@
 """Self-contained LP solver for the relaxations: minimize the sum of all
-variables subject to accumulated cut rows a.x >= b and box bounds in [0, 1].
+variables subject to rows A x >= b and box bounds lb <= x <= ub in [0, 1].
+
+The input is the dense row matrix A itself (the solver passes the active
+rows of its cut pool as they are stored), with b, lb and ub as arrays.
 
 The engine is a two-phase primal simplex on a bounded-variable tableau.
 Nonbasic variables rest at either bound, entering variables may flip bounds
@@ -7,11 +10,13 @@ without a basis change, and Bland's rule is engaged after a stall to
 guarantee termination.  Dense numpy arithmetic throughout; re-solves start
 from scratch (optionally from a caller-supplied bound assignment, which
 skips phase one whenever that assignment already satisfies every row).
+Tolerances, the pivot cap and the refactorization interval are the fixed
+module constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,44 +31,39 @@ class LpError(RuntimeError):
     """Internal solver failure (numerical breakdown, unbounded phase)."""
 
 
-@dataclass
-class LpConfig:
-    feas_tol: float = 1e-7
-    pivot_tol: float = 1e-9
-    reduced_cost_tol: float = 1e-9
-    max_iters: int | None = None  # default 50 * (rows + vars)
-    stall_limit: int = 100
-    refactor_every: int = 200
+FEAS_TOL = 1e-7
+PIVOT_TOL = 1e-9
+REDUCED_COST_TOL = 1e-9
+PIVOTS_PER_DIM = 50  # pivot cap: PIVOTS_PER_DIM * (rows + vars)
+STALL_LIMIT = 100
+REFACTOR_EVERY = 200
 
 
 @dataclass
 class LpProblem:
-    """Minimize sum(x) over 0 <= lb <= x <= ub <= 1 and rows a.x >= b."""
+    """Minimize sum(x) over 0 <= lb <= x <= ub <= 1 and rows @ x >= rhs.
 
-    num_vars: int
-    rows: list = field(default_factory=list)  # (coeffs: dict[int, float], rhs)
-    lb: np.ndarray = None
-    ub: np.ndarray = None
+    rows is an m x n matrix, rhs has length m, lb and ub have length n.
+    """
+
+    rows: np.ndarray
+    rhs: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
 
     def __post_init__(self):
-        if self.lb is None:
-            self.lb = np.zeros(self.num_vars)
-        if self.ub is None:
-            self.ub = np.ones(self.num_vars)
+        self.rows = np.asarray(self.rows, dtype=float)
+        self.rhs = np.asarray(self.rhs, dtype=float)
         self.lb = np.asarray(self.lb, dtype=float)
         self.ub = np.asarray(self.ub, dtype=float)
+        m, n = self.rows.shape[:1], self.rows.shape[1:]
+        if self.rows.ndim != 2 or (self.rhs.shape, self.lb.shape, self.ub.shape) != (m, n, n):
+            raise ValueError(
+                f"shapes do not fit: rows {self.rows.shape}, rhs {self.rhs.shape}, "
+                f"lb {self.lb.shape}, ub {self.ub.shape}"
+            )
         if np.any(self.lb > self.ub + 1e-12):
             raise ValueError("lower bound exceeds upper bound")
-
-    def add_row(self, coeffs: dict[int, float], rhs: float):
-        for j in coeffs:
-            if not 0 <= j < self.num_vars:
-                raise ValueError(f"row index {j} outside variable range")
-        self.rows.append((dict(coeffs), float(rhs)))
-
-    def fix(self, j: int, value: float):
-        self.lb[j] = value
-        self.ub[j] = value
 
 
 @dataclass
@@ -82,16 +82,10 @@ class LpResult:
 class _Tableau:
     """Dense simplex state over columns [structural | surplus | artificial]."""
 
-    def __init__(self, p: LpProblem, cfg: LpConfig, start: np.ndarray | None):
-        self.cfg = cfg
-        nv, m = p.num_vars, len(p.rows)
+    def __init__(self, p: LpProblem, start: np.ndarray | None):
+        A, b = p.rows, p.rhs
+        m, nv = A.shape
         self.nv, self.m = nv, m
-        A = np.zeros((m, nv))
-        b = np.zeros(m)
-        for i, (coeffs, rhs) in enumerate(p.rows):
-            for j, a in coeffs.items():
-                A[i, j] = a
-            b[i] = rhs
         self.b = b
 
         # Snap the starting assignment to a bound per variable.
@@ -155,14 +149,13 @@ class _Tableau:
         self.z2 = self.c2 - self.c2[self.basis] @ self.T
 
     def _entering(self, z: np.ndarray, bland: bool):
-        tol = self.cfg.reduced_cost_tol
         score = np.where(self.at_upper, z, -z)
         score[self.in_basis | self.banned] = -np.inf
         if bland:
-            ok = np.flatnonzero(score > tol)
+            ok = np.flatnonzero(score > REDUCED_COST_TOL)
             return int(ok[0]) if ok.size else -1
         j = int(np.argmax(score))
-        return j if score[j] > tol else -1
+        return j if score[j] > REDUCED_COST_TOL else -1
 
     def _ratio(self, j: int, direction: float, bland: bool, phase: int):
         col = self.T[:, j]
@@ -170,9 +163,9 @@ class _Tableau:
         blo = self.lo[self.basis]
         bhi = self.hi[self.basis]
         lims = np.full(self.m, np.inf)
-        dec = g > self.cfg.pivot_tol
+        dec = g > PIVOT_TOL
         lims[dec] = (self.xB[dec] - blo[dec]) / g[dec]
-        inc = (g < -self.cfg.pivot_tol) & np.isfinite(bhi)
+        inc = (g < -PIVOT_TOL) & np.isfinite(bhi)
         lims[inc] = (bhi[inc] - self.xB[inc]) / (-g[inc])
         np.maximum(lims, 0.0, out=lims)
         limit = self.hi[j] - self.lo[j]
@@ -195,7 +188,7 @@ class _Tableau:
 
     def _pivot(self, i: int, j: int):
         piv = self.T[i, j]
-        if abs(piv) < self.cfg.pivot_tol:
+        if abs(piv) < PIVOT_TOL:
             raise LpError("pivot element below tolerance")
         row = self.T[i] / piv
         colv = self.T[:, j].copy()
@@ -275,8 +268,7 @@ class _Tableau:
         return -(costs[self.basis] @ self.T[:, self.nv:self.nv + self.m])
 
 
-def solve_lp(p: LpProblem, cfg: LpConfig | None = None,
-             start: np.ndarray | None = None) -> LpResult:
+def solve_lp(p: LpProblem, start: np.ndarray | None = None) -> LpResult:
     """Solve the bounded relaxation; deterministic for identical input.
 
     start, if given, is snapped per-variable to the nearest bound and used
@@ -285,24 +277,21 @@ def solve_lp(p: LpProblem, cfg: LpConfig | None = None,
     Returns OPTIMAL with a vertex point, INFEASIBLE with row multipliers
     certifying the conflict, or ITERATION_LIMIT after the pivot cap.
     """
-    if cfg is None:
-        cfg = LpConfig()
-    if p.num_vars == 0:
+    m, nv = p.rows.shape
+    if nv == 0:
         return LpResult(OPTIMAL, 0.0, Point(np.zeros(0)), 0)
-    if not p.rows:
+    if m == 0:
         x = p.lb.copy()
         return LpResult(OPTIMAL, float(x.sum()), Point(x), 0)
 
-    tab = _Tableau(p, cfg, start)
-    max_iters = cfg.max_iters
-    if max_iters is None:
-        max_iters = 50 * (len(p.rows) + p.num_vars)
+    tab = _Tableau(p, start)
+    max_iters = PIVOTS_PER_DIM * (m + nv)
 
     for phase in (1, 2):
         if phase == 1 and not tab.is_art.any():
             continue
         if phase == 2 and tab.is_art.any():
-            if tab.phase1_value() > cfg.feas_tol:
+            if tab.phase1_value() > FEAS_TOL:
                 y = tab.row_multipliers(tab.c1)
                 return LpResult(INFEASIBLE, float("nan"), None,
                                 tab.iterations, certificate=y)
@@ -311,39 +300,35 @@ def solve_lp(p: LpProblem, cfg: LpConfig | None = None,
         while True:
             if tab.iterations >= max_iters:
                 return LpResult(ITERATION_LIMIT, float("nan"), None, tab.iterations)
-            bland = tab.stall > cfg.stall_limit
+            bland = tab.stall > STALL_LIMIT
             if not tab.step(phase, bland):
                 break
             since_refactor += 1
-            if since_refactor >= cfg.refactor_every:
+            if since_refactor >= REFACTOR_EVERY:
                 tab.refactor()
                 since_refactor = 0
-        if phase == 1 and tab.phase1_value() > cfg.feas_tol:
+        if phase == 1 and tab.phase1_value() > FEAS_TOL:
             y = tab.row_multipliers(tab.c1)
             return LpResult(INFEASIBLE, float("nan"), None,
                             tab.iterations, certificate=y)
 
     x = tab.structural_point()
     # final consistency check; refactor once if drift is detected
-    if _max_row_violation(p, x) > cfg.feas_tol:
+    if _max_row_violation(p, x) > FEAS_TOL:
         tab.refactor()
         while tab.step(2, bland=True):
             if tab.iterations >= max_iters:
                 return LpResult(ITERATION_LIMIT, float("nan"), None, tab.iterations)
         x = tab.structural_point()
-        if _max_row_violation(p, x) > 10 * cfg.feas_tol:
+        if _max_row_violation(p, x) > 10 * FEAS_TOL:
             raise LpError("simplex returned an infeasible point")
     x = np.clip(x, p.lb, p.ub)
     return LpResult(
         OPTIMAL, float(x.sum()), Point(x), tab.iterations,
-        reduced_costs=tab.z2[: p.num_vars].copy(),
-        at_upper=tab.at_upper[: p.num_vars] & ~tab.in_basis[: p.num_vars],
+        reduced_costs=tab.z2[:nv].copy(),
+        at_upper=tab.at_upper[:nv] & ~tab.in_basis[:nv],
     )
 
 
 def _max_row_violation(p: LpProblem, x: np.ndarray) -> float:
-    worst = 0.0
-    for coeffs, rhs in p.rows:
-        lhs = sum(a * x[j] for j, a in coeffs.items())
-        worst = max(worst, rhs - lhs)
-    return worst
+    return max(float(np.max(p.rhs - p.rows @ x)), 0.0)

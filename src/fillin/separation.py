@@ -27,6 +27,7 @@ from .cuts import Cut, CutError, FamilyInapplicableError, cut_i1, cut_i2, cut_i3
 from .graphs import Cycle, Graph, Point, iter_chordless_cycles
 
 VIOLATION_TOL = 1e-6
+EXACT_MAX_N = 25  # largest graph the exact separators run on
 
 INTEGER = "INTEGER"
 THRESHOLD = "THRESHOLD"
@@ -245,7 +246,7 @@ def _dijkstra_avoiding(xt: np.ndarray, n: int, src: int, dst: int,
 
 
 def separate_i3_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL,
-                      vertex_cap: int = 25) -> SeparationReport:
+                      vertex_cap: int = EXACT_MAX_N) -> SeparationReport:
     """Exact separation of the (lifted) I3 family over a fractional point.
 
     Works on the pair digraph whose nodes are ordered vertex pairs and whose

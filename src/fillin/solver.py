@@ -14,15 +14,17 @@ import heapq
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .cuts import FAMILIES, Cut
 from .graphs import Graph, Point, is_chordal, is_valid_completion
 from .heuristics import mdo_completion, primal_repair
-from .lp import INFEASIBLE, ITERATION_LIMIT, LpConfig, LpProblem, solve_lp
+from .lp import INFEASIBLE, ITERATION_LIMIT, LpProblem, solve_lp
 from .separation import (
+    EXACT_MAX_N,
+    VIOLATION_TOL,
     separate_i2_exact,
     separate_i3_exact,
     separate_integer,
@@ -35,6 +37,9 @@ OPTIMAL = "OPTIMAL"
 FEASIBLE = "FEASIBLE"
 TIME_LIMIT = "TIME_LIMIT"
 
+MAX_ROUNDS_PER_NODE = 50  # separation rounds at one node before it branches
+HEURISTIC_INTERVAL = 100  # LP-rounding heuristic on every this-many-th node
+
 
 @dataclass
 class SolverConfig:
@@ -45,13 +50,7 @@ class SolverConfig:
     max_cycles_per_call: int = 10
     time_limit_s: float | None = None
     node_limit: int | None = None
-    seed: int = 0
     emit_all_positions: bool = False
-    exact_separation_cap: int = 25
-    max_rounds_per_node: int = 50
-    heuristic_interval: int = 100
-    violation_tol: float = 1e-6
-    integrality_tol: float = 1e-6
 
     def __post_init__(self):
         self.families_enabled = tuple(self.families_enabled)
@@ -62,19 +61,13 @@ class SolverConfig:
             raise ValueError(f"unknown cut families {sorted(unknown)}")
         if "I1" not in self.families_enabled:
             raise ValueError("family I1 must stay enabled: it certifies optimality")
+        if self.max_cycles_per_call < 1:
+            raise ValueError(
+                f"max_cycles_per_call must be at least 1, got {self.max_cycles_per_call}"
+            )
 
     def as_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "families_enabled": list(self.families_enabled),
-            "exact_i2": self.exact_i2,
-            "exact_i3": self.exact_i3,
-            "max_cycles_per_call": self.max_cycles_per_call,
-            "time_limit_s": self.time_limit_s,
-            "node_limit": self.node_limit,
-            "seed": self.seed,
-            "emit_all_positions": self.emit_all_positions,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -103,7 +96,6 @@ def root_initialize(g: Graph, cfg: SolverConfig | None = None):
         families=cfg.families_enabled,
         max_cycles=cfg.max_cycles_per_call,
         emit_all_positions=cfg.emit_all_positions,
-        tol=cfg.violation_tol,
     )
     return incumbent, list(report.cuts)
 
@@ -111,10 +103,13 @@ def root_initialize(g: Graph, cfg: SolverConfig | None = None):
 class _Search:
     """Global search state: cut pool, LP active set, incumbent, node heap.
 
-    The pool keeps every cut ever found (they are valid everywhere).  Each
-    LP only carries an active subset: pooled rows violated by the current
-    relaxation point re-enter before any new separation runs, and rows that
-    stay slack for many consecutive solves leave the LP again.
+    The pool keeps every cut ever found (they are valid everywhere).  Its
+    dense matrix (one row and right-hand side per cut, in insertion order)
+    is the only stored form of a cut: each LP takes its active rows straight
+    from it, and pool_keys only detects duplicates.  Each LP carries an
+    active subset: pooled rows violated by the current relaxation point
+    re-enter before any new separation runs, and rows that stay slack for
+    many consecutive solves leave the LP again.
     """
 
     IDLE_DROP = 30
@@ -122,7 +117,6 @@ class _Search:
     def __init__(self, g: Graph, cfg: SolverConfig):
         self.g = g
         self.cfg = cfg
-        self.pool: list[Cut] = []
         self.pool_keys: set = set()
         self.counts = {fam: 0 for fam in FAMILIES}
         self._matrix = np.zeros((0, g.mc))
@@ -141,9 +135,8 @@ class _Search:
         key = cut.key()
         if key in self.pool_keys:
             return False
+        idx = len(self.pool_keys)
         self.pool_keys.add(key)
-        idx = len(self.pool)
-        self.pool.append(cut)
         if idx >= self._matrix.shape[0]:
             grow = max(256, self._matrix.shape[0])
             self._matrix = np.vstack([self._matrix, np.zeros((grow, self.g.mc))])
@@ -164,19 +157,19 @@ class _Search:
                 logger.error("pooled cut violated by the incumbent: %s", cut.to_line())
         return True
 
-    def pool_violations(self, x: np.ndarray, tol: float) -> list[int]:
+    def pool_violations(self, x: np.ndarray) -> list[int]:
         """Pool indices strictly violated at x (active rows excluded)."""
-        k = len(self.pool)
+        k = len(self.pool_keys)
         if k == 0:
             return []
         viol = self._rhs[:k] - self._matrix[:k] @ x
-        hits = np.flatnonzero(viol > tol)
+        hits = np.flatnonzero(viol > VIOLATION_TOL)
         in_lp = set(self.active)
         return [int(i) for i in hits if int(i) not in in_lp]
 
-    def refresh_active(self, x: np.ndarray, tol: float) -> int:
+    def refresh_active(self, x: np.ndarray) -> int:
         """Re-activate violated pooled rows; age and drop slack ones."""
-        k = len(self.pool)
+        k = len(self.pool_keys)
         slack = self._matrix[:k] @ x - self._rhs[:k]
         keep = []
         for i in self.active:
@@ -187,7 +180,7 @@ class _Search:
             else:
                 self.idle[i] = 0
             keep.append(i)
-        added = self.pool_violations(x, tol)
+        added = self.pool_violations(x)
         for i in added:
             self.idle[i] = 0
         self.active = keep + added
@@ -210,17 +203,15 @@ class _Search:
         heapq.heappush(self.heap, (bound, self.counter, fixings, start))
 
     def build_lp(self, fixings: dict) -> LpProblem | None:
-        p = LpProblem(self.g.mc)
-        for i in self.active:
-            cut = self.pool[i]
-            p.add_row({f: float(a) for f, a in cut.coeffs.items()}, float(cut.rhs))
+        lb = np.zeros(self.g.mc)
+        ub = np.ones(self.g.mc)
         for j, val in fixings.items():
-            p.fix(j, float(val))
+            lb[j] = ub[j] = val
         for j, val in self.global_fix.items():
             if fixings.get(j, val) != val:
                 return None  # contradicts a proven global fixing
-            p.fix(j, float(val))
-        return p
+            lb[j] = ub[j] = val
+        return LpProblem(self._matrix[self.active], self._rhs[self.active], lb, ub)
 
     def note_root_relaxation(self, res) -> None:
         if res.reduced_costs is not None:
@@ -275,7 +266,6 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         search.add_cut(cut)
 
     search.push(0.0, {})
-    lp_cfg = LpConfig()
     status = OPTIMAL
     ceil_tol = 1e-6
 
@@ -290,7 +280,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         if math.ceil(bound - ceil_tol) >= search.ub:
             continue  # best-bound order: every other open node is no better
         search.nodes += 1
-        _process_node(search, fixings, bound, start, lp_cfg, deadline)
+        _process_node(search, fixings, bound, start, deadline)
 
     lb = search.ub
     if status != OPTIMAL and search.heap:
@@ -305,13 +295,13 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         upper_bound=int(search.ub),
         nodes=search.nodes,
         cuts_by_family=dict(search.counts),
-        total_cuts=len(search.pool),
+        total_cuts=len(search.pool_keys),
         wall_time_s=time.perf_counter() - t0,
     )
 
 
 def _process_node(search: _Search, fixings: dict, bound: float, start,
-                  lp_cfg: LpConfig, deadline) -> None:
+                  deadline) -> None:
     g, cfg = search.g, search.cfg
     rounds = 0
     warm = search.warm_start() if start is None else start
@@ -322,7 +312,7 @@ def _process_node(search: _Search, fixings: dict, bound: float, start,
         problem = search.build_lp(fixings)
         if problem is None:
             return  # contradicts a globally fixed variable
-        res = solve_lp(problem, lp_cfg, start=warm)
+        res = solve_lp(problem, start=warm)
         if res.status == INFEASIBLE:
             return
         if res.status == ITERATION_LIMIT:
@@ -331,7 +321,7 @@ def _process_node(search: _Search, fixings: dict, bound: float, start,
             return
         warm = res.point.values
         # pull violated pooled rows back into the LP before separating anew
-        if search.refresh_active(res.point.values, cfg.violation_tol):
+        if search.refresh_active(res.point.values):
             continue
         if not fixings:
             search.note_root_relaxation(res)
@@ -339,13 +329,12 @@ def _process_node(search: _Search, fixings: dict, bound: float, start,
         if math.ceil(node_bound - 1e-6) >= search.ub:
             return
         x = res.point
-        if x.is_integral(cfg.integrality_tol):
+        if x.is_integral():
             xi = Point(np.rint(x.values))
             report = separate_integer(
                 g, xi, families=cfg.families_enabled,
                 max_cycles=cfg.max_cycles_per_call,
                 emit_all_positions=cfg.emit_all_positions,
-                tol=cfg.violation_tol,
             )
             if not report.cuts:
                 search.offer_incumbent(xi.fill_set())
@@ -353,19 +342,19 @@ def _process_node(search: _Search, fixings: dict, bound: float, start,
             added = sum(search.add_cut(c) for c in report.cuts)
             search.offer_incumbent(primal_repair(g, xi))
             rounds += 1
-            if added == 0 or rounds >= cfg.max_rounds_per_node:
+            if added == 0 or rounds >= MAX_ROUNDS_PER_NODE:
                 _branch(search, x, fixings, node_bound, x.values)
                 return
         else:
             cuts = _fractional_cuts(search, x)
             added = sum(search.add_cut(c) for c in cuts)
-            if search.nodes % cfg.heuristic_interval == 0:
+            if search.nodes % HEURISTIC_INTERVAL == 0:
                 rounded = frozenset(
                     int(i) for i in np.flatnonzero(x.values >= cfg.delta)
                 )
                 search.offer_incumbent(primal_repair(g, Point.from_fill(g, rounded)))
             rounds += 1
-            if added == 0 or rounds >= cfg.max_rounds_per_node:
+            if added == 0 or rounds >= MAX_ROUNDS_PER_NODE:
                 _branch(search, x, fixings, node_bound, x.values)
                 return
 
@@ -381,17 +370,14 @@ def _fractional_cuts(search: _Search, x: Point) -> list:
             g, x, d, families=cfg.families_enabled,
             max_cycles=cfg.max_cycles_per_call,
             emit_all_positions=cfg.emit_all_positions,
-            tol=cfg.violation_tol,
         )
         cuts.extend(report.cuts)
         if cuts:
             break
-    if cfg.exact_i2 and g.n <= cfg.exact_separation_cap:
-        cuts += separate_i2_exact(g, x, tol=cfg.violation_tol).cuts
-    if cfg.exact_i3 and g.n <= cfg.exact_separation_cap:
-        cuts += separate_i3_exact(
-            g, x, tol=cfg.violation_tol, vertex_cap=cfg.exact_separation_cap
-        ).cuts
+    if cfg.exact_i2 and g.n <= EXACT_MAX_N:
+        cuts += separate_i2_exact(g, x).cuts
+    if cfg.exact_i3 and g.n <= EXACT_MAX_N:
+        cuts += separate_i3_exact(g, x).cuts
     return cuts
 
 
@@ -401,6 +387,11 @@ def _branch(search: _Search, x: Point | None, fixings: dict, bound: float,
     free = [j for j in range(g.mc)
             if j not in fixings and j not in search.global_fix]
     if not free:
+        if x is None:
+            # the LP stopped at its pivot cap, but the fixings pin every
+            # variable: the leaf's point is known without it
+            pinned = {**search.global_fix, **fixings}
+            search.offer_incumbent(frozenset(j for j, v in pinned.items() if v))
         return
     if x is not None:
         j = min(free, key=lambda f: (abs(float(x.values[f]) - 0.5), f))

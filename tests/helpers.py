@@ -91,21 +91,17 @@ def exhaustive_i3_violation(g: Graph, x: Point, tol: float = 1e-6):
     return best
 
 
-def lp_vertex_optimum(num_vars: int, rows, lb, ub):
-    """Minimum of sum(x) over {a.x >= b, lb <= x <= ub} by enumerating all
-    basic points (intersections of num_vars active constraints).
+def lp_vertex_optimum(rows, rhs, lb, ub):
+    """Minimum of sum(x) over {rows @ x >= rhs, lb <= x <= ub} by enumerating
+    all basic points (intersections of num_vars active constraints).
 
     Returns None when infeasible.  The feasible set is box-bounded, so a
     nonempty region always has a vertex.
     """
     lb = np.asarray(lb, float)
     ub = np.asarray(ub, float)
-    cons = []  # (normal, offset) meaning normal . x >= offset
-    for coeffs, rhs in rows:
-        a = np.zeros(num_vars)
-        for j, c in coeffs.items():
-            a[j] = c
-        cons.append((a, rhs))
+    num_vars = lb.size
+    cons = list(zip(np.asarray(rows, float), rhs))  # (normal, offset): normal . x >= offset
     for j in range(num_vars):
         e = np.zeros(num_vars)
         e[j] = 1.0

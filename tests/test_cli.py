@@ -76,7 +76,7 @@ class TestSolve:
 
     def test_reproducible_output(self, fig_file, capsys):
         def normalized():
-            _, out, _ = run(capsys, "solve", fig_file, "--seed", "7")
+            _, out, _ = run(capsys, "solve", fig_file)
             payload = json.loads(out)
             payload["time_s"] = None
             payload["manifest"]["started_at"] = None
@@ -88,6 +88,11 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "/nonexistent/file.el")
         assert code == 1
         assert "error" in err
+
+    def test_max_cycles_must_be_positive(self, fig_file, capsys):
+        code, _, err = run(capsys, "solve", fig_file, "--max-cycles", "0")
+        assert code == 1
+        assert "max_cycles_per_call" in err
 
     def test_family_flag(self, fig_file, capsys):
         code, out, _ = run(capsys, "solve", fig_file, "--cuts", "i1")

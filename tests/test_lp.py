@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import fillin.lp
 from fillin.lp import (
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
-    LpConfig,
     LpProblem,
     LpResult,
     solve_lp,
@@ -13,55 +13,72 @@ from fillin.lp import (
 from helpers import lp_vertex_optimum
 
 
+def box_problem(rows, rhs, num_vars=None):
+    """Rows over the unit box; num_vars is needed only when there are no rows."""
+    nv = len(rows[0]) if num_vars is None else num_vars
+    return LpProblem(np.reshape(rows, (len(rhs), nv)), rhs, np.zeros(nv), np.ones(nv))
+
+
 def random_problem(rng, num_vars=None, num_rows=None, with_fixings=False):
     nv = num_vars or int(rng.integers(2, 7))
     nr = num_rows if num_rows is not None else int(rng.integers(1, 6))
-    p = LpProblem(nv)
+    rows, rhs = [], []
     for _ in range(nr):
         support = rng.choice(nv, size=int(rng.integers(1, nv + 1)), replace=False)
-        coeffs = {int(j): float(rng.integers(-3, 4)) for j in support}
-        coeffs = {j: a for j, a in coeffs.items() if a != 0.0}
-        if not coeffs:
+        row = np.zeros(nv)
+        for j in support:
+            row[j] = float(rng.integers(-3, 4))
+        if not row.any():
             continue
-        p.add_row(coeffs, float(rng.integers(-3, 4)))
+        rows.append(row)
+        rhs.append(float(rng.integers(-3, 4)))
+    p = box_problem(rows, rhs, nv)
     if with_fixings and rng.random() < 0.5 and nv > 1:
-        p.fix(int(rng.integers(0, nv)), float(rng.integers(0, 2)))
+        j = int(rng.integers(0, nv))
+        p.lb[j] = p.ub[j] = float(rng.integers(0, 2))
     return p
 
 
 class TestBasics:
     def test_no_rows_gives_zero(self):
-        r = solve_lp(LpProblem(4))
+        r = solve_lp(box_problem([], [], 4))
         assert r.status == OPTIMAL
         assert r.objective == 0.0
         assert (r.point.values == 0).all()
 
     def test_single_covering_row(self):
-        p = LpProblem(2)
-        p.add_row({0: 1.0, 1: 1.0}, 1.0)
-        r = solve_lp(p)
+        r = solve_lp(box_problem([[1.0, 1.0]], [1.0]))
         assert r.status == OPTIMAL
         assert r.objective == pytest.approx(1.0)
         # vertex solution: one variable at 1, the other at 0
         assert sorted(r.point.values) == pytest.approx([0.0, 1.0])
 
     def test_c5_row_with_fixing(self):
-        p = LpProblem(5)
-        p.add_row({i: 1.0 for i in range(5)}, 2.0)
-        p.fix(2, 0.0)
+        p = box_problem([[1.0] * 5], [2.0])
+        p.ub[2] = 0.0
         r = solve_lp(p)
         assert r.status == OPTIMAL
         assert r.objective == pytest.approx(2.0)
         assert r.point.values[2] == 0.0
 
     def test_zero_variables(self):
-        r = solve_lp(LpProblem(0))
+        r = solve_lp(box_problem([], [], 0))
         assert r.status == OPTIMAL and r.objective == 0.0
 
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3), (3,), (3,), (3,)),  # rhs length differs from the row count
+        ((2, 3), (2,), (2,), (3,)),  # lower bounds shorter than the rows
+        ((2, 3), (2,), (3,), (4,)),  # upper bounds longer than the rows
+        ((3,), (1,), (3,), (3,)),    # rows not a matrix
+    ])
+    def test_shape_mismatch_rejected(self, shapes):
+        rows, rhs, lb, ub = shapes
+        with pytest.raises(ValueError):
+            LpProblem(np.ones(rows), np.ones(rhs), np.zeros(lb), np.ones(ub))
+
     def test_infeasible_by_bounds(self):
-        p = LpProblem(2)
-        p.add_row({0: 1.0, 1: 1.0}, 3.0)  # cannot reach 3 inside the unit box
-        r = solve_lp(p)
+        # cannot reach 3 inside the unit box
+        r = solve_lp(box_problem([[1.0, 1.0]], [3.0]))
         assert r.status == INFEASIBLE
         assert r.point is None
         assert r.certificate is not None
@@ -78,22 +95,20 @@ class TestBasics:
             found += 1
             y = r.certificate
             assert y.shape == (len(p.rows),)
-            combo = np.zeros(p.num_vars)
-            rhs = 0.0
-            for yi, (coeffs, b) in zip(y, p.rows):
-                for j, a in coeffs.items():
-                    combo[j] += yi * a
-                rhs += yi * b
+            combo = y @ p.rows
+            rhs = y @ p.rhs
             best_lhs = float(np.where(combo > 0, combo * p.ub, combo * p.lb).sum())
             assert best_lhs < rhs + 1e-6
         assert found >= 3
 
-    def test_iteration_limit_status(self):
-        p = LpProblem(4)
-        for i in range(4):
-            p.add_row({i: 1.0, (i + 1) % 4: 1.0}, 1.0)
-        r = solve_lp(p, LpConfig(max_iters=1))
+    def test_iteration_limit_status(self, monkeypatch):
+        p = box_problem([[1.0 if j in (i, (i + 1) % 4) else 0.0 for j in range(4)]
+                         for i in range(4)], [1.0] * 4)
+        assert solve_lp(p).status == OPTIMAL
+        monkeypatch.setattr(fillin.lp, "PIVOTS_PER_DIM", 0)
+        r = solve_lp(p)
         assert r.status == ITERATION_LIMIT
+        assert r.iterations == 0
 
 
 class TestAgainstVertexEnumeration:
@@ -102,7 +117,7 @@ class TestAgainstVertexEnumeration:
         checked = 0
         for _ in range(120):
             p = random_problem(rng, with_fixings=True)
-            expected = lp_vertex_optimum(p.num_vars, p.rows, p.lb, p.ub)
+            expected = lp_vertex_optimum(p.rows, p.rhs, p.lb, p.ub)
             r = solve_lp(p)
             if expected is None:
                 assert r.status == INFEASIBLE
@@ -117,7 +132,7 @@ class TestAgainstVertexEnumeration:
         for _ in range(40):
             p = random_problem(rng)
             r_cold = solve_lp(p)
-            start = rng.integers(0, 2, size=p.num_vars).astype(float)
+            start = rng.integers(0, 2, size=p.lb.size).astype(float)
             r_warm = solve_lp(p, start=start)
             assert r_cold.status == r_warm.status
             if r_cold.status == OPTIMAL:
@@ -134,8 +149,8 @@ class TestFeasibilityAndDeterminism:
                 continue
             x = r.point.values
             assert (x >= p.lb - 1e-9).all() and (x <= p.ub + 1e-9).all()
-            for coeffs, rhs in p.rows:
-                assert sum(a * x[j] for j, a in coeffs.items()) >= rhs - 1e-7
+            for row, rhs in zip(p.rows, p.rhs):
+                assert sum(a * xj for a, xj in zip(row, x)) >= rhs - 1e-7
             assert r.objective == pytest.approx(float(x.sum()), rel=1e-9, abs=1e-9)
 
     def test_adding_rows_never_decreases_objective(self):
@@ -145,10 +160,13 @@ class TestFeasibilityAndDeterminism:
             base = solve_lp(p)
             if base.status != OPTIMAL:
                 continue
-            support = rng.choice(p.num_vars, size=2, replace=False)
-            p.add_row({int(j): float(rng.integers(1, 3)) for j in support},
-                      float(rng.integers(0, 3)))
-            again = solve_lp(p)
+            support = rng.choice(p.lb.size, size=2, replace=False)
+            row = np.zeros(p.lb.size)
+            for j in support:
+                row[j] = float(rng.integers(1, 3))
+            rhs = float(rng.integers(0, 3))
+            again = solve_lp(LpProblem(np.vstack([p.rows, row]), np.append(p.rhs, rhs),
+                                       p.lb, p.ub))
             if again.status == OPTIMAL:
                 assert again.objective >= base.objective - 1e-9
 
@@ -164,9 +182,7 @@ class TestFeasibilityAndDeterminism:
                 assert (r1.point.values == r2.point.values).all()
 
     def test_reduced_costs_reported(self):
-        p = LpProblem(3)
-        p.add_row({0: 1.0, 1: 1.0}, 1.0)
-        r = solve_lp(p)
+        r = solve_lp(box_problem([[1.0, 1.0, 0.0]], [1.0]))
         assert r.reduced_costs is not None
         assert r.reduced_costs.shape == (3,)
         # variable 2 is untouched by any row: moving it up costs exactly 1

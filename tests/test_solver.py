@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from fillin.graphs import is_valid_completion
+import fillin.lp
+from fillin.cuts import evaluate
+from fillin.graphs import Point, is_valid_completion, new_graph
 from fillin.heuristics import mdo_completion
 from fillin.instances import gen_grid
 from fillin.oracle import brute_force_mccp
@@ -11,6 +15,7 @@ from fillin.solver import (
     TIME_LIMIT,
     SolverConfig,
     SolveResult,
+    _Search,
     root_initialize,
     solve,
 )
@@ -29,6 +34,19 @@ class TestConfig:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown"):
             SolverConfig(families_enabled=("I1", "I9"))
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_cycles_at_least_one(self, cap):
+        with pytest.raises(ValueError, match="max_cycles_per_call"):
+            SolverConfig(max_cycles_per_call=cap)
+
+    def test_as_dict_reports_every_field(self):
+        cfg = SolverConfig(delta=0.3, families_enabled=("I1", "I3"), exact_i2=True,
+                           exact_i3=True, max_cycles_per_call=4, time_limit_s=9.5,
+                           node_limit=7, emit_all_positions=True)
+        assert set(cfg.as_dict()) == {f.name for f in fields(SolverConfig)}
+        assert SolverConfig(**cfg.as_dict()) == cfg
+        assert cfg != SolverConfig()
 
 
 class TestRootInitialize:
@@ -100,6 +118,27 @@ class TestSolveExactness:
             assert res.upper_bound == len(brute_force_mccp(g))
 
 
+class TestPoolMatrix:
+    """The pool matrix is the only stored form of a cut, so the LP rows must
+    reproduce each cut's own evaluation."""
+
+    def test_lp_rows_match_cut_evaluation(self):
+        rng = np.random.default_rng(61)
+        graphs = [cycle_graph(6), gen_grid(3, 3)]
+        graphs += [random_connected_graph(rng, 7, 0.35) for _ in range(2)]
+        for g in graphs:
+            search = _Search(g, SolverConfig())
+            _, cuts = root_initialize(g)
+            pooled = [c for c in cuts if search.add_cut(c)]
+            assert pooled
+            p = search.build_lp({})
+            assert p.rows.shape == (len(pooled), g.mc)
+            for x in [rng.integers(0, 2, g.mc), rng.random(g.mc)]:
+                x = x.astype(float)
+                want = [float(evaluate(c, Point(x))) for c in pooled]
+                assert p.rhs - p.rows @ x == pytest.approx(want, rel=0, abs=1e-12)
+
+
 class TestLimitsAndBounds:
     def test_node_limit_reports_feasible(self):
         g = gen_grid(3, 4)
@@ -114,6 +153,21 @@ class TestLimitsAndBounds:
         assert res.status in (TIME_LIMIT, OPTIMAL)
         assert res.lower_bound <= res.upper_bound
         assert is_valid_completion(g, res.best_fill)
+
+    def test_lp_pivot_cap_still_exact(self, monkeypatch):
+        # Every LP stops at its pivot cap, so the search branches on parent
+        # bounds down to fully fixed leaves.  On the last graph the
+        # minimum-degree incumbent (2) misses the optimum (1): only the
+        # leaves can find it.
+        monkeypatch.setattr(fillin.lp, "PIVOTS_PER_DIM", 0)
+        mdo_misses = new_graph(6, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5),
+                                   (2, 3), (2, 4), (3, 4), (3, 5)])
+        assert len(mdo_completion(mdo_misses)) > len(brute_force_mccp(mdo_misses))
+        for g in (fig_graph(), cycle_graph(5), cycle_graph(6), mdo_misses):
+            res = solve(g)
+            assert res.status == OPTIMAL
+            assert res.upper_bound == res.lower_bound == len(brute_force_mccp(g))
+            assert is_valid_completion(g, res.best_fill)
 
     def test_optimal_iff_bounds_meet(self):
         for cfg in (SolverConfig(), SolverConfig(node_limit=2)):
