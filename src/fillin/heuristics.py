@@ -3,7 +3,7 @@ to turn infeasible integer points into chordal completions."""
 
 from __future__ import annotations
 
-from .graphs import Graph, Point, edge
+from .graphs import Graph, Point, edge, is_chordal
 
 
 def mdo_order(g: Graph, dynamic: bool = False) -> tuple[int, ...]:
@@ -59,15 +59,20 @@ def chordalize_with_order(g: Graph, order) -> frozenset[int]:
 
 
 def mdo_completion(g: Graph) -> frozenset[int]:
-    """Chordal completion from the static minimum-degree ordering."""
+    """Chordal completion from the static minimum-degree ordering; no fill
+    for a graph that is already chordal (the static order need not be a
+    perfect elimination ordering of it)."""
+    if is_chordal(g)[0]:
+        return frozenset()
     return chordalize_with_order(g, mdo_order(g))
 
 
 def primal_repair(g: Graph, x: Point) -> frozenset[int]:
     """Chordalize the graph described by an integer point.
 
-    Returns E(x) plus the minimum-degree-ordering fill of g + E(x); the
-    result always contains E(x) and is a chordal completion of g.
+    Returns E(x) plus the minimum-degree-ordering fill of g + E(x) (none
+    when g + E(x) is already chordal); the result always contains E(x) and
+    is a chordal completion of g.
     """
     if not x.is_integral():
         raise ValueError("primal repair requires an integral point")
@@ -77,9 +82,8 @@ def primal_repair(g: Graph, x: Point) -> frozenset[int]:
         list(g.edges) + [g.fill_pair(i) for i in on],
         require_connected=False,
     )
-    extra = chordalize_with_order(completed, mdo_order(completed))
     repaired = set(on)
-    for f in extra:
+    for f in mdo_completion(completed):
         u, v = completed.fill_pair(f)
         repaired.add(g.fill_index(u, v))
     return frozenset(repaired)

@@ -1,15 +1,45 @@
-"""Self-contained LP solver for the relaxations: minimize the sum of all
-variables subject to rows A x >= b and box bounds lb <= x <= ub in [0, 1].
+"""LP relaxations: minimize sum(x) subject to rows A x >= b and box bounds
+lb <= x <= ub inside [0, 1].
 
 The input is the dense row matrix A itself (the solver passes the active
 rows of its cut pool as they are stored), with b, lb and ub as arrays.
 
-The engine is a two-phase primal simplex on a bounded-variable tableau.
-Nonbasic variables rest at either bound, entering variables may flip bounds
-without a basis change, and Bland's rule is engaged after a stall to
-guarantee termination.  Dense numpy arithmetic throughout; re-solves start
-from scratch (optionally from a caller-supplied bound assignment, which
-skips phase one whenever that assignment already satisfies every row).
+The engine is a bounded dual simplex over the columns [A | -I]: one
+structural column per variable and one surplus column s_i = A_i x - b_i >= 0
+per row.  A basis is a set S of basic structurals together with an equally
+large set T of tight rows, the rows whose surplus is nonbasic at zero; the
+surplus of every other row is basic.  Only the k x k block A[T, S] is ever
+factored, and its inverse is kept up to date pivot by pivot, so the work of
+a pivot grows with the number of basic structurals, not with the number of
+rows.
+
+There are no artificial columns and no phase one.  Every cost is positive,
+so the slack basis (S and T empty, every structural at its lower bound) is
+dual feasible.  So is a basis returned by an earlier solve after rows are
+appended (their surplus enters the basis) or bounds are changed (a boxed
+nonbasic whose reduced cost has the wrong sign moves to its other bound).
+A supplied basis that is singular, or whose tight rows carry a negative
+multiplier, is replaced by the slack basis.  Each pivot removes the largest
+primal violation.  Its ratio test takes long steps: a bounded candidate
+that cannot close the violation on its own flips to its other bound and
+the next one is tried.  A violation that every candidate together cannot
+close proves the LP infeasible, and the multipliers of the violated row
+are returned as a nonnegative Farkas certificate.  Bland's rule (short
+steps, smallest indices) takes over after a run of degenerate pivots to
+guarantee termination.
+
+Dual degeneracy is broken by a fixed cost perturbation: variable j costs
+1 - eps_j with eps_j in [1e-9, 2e-9] (scaled down on LPs with more than 250
+variables, so that eps_max * n <= 5e-7 always).  The reported objective is
+still sum(x) at the returned vertex x, which is optimal for the perturbed
+costs.  If z* is the unperturbed optimum, attained at x*, then
+sum(x) - eps.x <= sum(x*) - eps.x* <= z*, hence
+
+    z* <= sum(x) <= z* + eps_max * sum(x) <= z* + 5e-7.
+
+The objective overestimates the LP bound by less than the 1e-6 the solver
+subtracts before rounding a bound up, so every node bound stays valid; the
+same margin covers the reduced costs that root reduced-cost fixing reads.
 Tolerances, the pivot cap and the refactorization interval are the fixed
 module constants below.
 """
@@ -17,6 +47,7 @@ module constants below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,15 +59,16 @@ ITERATION_LIMIT = "ITERATION_LIMIT"
 
 
 class LpError(RuntimeError):
-    """Internal solver failure (numerical breakdown, unbounded phase)."""
+    """Internal solver failure (numerical breakdown)."""
 
 
-FEAS_TOL = 1e-7
-PIVOT_TOL = 1e-9
-REDUCED_COST_TOL = 1e-9
+FEAS_TOL = 1e-9  # primal violation the simplex removes
+PIVOT_TOL = 1e-9  # smallest |tableau entry| that may enter the basis
+REDUCED_COST_TOL = 1e-9  # dual infeasibility tolerated in a supplied basis
 PIVOTS_PER_DIM = 50  # pivot cap: PIVOTS_PER_DIM * (rows + vars)
-STALL_LIMIT = 100
-REFACTOR_EVERY = 200
+STALL_LIMIT = 100  # degenerate pivots in a row before Bland's rule
+REFACTOR_EVERY = 100  # pivots between fresh inversions of A[T, S]
+PERTURBATION = 1e-9  # cost perturbation scale, see the module docstring
 
 
 @dataclass
@@ -66,6 +98,15 @@ class LpProblem:
             raise ValueError("lower bound exceeds upper bound")
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis: the basic structural variables (cols) and the rows
+    whose surplus is nonbasic (rows), equally many of each."""
+
+    cols: tuple[int, ...]
+    rows: tuple[int, ...]
+
+
 @dataclass
 class LpResult:
     status: str
@@ -74,261 +115,309 @@ class LpResult:
     iterations: int
     certificate: np.ndarray | None = None
     # at optimality: reduced costs of the structural variables and which of
-    # them sit at their upper bound (for reduced-cost fixing by the caller)
+    # them sit at their upper bound (for reduced-cost fixing by the caller),
+    # and the optimal basis (to warm-start a re-solve)
     reduced_costs: np.ndarray | None = None
     at_upper: np.ndarray | None = None
+    basis: Basis | None = None
 
 
-class _Tableau:
-    """Dense simplex state over columns [structural | surplus | artificial]."""
+@lru_cache(maxsize=128)
+def _costs(nv: int) -> np.ndarray:
+    """Perturbed costs 1 - eps_j, eps_j spread over [1, 2] * scale by the
+    golden-ratio sequence so that no two variables cost the same.  The
+    array is shared between calls, so it is read-only."""
+    scale = min(PERTURBATION, 2.5e-7 / max(nv, 1))
+    c = 1.0 - scale * (1.0 + (np.arange(nv) * 0.6180339887498949) % 1.0)
+    c.flags.writeable = False
+    return c
 
-    def __init__(self, p: LpProblem, start: np.ndarray | None):
-        A, b = p.rows, p.rhs
-        m, nv = A.shape
-        self.nv, self.m = nv, m
-        self.b = b
 
-        # Snap the starting assignment to a bound per variable.
-        x0 = p.lb.copy() if start is None else np.clip(start, p.lb, p.ub)
-        at_upper0 = np.abs(x0 - p.ub) < np.abs(x0 - p.lb)
-        x0 = np.where(at_upper0, p.ub, p.lb)
+class _DualSimplex:
+    """Dual simplex state.  Vectors of length n + m cover the n structural
+    columns and then the m surplus columns: z holds the values, d the
+    reduced costs (on the surplus of a tight row: the row's multiplier),
+    lo and hi the bounds, and step the way a nonbasic may move (+1 up from
+    its lower bound, -1 down from its upper bound, 0 if basic or fixed).
+    S and T list the basic structurals and the tight rows in the order of
+    the columns and rows of A[T, S], whose inverse is Binv."""
 
-        resid = b - A @ x0
-        art_rows = [i for i in range(m) if resid[i] > 1e-12]
-        na = len(art_rows)
-        ncols = nv + m + na
-        M = np.zeros((m, ncols))
-        M[:, :nv] = A
-        for i in range(m):
-            M[i, nv + i] = -1.0
-        for k, i in enumerate(art_rows):
-            M[i, nv + m + k] = 1.0
-        self.M = M
-        self.lo = np.concatenate([p.lb, np.zeros(m), np.zeros(na)])
-        self.hi = np.concatenate([p.ub, np.full(m, np.inf), np.full(na, np.inf)])
-        self.is_art = np.zeros(ncols, dtype=bool)
-        self.is_art[nv + m:] = True
-
-        self.basis = np.empty(m, dtype=int)
-        art_of_row = {i: nv + m + k for k, i in enumerate(art_rows)}
-        for i in range(m):
-            self.basis[i] = art_of_row.get(i, nv + i)
-        self.in_basis = np.zeros(ncols, dtype=bool)
-        self.in_basis[self.basis] = True
-        self.at_upper = np.zeros(ncols, dtype=bool)
-        self.at_upper[:nv] = at_upper0
-        self.at_upper[self.basis] = False
-
-        self.T = M.copy()
-        for i in range(m):
-            if not self.is_art[self.basis[i]]:  # surplus basic: column is -e_i
-                self.T[i] = -M[i]
-        self.xB = np.where(self.is_art[self.basis], resid, -resid)
-
-        self.c1 = self.is_art.astype(float)
-        self.c2 = np.zeros(ncols)
-        self.c2[:nv] = 1.0
-        self.z1 = self.c1 - self.c1[self.basis] @ self.T
-        self.z2 = self.c2 - self.c2[self.basis] @ self.T
-
+    def __init__(self, p: LpProblem):
+        self.A, self.b = p.rows, p.rhs
+        m, n = p.rows.shape
+        self.n = n
+        self.lo = np.zeros(n + m)
+        self.lo[:n] = p.lb
+        self.hi = np.full(n + m, np.inf)
+        self.hi[:n] = p.ub
+        self.span = self.hi - self.lo
+        self.c = np.zeros(n + m)
+        self.c[:n] = _costs(n)
         self.iterations = 0
-        self.stall = 0
-        self.banned = np.zeros(ncols, dtype=bool)
+        self.since_factor = 0
+        # the slack basis: every surplus basic, every structural at its
+        # lower bound, where its positive cost keeps it
+        self.S, self.T = [], []
+        self._index()
+        self.Binv = np.zeros((0, 0))
+        self.d = self.c.copy()
+        self.step = np.zeros(n + m)
+        self.step[:n] = self.span[:n] > 0
+        self.z = np.empty(n + m)
+        self.z[:n] = p.lb
+        self.z[n:] = p.rows @ p.lb - p.rhs
 
-    def nonbasic_value(self, j: int) -> float:
-        return self.hi[j] if self.at_upper[j] else self.lo[j]
+    def _index(self) -> None:
+        self.Sa = np.array(self.S, dtype=int)
+        self.Ta = np.array(self.T, dtype=int)
+        self.nTa = self.n + self.Ta
+        self.AT = self.A[self.Ta]
 
-    def refactor(self):
-        B = self.M[:, self.basis]
-        Binv = np.linalg.inv(B)
-        self.T = Binv @ self.M
-        xn = np.where(self.at_upper, self.hi, self.lo)
-        xn[self.in_basis] = 0.0
-        self.xB = Binv @ (self.b - self.M @ xn)
-        self.z1 = self.c1 - self.c1[self.basis] @ self.T
-        self.z2 = self.c2 - self.c2[self.basis] @ self.T
+    def start(self, cols, rows) -> None:
+        """Install a basis; each nonbasic structural goes to the bound its
+        reduced cost favours.  Raises LpError if A[T, S] is singular or a
+        tight row's multiplier is negative."""
+        n = self.n
+        self.S = [int(j) for j in cols]
+        self.T = [int(i) for i in rows]
+        self._index()
+        self.factor(check=True)
+        if (self.d[self.nTa] < -REDUCED_COST_TOL).any():
+            raise LpError("basis is not dual feasible")
+        self.step[:n] = np.where(self.d[:n] < 0, -1.0, 1.0)
+        self.step[self.span <= 0] = 0.0
+        self.step[self.Sa] = 0.0
+        self.step[self.nTa] = 1.0
+        self.primals()
 
-    def _entering(self, z: np.ndarray, bland: bool):
-        score = np.where(self.at_upper, z, -z)
-        score[self.in_basis | self.banned] = -np.inf
-        if bland:
-            ok = np.flatnonzero(score > REDUCED_COST_TOL)
-            return int(ok[0]) if ok.size else -1
-        j = int(np.argmax(score))
-        return j if score[j] > REDUCED_COST_TOL else -1
+    def factor(self, check: bool = False) -> None:
+        """Invert A[T, S] afresh and recompute the reduced costs."""
+        M = self.AT[:, self.Sa]
+        try:
+            Binv = np.linalg.inv(M) if len(M) else np.zeros((0, 0))
+        except np.linalg.LinAlgError as exc:
+            raise LpError("singular basis") from exc
+        if check and len(M) and np.abs(Binv @ M - np.eye(len(M))).max() > 1e-9:
+            raise LpError("ill-conditioned basis")
+        self.Binv = Binv
+        self.since_factor = 0
+        y = self.c[self.Sa] @ Binv
+        d = self.c.copy()
+        d[:self.n] -= y @ self.AT
+        d[self.Sa] = 0.0
+        d[self.nTa] = y
+        self.d = d
 
-    def _ratio(self, j: int, direction: float, bland: bool, phase: int):
-        col = self.T[:, j]
-        g = direction * col
-        blo = self.lo[self.basis]
-        bhi = self.hi[self.basis]
-        lims = np.full(self.m, np.inf)
-        dec = g > PIVOT_TOL
-        lims[dec] = (self.xB[dec] - blo[dec]) / g[dec]
-        inc = (g < -PIVOT_TOL) & np.isfinite(bhi)
-        lims[inc] = (bhi[inc] - self.xB[inc]) / (-g[inc])
-        np.maximum(lims, 0.0, out=lims)
-        limit = self.hi[j] - self.lo[j]
-        best = float(lims.min()) if self.m else np.inf
-        if best >= limit - 1e-10:
-            return limit, -1, False  # the entering variable flips bounds
-        ties = np.flatnonzero(lims < best + 1e-10)
-        if bland:
-            leave = int(min(ties, key=lambda i: self.basis[i]))
-        else:
-            # favour kicking artificials out, then the stablest pivot
-            def rank(i):
-                return (
-                    0 if (phase == 1 and self.is_art[self.basis[i]]) else 1,
-                    -abs(col[i]),
-                    self.basis[i],
-                )
-            leave = int(min(ties, key=rank))
-        return float(lims[leave]), leave, bool(inc[leave])
+    def primals(self) -> None:
+        """Values of the basic variables from the nonbasic ones."""
+        n = self.n
+        x = np.where(self.step[:n] < 0, self.hi[:n], self.lo[:n])
+        x[self.Sa] = 0.0
+        x[self.Sa] = self.Binv @ (self.b[self.Ta] - self.AT @ x)
+        self.z[:n] = x
+        self.z[n:] = self.A @ x - self.b
+        self.z[self.nTa] = 0.0
 
-    def _pivot(self, i: int, j: int):
-        piv = self.T[i, j]
-        if abs(piv) < PIVOT_TOL:
-            raise LpError("pivot element below tolerance")
-        row = self.T[i] / piv
-        colv = self.T[:, j].copy()
-        colv[i] = 0.0
-        self.T -= np.outer(colv, row)
-        self.T[i] = row
-        self.z1 = self.z1 - self.z1[j] * row
-        self.z2 = self.z2 - self.z2[j] * row
-
-    def step(self, phase: int, bland: bool) -> bool:
-        """One simplex iteration; returns False when the phase is optimal."""
-        z = self.z1 if phase == 1 else self.z2
-        j = self._entering(z, bland)
-        if j < 0:
+    def refresh(self) -> bool:
+        """Refactor if any pivot ran since the last inversion; True if so."""
+        if not self.since_factor:
             return False
-        direction = -1.0 if self.at_upper[j] else 1.0
-        delta, leave, leave_up = self._ratio(j, direction, bland, phase)
-        if not np.isfinite(delta):
-            raise LpError("unbounded direction in simplex phase %d" % phase)
-        self.iterations += 1
-        self.stall = self.stall + 1 if delta < 1e-11 else 0
-        if leave < 0:
-            # bound flip, no basis change
-            self.xB -= direction * delta * self.T[:, j]
-            self.at_upper[j] = not self.at_upper[j]
-            return True
-        enter_val = self.nonbasic_value(j) + direction * delta
-        self.xB -= direction * delta * self.T[:, j]
-        old = self.basis[leave]
-        self._pivot(leave, j)
-        self.basis[leave] = j
-        self.in_basis[old] = False
-        self.in_basis[j] = True
-        self.at_upper[old] = leave_up
-        self.at_upper[j] = False
-        self.xB[leave] = enter_val
-        if self.is_art[old]:
-            self.banned[old] = True  # artificials never re-enter
+        self.factor()
+        self.primals()
         return True
 
-    def phase1_value(self) -> float:
-        return float(sum(self.xB[i] for i in range(self.m)
-                         if self.is_art[self.basis[i]]))
+    def leaving(self, bland: bool) -> tuple[int, float]:
+        """The basic variable to leave and its violation: the most violated
+        one (the first violated one under Bland's rule), or (-1, 0)."""
+        infeas = np.maximum(self.lo - self.z, self.z - self.hi)
+        if bland:
+            hits = (infeas > FEAS_TOL).nonzero()[0]
+            j = int(hits[0]) if hits.size else -1
+        else:
+            j = int(infeas.argmax())
+        return (j, float(infeas[j])) if j >= 0 and infeas[j] > FEAS_TOL else (-1, 0.0)
 
-    def drive_out_artificials(self):
-        nreal = self.nv + self.m
-        for i in range(self.m):
-            if not self.is_art[self.basis[i]]:
-                continue
-            usable = (~self.in_basis[:nreal]) & (np.abs(self.T[i, :nreal]) > 1e-7)
-            js = np.flatnonzero(usable)
-            if js.size:
-                j = int(js[0])
-                old = self.basis[i]
-                # degenerate swap: j enters at its current bound value
-                enter_val = self.nonbasic_value(j)
-                self._pivot(i, j)
-                self.basis[i] = j
-                self.in_basis[old] = False
-                self.in_basis[j] = True
-                self.at_upper[j] = False
-                self.xB[i] = enter_val
-                self.banned[old] = True
-        # any artificial still basic stays pinned at zero
-        self.hi[self.is_art] = 0.0
-        self.banned |= self.is_art & ~self.in_basis
+    def tableau_row(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """g[v] = rate at which basic variable j changes as nonbasic v moves
+        up (zero on the other basic variables, -1 on j itself), and its
+        part gT on the surpluses of the tight rows."""
+        n = self.n
+        g = np.zeros(len(self.z))
+        if j < n:
+            gT = self.Binv[self.S.index(j)].copy()
+            g[:n] = -(gT @ self.AT)
+        else:
+            gT = self.A[j - n, self.Sa] @ self.Binv
+            g[:n] = self.A[j - n] - gT @ self.AT
+        g[self.nTa] = gT
+        g[self.Sa] = 0.0
+        g[j] = -1.0
+        return g, gT
 
-    def structural_point(self) -> np.ndarray:
-        x = np.where(self.at_upper[: self.nv], self.hi[: self.nv], self.lo[: self.nv])
-        for i in range(self.m):
-            if self.basis[i] < self.nv:
-                x[self.basis[i]] = self.xB[i]
-        return x
+    def entering(self, g: np.ndarray, sgn: float, violation: float, bland: bool):
+        """Dual ratio test for a leaving variable that must move by
+        `violation` (sgn +1: up).  The candidates are the nonbasics whose
+        allowed move pushes it that way, ordered by the dual step at which
+        their reduced cost reaches zero (larger pivots first on ties).
+        Bounded ones that cannot close the violation on their own are
+        passed: they flip to their other bound.  Returns (entering
+        variable, dual step, passed variables), or (-1, 0, None) when all
+        of them together cannot close it.  Under Bland's rule none is
+        passed and ties go to the smallest index."""
+        t = g * self.step
+        if sgn < 0:
+            np.negative(t, out=t)
+        cand = (t > PIVOT_TOL).nonzero()[0]
+        if not cand.size:
+            return -1, 0.0, None
+        tc = t[cand]
+        ratios = self.d[cand] * self.step[cand] / tc
+        if bland:
+            theta = float(ratios.min())
+            return int(cand[(ratios <= theta + 1e-12).nonzero()[0][0]]), theta, None
+        order = np.lexsort((-tc, ratios))
+        reach = np.cumsum(tc[order] * self.span[cand[order]])
+        k = int(reach.searchsorted(violation - FEAS_TOL))
+        if k == len(reach):
+            return -1, 0.0, None
+        return int(cand[order[k]]), float(ratios[order[k]]), cand[order[:k]]
 
-    def row_multipliers(self, costs: np.ndarray) -> np.ndarray:
-        # Columns nv..nv+m of T hold -B^{-1}, so y = c_B B^{-1} reads off it.
-        return -(costs[self.basis] @ self.T[:, self.nv:self.nv + self.m])
+    def flip(self, F: np.ndarray) -> None:
+        """Move nonbasic structurals F to their other bound."""
+        n = self.n
+        dx = np.zeros(n)
+        dx[F] = self.span[F] * self.step[F]
+        self.step[F] *= -1.0
+        dx[self.Sa] = -(self.Binv @ (self.AT @ dx))
+        self.z[:n] += dx
+        self.z[n:] += self.A @ dx
+
+    def pivot(self, j: int, q: int, g: np.ndarray, gT: np.ndarray, sgn: float) -> None:
+        """Basic j leaves at its violated bound and nonbasic q enters."""
+        n, A, Binv = self.n, self.A, self.Binv
+        self.d -= (self.d[q] / g[q]) * g
+        self.d[q] = 0.0
+        target = self.lo[j] if sgn > 0 else self.hi[j]
+        delta = (target - self.z[j]) / g[q]
+        dx = np.zeros(n)
+        if q < n:
+            v = Binv @ self.AT[:, q]  # column of q in A[T, S] terms
+            dx[self.Sa] = v * -delta
+            dx[q] = delta
+        else:
+            t = self.T.index(q - n)
+            dx[self.Sa] = Binv[:, t] * delta
+        self.z[:n] += dx
+        self.z[n:] += A @ dx
+        self.z[j] = target
+        self.step[q] = 0.0
+        self.step[j] = sgn if self.span[j] > 0 else 0.0
+
+        S, T = self.S, self.T
+        if j < n and q < n:
+            # column pos of A[T, S] becomes that of q
+            pos = S.index(j)
+            rowp = Binv[pos] / v[pos]
+            Binv -= v[:, None] * rowp
+            Binv[pos] += rowp
+            S[pos] = q
+            self.Sa[pos] = q
+        elif j < n:
+            # column pos and row t leave A[T, S]
+            pos = S.index(j)
+            colt = Binv[:, t] / Binv[pos, t]
+            Binv -= colt[:, None] * Binv[pos]
+            self.Binv = Binv[np.arange(len(S)) != pos][:, np.arange(len(T)) != t]
+            del S[pos], T[t]
+            self._index()
+        elif q < n:
+            # A[T, S] grows by column q and row j - n
+            sigma = g[q]
+            k = len(S)
+            grown = np.empty((k + 1, k + 1))
+            grown[:k, :k] = Binv + v[:, None] * (gT / sigma)
+            grown[:k, k] = v / -sigma
+            grown[k, :k] = gT / -sigma
+            grown[k, k] = 1.0 / sigma
+            self.Binv = grown
+            S.append(q)
+            T.append(j - n)
+            self._index()
+        else:
+            # row t of A[T, S] becomes row j - n
+            colt = Binv[:, t] / gT[t]
+            Binv -= colt[:, None] * gT
+            Binv[:, t] += colt
+            T[t] = j - n
+            self.Ta[t] = j - n
+            self.nTa[t] = j
+            self.AT[t] = A[j - n]
+        self.iterations += 1
+        self.since_factor += 1
+        if self.since_factor >= REFACTOR_EVERY:
+            self.refresh()
 
 
-def solve_lp(p: LpProblem, start: np.ndarray | None = None) -> LpResult:
+def solve_lp(p: LpProblem, basis: Basis | None = None) -> LpResult:
     """Solve the bounded relaxation; deterministic for identical input.
 
-    start, if given, is snapped per-variable to the nearest bound and used
-    as the initial nonbasic assignment.
+    basis, if given, is a basis of an earlier solve (its rows index p.rows)
+    and is where the dual simplex starts; it falls back to the slack basis
+    when that basis is singular or not dual feasible.
 
-    Returns OPTIMAL with a vertex point, INFEASIBLE with row multipliers
-    certifying the conflict, or ITERATION_LIMIT after the pivot cap.
+    Returns OPTIMAL with a vertex point, its reduced costs and basis;
+    INFEASIBLE with nonnegative row multipliers y certifying the conflict
+    (no x in the box has y @ rows @ x >= y @ rhs); or ITERATION_LIMIT after
+    the pivot cap.
     """
     m, nv = p.rows.shape
+    if basis is not None and (
+        len(basis.cols) != len(basis.rows)
+        or not all(0 <= j < nv for j in basis.cols)
+        or not all(0 <= i < m for i in basis.rows)
+    ):
+        raise ValueError(f"basis does not fit a {m} x {nv} problem: {basis}")
     if nv == 0:
-        return LpResult(OPTIMAL, 0.0, Point(np.zeros(0)), 0)
-    if m == 0:
-        x = p.lb.copy()
-        return LpResult(OPTIMAL, float(x.sum()), Point(x), 0)
+        return LpResult(OPTIMAL, 0.0, Point(np.zeros(0)), 0, basis=Basis((), ()))
 
-    tab = _Tableau(p, start)
+    lp = _DualSimplex(p)
+    if basis is not None and basis.cols:
+        try:
+            lp.start(basis.cols, basis.rows)
+        except LpError:
+            lp = _DualSimplex(p)  # back to the slack basis
     max_iters = PIVOTS_PER_DIM * (m + nv)
-
-    for phase in (1, 2):
-        if phase == 1 and not tab.is_art.any():
-            continue
-        if phase == 2 and tab.is_art.any():
-            if tab.phase1_value() > FEAS_TOL:
-                y = tab.row_multipliers(tab.c1)
-                return LpResult(INFEASIBLE, float("nan"), None,
-                                tab.iterations, certificate=y)
-            tab.drive_out_artificials()
-        since_refactor = 0
-        while True:
-            if tab.iterations >= max_iters:
-                return LpResult(ITERATION_LIMIT, float("nan"), None, tab.iterations)
-            bland = tab.stall > STALL_LIMIT
-            if not tab.step(phase, bland):
+    stall = 0
+    while True:
+        bland = stall > STALL_LIMIT
+        j, violation = lp.leaving(bland)
+        if j < 0:
+            x = np.minimum(np.maximum(lp.z[:nv], p.lb), p.ub)
+            if not m or (p.rhs - p.rows @ x).max() <= 100 * FEAS_TOL:
                 break
-            since_refactor += 1
-            if since_refactor >= REFACTOR_EVERY:
-                tab.refactor()
-                since_refactor = 0
-        if phase == 1 and tab.phase1_value() > FEAS_TOL:
-            y = tab.row_multipliers(tab.c1)
-            return LpResult(INFEASIBLE, float("nan"), None,
-                            tab.iterations, certificate=y)
+            if not lp.refresh():
+                raise LpError("simplex returned an infeasible point")
+            continue
+        if lp.iterations >= max_iters:
+            return LpResult(ITERATION_LIMIT, float("nan"), None, lp.iterations)
+        g, gT = lp.tableau_row(j)
+        sgn = 1.0 if lp.z[j] < lp.lo[j] else -1.0
+        q, theta, passed = lp.entering(g, sgn, violation, bland)
+        if q < 0:
+            if lp.refresh():
+                continue
+            # row j - n (or the rows that pin structural j) cannot be met:
+            # its multipliers, signed toward the violation, certify it
+            y = np.maximum(-sgn * g[nv:], 0.0)
+            return LpResult(INFEASIBLE, float("nan"), None, lp.iterations, certificate=y)
+        if passed is not None and passed.size:
+            lp.flip(passed)
+        stall = stall + 1 if theta < 1e-12 else 0
+        lp.pivot(j, q, g, gT, sgn)
 
-    x = tab.structural_point()
-    # final consistency check; refactor once if drift is detected
-    if _max_row_violation(p, x) > FEAS_TOL:
-        tab.refactor()
-        while tab.step(2, bland=True):
-            if tab.iterations >= max_iters:
-                return LpResult(ITERATION_LIMIT, float("nan"), None, tab.iterations)
-        x = tab.structural_point()
-        if _max_row_violation(p, x) > 10 * FEAS_TOL:
-            raise LpError("simplex returned an infeasible point")
-    x = np.clip(x, p.lb, p.ub)
     return LpResult(
-        OPTIMAL, float(x.sum()), Point(x), tab.iterations,
-        reduced_costs=tab.z2[:nv].copy(),
-        at_upper=tab.at_upper[:nv] & ~tab.in_basis[:nv],
+        OPTIMAL, float(x.sum()), Point(x), lp.iterations,
+        reduced_costs=lp.d[:nv].copy(),
+        at_upper=lp.step[:nv] < 0,
+        basis=Basis(tuple(lp.S), tuple(lp.T)),
     )
-
-
-def _max_row_violation(p: LpProblem, x: np.ndarray) -> float:
-    return max(float(np.max(p.rhs - p.rows @ x)), 0.0)

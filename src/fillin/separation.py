@@ -9,7 +9,8 @@ Three mechanisms:
   re-checked against the true fractional point (heuristic: may miss cuts);
 * exact separation for families I2 and I3 -- shortest-path searches over
   auxiliary weighted graphs whose path weights reproduce the inequality
-  slack exactly, so a violated cut is found whenever one exists.
+  slack exactly, so a violated cut is found whenever one exists (for I2,
+  one batched Floyd-Warshall per centre vertex).
 
 Every emitted cut is re-evaluated at the exact queried point and kept only
 if strictly violated.
@@ -172,9 +173,12 @@ def separate_i2_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL) -> Separat
     """Exact separation of the (lifted) I2 family over a fractional point.
 
     For every centre c and endpoint pair {p, q}, a violated I2 cut through
-    (p, c, q) exists iff the shortest p-q path in a complete auxiliary graph
-    (edges touching c forbidden, direct p-q hop forbidden) is shorter than
-    an affine function of x at the triple; the path reconstructs the cycle.
+    (p, c, q) exists iff the shortest q-p path of two or more hops in a
+    complete auxiliary graph on the vertices other than c is shorter than an
+    affine function of x at the triple; the path reconstructs the cycle.
+    The paths of one centre come from one batch (see _i2_shortest_paths),
+    run only when some triple at that centre can be violated at all;
+    stats.dijkstra_calls counts these batches.
     """
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
@@ -182,67 +186,67 @@ def separate_i2_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL) -> Separat
     report = SeparationReport(source=EXACT_I2)
     n = g.n
     for c in range(n):
-        for p in range(n):
-            if p == c:
+        # bound[p, q] = 1 - x(p,q) - (1 - 1.5 x(p,c)) - (1 - 1.5 x(c,q))
+        h = 1.0 - 1.5 * xt[c]
+        bound = 1.0 - xt - h[:, None] - h[None, :]
+        cand = np.triu(bound > tol, 1)
+        cand[c, :] = cand[:, c] = False
+        if not cand.any():
+            continue
+        dist, nxt = _i2_shortest_paths(xt, c)
+        report.stats.dijkstra_calls += 1
+        for p, q in zip(*np.nonzero(cand & (bound - dist.T > tol))):
+            path = [int(q)]
+            while path[-1] != p:
+                path.append(int(nxt[q, path[-1], p]))
+            cyc = Cycle((c,) + tuple(path))
+            report.stats.cycles_examined += 1
+            try:
+                cut = cut_i2(g, cyc, 0)
+            except CutError:
                 continue
-            for q in range(p + 1, n):
-                if q == c:
-                    continue
-                bound = 1.0 - xt[p, q] \
-                    - (1.0 - 1.5 * xt[p, c]) - (1.0 - 1.5 * xt[c, q])
-                if bound <= tol:
-                    continue
-                dist, path = _dijkstra_avoiding(xt, n, src=q, dst=p,
-                                                forbidden=c, banned_pair=(p, q))
-                report.stats.dijkstra_calls += 1
-                if path is None or bound - dist <= tol:
-                    continue
-                cyc = Cycle((c,) + tuple(path))
-                report.stats.cycles_examined += 1
-                try:
-                    cut = cut_i2(g, cyc, 0)
-                except CutError:
-                    continue
-                v = evaluate(cut, x)
-                if v > tol:
-                    report.add(cut, float(v))
+            v = evaluate(cut, x)
+            if v > tol:
+                report.add(cut, float(v))
     return report
 
 
-def _dijkstra_avoiding(xt: np.ndarray, n: int, src: int, dst: int,
-                       forbidden: int, banned_pair: tuple[int, int]):
-    """Shortest path in the complete graph with w(a,b) = 1 - x(a,b)
-    + (x(c,a) + x(c,b))/2, never visiting the forbidden centre c and never
-    using the banned direct edge."""
-    c = forbidden
-    dist = {src: 0.0}
-    pred = {src: None}
-    heap = [(0.0, src)]
-    done = set()
-    while heap:
-        d, a = heapq.heappop(heap)
-        if a in done:
+def _i2_shortest_paths(xt: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cheapest q-p paths of two or more hops avoiding the centre c, for all
+    endpoints at once, in the complete graph with edge weights
+    w(a,b) = 1 - x(a,b) + (x(c,a) + x(c,b))/2 >= 0.
+
+    D[q] holds all-pairs shortest paths of the graph minus {c, q}, from one
+    Floyd-Warshall over the n x n x n array of all q together; then
+    dist[q, p] = min over a != p of w(q, a) + D[q, a, p], which never takes
+    the direct q-p edge and never returns to q.  Returns dist (inf on the
+    diagonal) and nxt, where nxt[q, a, p] is the vertex after a on the q-p
+    path (nxt[q, q, p] its first hop).
+    """
+    n = len(xt)
+    idx = np.arange(n)
+    w = 1.0 - xt + 0.5 * (xt[c][:, None] + xt[c][None, :])
+    D = np.broadcast_to(w, (n, n, n)).copy()
+    D[:, idx, idx] = 0.0
+    D[:, c, :] = D[:, :, c] = np.inf
+    D[idx, idx, :] = np.inf
+    D[idx, :, idx] = np.inf
+    nxt = np.broadcast_to(idx, (n, n, n)).copy()
+    via = np.empty_like(D)
+    better = np.empty(D.shape, dtype=bool)
+    for v in range(n):
+        if v == c:
             continue
-        done.add(a)
-        if a == dst:
-            path = []
-            while a is not None:
-                path.append(a)
-                a = pred[a]
-            path.reverse()
-            return d, path
-        for b in range(n):
-            if b == a or b == c or b in done:
-                continue
-            if (a, b) == banned_pair or (b, a) == banned_pair:
-                continue
-            w = 1.0 - xt[a, b] + 0.5 * (xt[c, a] + xt[c, b])
-            nd = d + w
-            if nd < dist.get(b, float("inf")) - 1e-15:
-                dist[b] = nd
-                pred[b] = a
-                heapq.heappush(heap, (nd, b))
-    return float("inf"), None
+        np.add(D[:, :, v, None], D[:, None, v, :], out=via)
+        np.less(via, D, out=better)
+        np.copyto(D, via, where=better)
+        np.copyto(nxt, nxt[:, :, v, None], where=better)
+    total = w[:, :, None] + D  # total[q, a, p]: first hop q -> a, then D
+    total[:, idx, idx] = np.inf  # a == p would be the direct q-p edge
+    first = total.argmin(axis=1)
+    dist = np.take_along_axis(total, first[:, None, :], axis=1)[:, 0, :]
+    nxt[idx, idx, :] = first
+    return dist, nxt
 
 
 def separate_i3_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL,

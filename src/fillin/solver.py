@@ -6,6 +6,13 @@ Best-bound node selection; branching fixes the most fractional variable to
 0 and 1.  All cuts are globally valid, so the pool is shared by every node
 and never shrinks.  Objective values are sums of binaries, hence every node
 bound is rounded up to an integer.
+
+The LP basis is kept, not rebuilt: each cut round of a node re-solves from
+the basis of the round before, and each child starts from its parent's
+final basis.  A stored basis names its basic variables and the pool ids of
+its tight rows (rows whose surplus is nonbasic); those rows are put back
+into the LP before it is built, and every other row enters with its
+surplus basic, so only the root LP starts from the slack basis.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from .cuts import FAMILIES, Cut
 from .graphs import Graph, Point, is_chordal, is_valid_completion
 from .heuristics import mdo_completion, primal_repair
-from .lp import INFEASIBLE, ITERATION_LIMIT, LpProblem, solve_lp
+from .lp import INFEASIBLE, ITERATION_LIMIT, Basis, LpProblem, solve_lp
 from .separation import (
     EXACT_MAX_N,
     VIOLATION_TOL,
@@ -87,10 +94,9 @@ def root_initialize(g: Graph, cfg: SolverConfig | None = None):
     (lazy cuts harvested from the chordless cycles of the bare graph)."""
     if cfg is None:
         cfg = SolverConfig()
-    ok, _ = is_chordal(g)
-    if ok:
-        return frozenset(), []
     incumbent = mdo_completion(g)
+    if not incumbent:
+        return incumbent, []  # g is chordal
     report = separate_integer(
         g, Point.zeros(g),
         families=cfg.families_enabled,
@@ -127,7 +133,7 @@ class _Search:
         self.ub = g.mc
         self.nodes = 0
         self.counter = 0
-        self.heap: list = []  # (bound, counter, fixings, warm-start or None)
+        self.heap: list = []  # (bound, counter, fixings, pool basis or None)
         self.global_fix: dict[int, int] = {}
         self._root_info = None  # (bound, reduced_costs, at_upper)
 
@@ -152,25 +158,17 @@ class _Search:
             logger.debug("cut %s", cut.to_line())
             # spot-check: no valid cut may reject the current incumbent
             from .cuts import evaluate
-            x = Point(self.warm_start())
+            x = Point(self.incumbent_point())
             if evaluate(cut, x) > 0:
                 logger.error("pooled cut violated by the incumbent: %s", cut.to_line())
         return True
 
-    def pool_violations(self, x: np.ndarray) -> list[int]:
-        """Pool indices strictly violated at x (active rows excluded)."""
-        k = len(self.pool_keys)
-        if k == 0:
-            return []
-        viol = self._rhs[:k] - self._matrix[:k] @ x
-        hits = np.flatnonzero(viol > VIOLATION_TOL)
-        in_lp = set(self.active)
-        return [int(i) for i in hits if int(i) not in in_lp]
-
     def refresh_active(self, x: np.ndarray) -> int:
-        """Re-activate violated pooled rows; age and drop slack ones."""
+        """Re-activate pooled rows violated at x; age and drop slack ones."""
         k = len(self.pool_keys)
         slack = self._matrix[:k] @ x - self._rhs[:k]
+        violated = slack < -VIOLATION_TOL
+        violated[self.active] = False
         keep = []
         for i in self.active:
             if slack[i] > 1e-6:
@@ -180,7 +178,7 @@ class _Search:
             else:
                 self.idle[i] = 0
             keep.append(i)
-        added = self.pool_violations(x)
+        added = np.flatnonzero(violated).tolist()
         for i in added:
             self.idle[i] = 0
         self.active = keep + added
@@ -198,9 +196,26 @@ class _Search:
         self.update_global_fixings()
         return True
 
-    def push(self, bound: float, fixings: dict, start=None):
+    def push(self, bound: float, fixings: dict, basis: Basis | None = None):
         self.counter += 1
-        heapq.heappush(self.heap, (bound, self.counter, fixings, start))
+        heapq.heappush(self.heap, (bound, self.counter, fixings, basis))
+
+    def activate(self, basis: Basis | None) -> Basis | None:
+        """Put the tight rows of a pool basis back into the active set and
+        return the basis over LP row positions (active-list order)."""
+        if basis is None:
+            return None
+        pos = {pid: i for i, pid in enumerate(self.active)}
+        for pid in basis.rows:
+            if pid not in pos:
+                pos[pid] = len(self.active)
+                self.active.append(pid)
+                self.idle[pid] = 0
+        return Basis(basis.cols, tuple(pos[pid] for pid in basis.rows))
+
+    def pool_basis(self, basis: Basis) -> Basis:
+        """An LP basis with its tight rows named by pool id."""
+        return Basis(basis.cols, tuple(self.active[i] for i in basis.rows))
 
     def build_lp(self, fixings: dict) -> LpProblem | None:
         lb = np.zeros(self.g.mc)
@@ -234,7 +249,7 @@ class _Search:
             elif not at_upper[j] and rc[j] > 0 and bound + rc[j] > cutoff:
                 self.global_fix[j] = 0
 
-    def warm_start(self) -> np.ndarray:
+    def incumbent_point(self) -> np.ndarray:
         x = np.zeros(self.g.mc)
         for j in self.incumbent:
             x[j] = 1.0
@@ -276,11 +291,11 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         if cfg.node_limit is not None and search.nodes >= cfg.node_limit:
             status = FEASIBLE
             break
-        bound, _, fixings, start = heapq.heappop(search.heap)
+        bound, _, fixings, basis = heapq.heappop(search.heap)
         if math.ceil(bound - ceil_tol) >= search.ub:
             continue  # best-bound order: every other open node is no better
         search.nodes += 1
-        _process_node(search, fixings, bound, start, deadline)
+        _process_node(search, fixings, bound, basis, deadline)
 
     lb = search.ub
     if status != OPTIMAL and search.heap:
@@ -300,26 +315,26 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     )
 
 
-def _process_node(search: _Search, fixings: dict, bound: float, start,
-                  deadline) -> None:
+def _process_node(search: _Search, fixings: dict, bound: float,
+                  basis: Basis | None, deadline) -> None:
     g, cfg = search.g, search.cfg
     rounds = 0
-    warm = search.warm_start() if start is None else start
     while True:
         if deadline is not None and time.perf_counter() > deadline:
-            search.push(bound, fixings, start)  # cuts are global; nothing is lost
+            search.push(bound, fixings, basis)  # cuts are global; nothing is lost
             return
+        lp_basis = search.activate(basis)  # before build_lp: rows must be in
         problem = search.build_lp(fixings)
         if problem is None:
             return  # contradicts a globally fixed variable
-        res = solve_lp(problem, start=warm)
+        res = solve_lp(problem, basis=lp_basis)
         if res.status == INFEASIBLE:
             return
         if res.status == ITERATION_LIMIT:
             logger.warning("LP iteration limit at node; branching on parent bound")
             _branch(search, None, fixings, bound, None)
             return
-        warm = res.point.values
+        basis = search.pool_basis(res.basis)
         # pull violated pooled rows back into the LP before separating anew
         if search.refresh_active(res.point.values):
             continue
@@ -343,7 +358,7 @@ def _process_node(search: _Search, fixings: dict, bound: float, start,
             search.offer_incumbent(primal_repair(g, xi))
             rounds += 1
             if added == 0 or rounds >= MAX_ROUNDS_PER_NODE:
-                _branch(search, x, fixings, node_bound, x.values)
+                _branch(search, x, fixings, node_bound, basis)
                 return
         else:
             cuts = _fractional_cuts(search, x)
@@ -355,7 +370,7 @@ def _process_node(search: _Search, fixings: dict, bound: float, start,
                 search.offer_incumbent(primal_repair(g, Point.from_fill(g, rounded)))
             rounds += 1
             if added == 0 or rounds >= MAX_ROUNDS_PER_NODE:
-                _branch(search, x, fixings, node_bound, x.values)
+                _branch(search, x, fixings, node_bound, basis)
                 return
 
 
@@ -382,7 +397,7 @@ def _fractional_cuts(search: _Search, x: Point) -> list:
 
 
 def _branch(search: _Search, x: Point | None, fixings: dict, bound: float,
-            child_start) -> None:
+            child_basis: Basis | None) -> None:
     g = search.g
     free = [j for j in range(g.mc)
             if j not in fixings and j not in search.global_fix]
@@ -400,4 +415,4 @@ def _branch(search: _Search, x: Point | None, fixings: dict, bound: float,
     for val in (0, 1):
         child = dict(fixings)
         child[j] = val
-        search.push(bound, child, child_start)
+        search.push(bound, child, child_basis)

@@ -1,9 +1,11 @@
 """Shared test fixtures: small graph builders, seeded random suites, and
 independent brute-force oracles (cycle/parameter enumeration for the cut
-families, vertex enumeration for LPs)."""
+families, vertex enumeration for LPs, per-triple Dijkstra for exact I2
+separation)."""
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations, permutations
 
 import numpy as np
@@ -17,6 +19,16 @@ FIG_EDGES = [(0, 1), (0, 3), (1, 2), (2, 3), (1, 4), (3, 4)]
 
 def fig_graph() -> Graph:
     return new_graph(5, FIG_EDGES)
+
+
+# A chordal 7-vertex graph whose static minimum-degree order is not a
+# perfect elimination ordering: eliminating in that order adds one edge.
+CHORDAL_TRAP_EDGES = [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
+                      (2, 3), (2, 4), (2, 5), (2, 6), (3, 5), (4, 5), (4, 6)]
+
+
+def chordal_trap_graph() -> Graph:
+    return new_graph(7, CHORDAL_TRAP_EDGES)
 
 
 def cycle_graph(k: int) -> Graph:
@@ -120,3 +132,40 @@ def lp_vertex_optimum(rows, rhs, lb, ub):
             if best is None or val < best:
                 best = val
     return best
+
+
+def dijkstra_avoiding(xt: np.ndarray, n: int, src: int, dst: int,
+                      forbidden: int, banned_pair: tuple[int, int]):
+    """Shortest path in the complete graph with w(a,b) = 1 - x(a,b)
+    + (x(c,a) + x(c,b))/2, never visiting the forbidden centre c and never
+    using the banned direct edge.  The per-triple search exact I2
+    separation ran before its paths were batched; kept as the reference."""
+    c = forbidden
+    dist = {src: 0.0}
+    pred = {src: None}
+    heap = [(0.0, src)]
+    done = set()
+    while heap:
+        d, a = heapq.heappop(heap)
+        if a in done:
+            continue
+        done.add(a)
+        if a == dst:
+            path = []
+            while a is not None:
+                path.append(a)
+                a = pred[a]
+            path.reverse()
+            return d, path
+        for b in range(n):
+            if b == a or b == c or b in done:
+                continue
+            if (a, b) == banned_pair or (b, a) == banned_pair:
+                continue
+            w = 1.0 - xt[a, b] + 0.5 * (xt[c, a] + xt[c, b])
+            nd = d + w
+            if nd < dist.get(b, float("inf")) - 1e-15:
+                dist[b] = nd
+                pred[b] = a
+                heapq.heappush(heap, (nd, b))
+    return float("inf"), None

@@ -4,7 +4,7 @@ import pytest
 
 from fillin.cli import main
 from fillin.instances import gen_grid, save_instance, serialize_edgelist
-from helpers import cycle_graph, complete_graph, fig_graph
+from helpers import chordal_trap_graph, cycle_graph, complete_graph, fig_graph
 
 
 @pytest.fixture
@@ -178,6 +178,13 @@ class TestHeuristicAndOracle:
         lines = out.strip().splitlines()
         assert lines[0] == "size 1"
         assert lines[1] == "1 3"
+
+    def test_heuristic_on_chordal_input(self, tmp_path, capsys):
+        path = tmp_path / "trap.el"
+        save_instance(chordal_trap_graph(), str(path))
+        code, out, _ = run(capsys, "heuristic", str(path))
+        assert code == 0
+        assert out.strip().splitlines() == ["size 0"]
 
     def test_oracle_output(self, fig_file, capsys):
         code, out, _ = run(capsys, "oracle", fig_file)

@@ -9,7 +9,15 @@ from fillin.heuristics import (
     primal_repair,
 )
 from fillin.oracle import brute_force_mccp
-from helpers import complete_graph, cycle_graph, fig_graph, path_graph, random_connected_graph
+from helpers import (
+    CHORDAL_TRAP_EDGES,
+    chordal_trap_graph,
+    complete_graph,
+    cycle_graph,
+    fig_graph,
+    path_graph,
+    random_connected_graph,
+)
 
 
 class TestMdoOrder:
@@ -62,6 +70,12 @@ class TestChordalize:
         with pytest.raises(ValueError, match="permutation"):
             chordalize_with_order(cycle_graph(4), (0, 1, 2, 2))
 
+    def test_chordal_input_gets_no_fill(self):
+        g = chordal_trap_graph()
+        assert is_chordal(g)[0]
+        assert chordalize_with_order(g, mdo_order(g))  # the order alone adds fill
+        assert mdo_completion(g) == frozenset()
+
     def test_never_beats_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(15):
@@ -74,6 +88,13 @@ class TestPrimalRepair:
         g = fig_graph()
         x = Point.from_fill(g, [g.fill_index(1, 3)])
         assert primal_repair(g, x) == {g.fill_index(1, 3)}
+
+    def test_chordal_completed_graph_returned_asis(self):
+        # g + E(x) is the chordal trap graph, where the static order adds fill
+        g = new_graph(7, [e for e in CHORDAL_TRAP_EDGES if e != (2, 3)])
+        assert not is_chordal(g)[0]
+        x = Point.from_fill(g, [g.fill_index(2, 3)])
+        assert primal_repair(g, x) == {g.fill_index(2, 3)}
 
     def test_c5_from_zero_matches_mdo(self):
         g = cycle_graph(5)

@@ -6,6 +6,7 @@ from fillin.lp import (
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
+    Basis,
     LpProblem,
     LpResult,
     solve_lp,
@@ -37,6 +38,23 @@ def random_problem(rng, num_vars=None, num_rows=None, with_fixings=False):
         j = int(rng.integers(0, nv))
         p.lb[j] = p.ub[j] = float(rng.integers(0, 2))
     return p
+
+
+def assert_certifies_infeasibility(p, r):
+    """r.certificate y >= 0 combines the rows into an inequality
+    y @ rows @ x >= y @ rhs that no point in the box satisfies."""
+    y = r.certificate
+    assert y.shape == (len(p.rows),)
+    assert (y >= 0).all()
+    combo = y @ p.rows
+    best_lhs = float(np.where(combo > 0, combo * p.ub, combo * p.lb).sum())
+    assert best_lhs < y @ p.rhs + 1e-6
+
+
+def assert_same_solution(warm, cold):
+    assert warm.status == cold.status
+    if cold.status == OPTIMAL:
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
 
 
 class TestBasics:
@@ -93,12 +111,7 @@ class TestBasics:
             if r.status != INFEASIBLE:
                 continue
             found += 1
-            y = r.certificate
-            assert y.shape == (len(p.rows),)
-            combo = y @ p.rows
-            rhs = y @ p.rhs
-            best_lhs = float(np.where(combo > 0, combo * p.ub, combo * p.lb).sum())
-            assert best_lhs < rhs + 1e-6
+            assert_certifies_infeasibility(p, r)
         assert found >= 3
 
     def test_iteration_limit_status(self, monkeypatch):
@@ -128,15 +141,81 @@ class TestAgainstVertexEnumeration:
         assert checked >= 60
 
     def test_warm_start_agrees(self):
+        # from its own optimal basis a re-solve pivots no more; from an
+        # arbitrary basis (often singular or dual infeasible, so the slack
+        # basis takes over) it reaches the same optimum
         rng = np.random.default_rng(5)
         for _ in range(40):
             p = random_problem(rng)
             r_cold = solve_lp(p)
-            start = rng.integers(0, 2, size=p.lb.size).astype(float)
-            r_warm = solve_lp(p, start=start)
-            assert r_cold.status == r_warm.status
             if r_cold.status == OPTIMAL:
-                assert r_warm.objective == pytest.approx(r_cold.objective, abs=1e-7)
+                again = solve_lp(p, basis=r_cold.basis)
+                assert again.iterations == 0
+                assert again.point.values == pytest.approx(r_cold.point.values, abs=1e-9)
+            m, nv = p.rows.shape
+            k = int(rng.integers(0, min(m, nv) + 1))
+            basis = Basis(tuple(rng.choice(nv, k, replace=False).tolist()),
+                          tuple(rng.choice(m, k, replace=False).tolist()))
+            assert_same_solution(solve_lp(p, basis=basis), r_cold)
+
+
+class TestWarmBasis:
+    """Re-solves from an earlier optimal basis, as the branch-and-cut does
+    after a cut round (rows appended) and for a child (a variable fixed)."""
+
+    def test_nonbasic_starts_at_the_bound_its_reduced_cost_favours(self):
+        # x0 basic on the tight row: its multiplier is about 1, so x1's
+        # reduced cost is about 1 - 3 < 0 and x1 starts at its upper bound,
+        # where the point (0, 1) is already optimal
+        r = solve_lp(box_problem([[1.0, 3.0]], [3.0]), basis=Basis((0,), (0,)))
+        assert r.status == OPTIMAL and r.iterations == 0
+        assert r.point.values == pytest.approx([0.0, 1.0])
+        assert r.at_upper.tolist() == [False, True]
+
+    def test_appended_row_resolves_from_basis(self):
+        rng = np.random.default_rng(21)
+        checked = infeasible = 0
+        for _ in range(300):
+            p = random_problem(rng, with_fixings=True)
+            base = solve_lp(p)
+            if base.status != OPTIMAL:
+                continue
+            row = np.zeros(p.lb.size)
+            support = rng.choice(p.lb.size, size=int(rng.integers(1, p.lb.size + 1)),
+                                 replace=False)
+            row[support] = rng.integers(-2, 4, size=support.size)
+            q = LpProblem(np.vstack([p.rows, row]), np.append(p.rhs, rng.integers(0, 4)),
+                          p.lb, p.ub)
+            assert len(q.rhs) - 1 not in base.basis.rows  # its surplus starts basic
+            warm = solve_lp(q, basis=base.basis)
+            assert_same_solution(warm, solve_lp(q))
+            if warm.status == INFEASIBLE:
+                assert_certifies_infeasibility(q, warm)
+                infeasible += 1
+            checked += 1
+        assert checked >= 100 and infeasible >= 5
+
+    def test_fixed_variable_resolves_from_parent_basis(self):
+        rng = np.random.default_rng(22)
+        checked = infeasible = 0
+        for _ in range(300):
+            p = random_problem(rng)
+            base = solve_lp(p)
+            if base.status != OPTIMAL:
+                continue
+            frac = np.flatnonzero(np.abs(base.point.values - 0.5) < 0.5 - 1e-9)
+            j = int(frac[0]) if frac.size else int(rng.integers(0, p.lb.size))
+            for val in (0.0, 1.0):
+                lb, ub = p.lb.copy(), p.ub.copy()
+                lb[j] = ub[j] = val
+                child = LpProblem(p.rows, p.rhs, lb, ub)
+                warm = solve_lp(child, basis=base.basis)
+                assert_same_solution(warm, solve_lp(child))
+                if warm.status == INFEASIBLE:
+                    assert_certifies_infeasibility(child, warm)
+                    infeasible += 1
+                checked += 1
+        assert checked >= 100 and infeasible >= 5
 
 
 class TestFeasibilityAndDeterminism:

@@ -4,8 +4,11 @@ import pytest
 from fillin.cuts import evaluate
 from fillin.graphs import Point, apply_completion, is_chordal, new_graph
 from fillin.separation import (
+    VIOLATION_TOL,
     SeparationCapabilityError,
     SeparationError,
+    _extended_values,
+    _i2_shortest_paths,
     separate_i2_exact,
     separate_i3_exact,
     separate_integer,
@@ -14,6 +17,7 @@ from fillin.separation import (
 from helpers import (
     complete_graph,
     cycle_graph,
+    dijkstra_avoiding,
     exhaustive_i2_violation,
     exhaustive_i3_violation,
     fig_graph,
@@ -152,6 +156,47 @@ class TestExactI2:
             found = separate_i2_exact(g, x)
             exhaustive = exhaustive_i2_violation(g, x)
             assert bool(found.cuts) == (exhaustive is not None)
+
+
+class TestBatchedExactI2:
+    """The batched shortest paths against the per-triple Dijkstra they
+    replace: same distances, same violated triples, valid paths."""
+
+    def test_matches_per_triple_dijkstra(self):
+        rng = np.random.default_rng(83)
+        for _ in range(8):
+            n = int(rng.integers(8, 15))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.2, 0.5)))
+            x = rng.random(g.mc)
+            x[rng.random(g.mc) < 0.3] = 0.0  # zero-weight edges and ties
+            x[rng.random(g.mc) < 0.1] = 1.0
+            xt = _extended_values(g, Point(x))
+            batched, reference = set(), set()
+            for c in range(n):
+                dist, nxt = _i2_shortest_paths(xt, c)
+                for p in range(n):
+                    for q in range(p + 1, n):
+                        if c in (p, q):
+                            continue
+                        ref, _ = dijkstra_avoiding(xt, n, src=q, dst=p, forbidden=c,
+                                                   banned_pair=(p, q))
+                        assert dist[q, p] == pytest.approx(ref, rel=0, abs=1e-9)
+                        path = [q]
+                        while path[-1] != p:
+                            path.append(int(nxt[q, path[-1], p]))
+                        assert len(path) >= 3 and len(set(path)) == len(path)
+                        assert c not in path
+                        weight = sum(1.0 - xt[a, b] + 0.5 * (xt[c, a] + xt[c, b])
+                                     for a, b in zip(path, path[1:]))
+                        assert weight == pytest.approx(dist[q, p], rel=0, abs=1e-9)
+                        bound = 1.0 - xt[p, q] - (1.0 - 1.5 * xt[p, c]) \
+                            - (1.0 - 1.5 * xt[c, q])
+                        if bound - dist[q, p] > VIOLATION_TOL:
+                            batched.add((c, p, q))
+                        if bound - ref > VIOLATION_TOL:
+                            reference.add((c, p, q))
+            assert batched == reference
+            assert separate_i2_exact(g, Point(x)).stats.cycles_examined == len(batched)
 
 
 class TestExactI3:

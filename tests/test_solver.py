@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import fillin.lp
+import fillin.solver
 from fillin.cuts import evaluate
 from fillin.graphs import Point, is_valid_completion, new_graph
 from fillin.heuristics import mdo_completion
-from fillin.instances import gen_grid
+from fillin.instances import gen_grid, gen_queen
 from fillin.oracle import brute_force_mccp
 from fillin.solver import (
     FEASIBLE,
@@ -137,6 +138,25 @@ class TestPoolMatrix:
                 x = x.astype(float)
                 want = [float(evaluate(c, Point(x))) for c in pooled]
                 assert p.rhs - p.rows @ x == pytest.approx(want, rel=0, abs=1e-12)
+
+
+class TestWarmBasis:
+    @pytest.mark.parametrize("name, g", [("grid3_5", gen_grid(3, 5)),
+                                         ("queen4_4", gen_queen(4, 4))])
+    def test_only_the_root_lp_starts_cold(self, monkeypatch, name, g):
+        cold = []
+        solve_lp = fillin.solver.solve_lp
+
+        def counting(problem, basis=None):
+            cold.append(basis is None)
+            return solve_lp(problem, basis=basis)
+
+        monkeypatch.setattr(fillin.solver, "solve_lp", counting)
+        a = solve(g)
+        assert a.status == OPTIMAL and a.nodes > 1
+        assert cold[0] and sum(cold) == 1, f"{name}: {sum(cold)} of {len(cold)} LPs cold"
+        b = solve(g)
+        assert (b.nodes, b.total_cuts, b.best_fill) == (a.nodes, a.total_cuts, a.best_fill)
 
 
 class TestLimitsAndBounds:
