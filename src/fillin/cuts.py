@@ -18,6 +18,8 @@ negative coefficient that switches the cut off unless x_f = 1):
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .graphs import Cycle, Graph, GraphError, Point, edge
@@ -40,8 +42,9 @@ class Cut:
 
     def __init__(self, graph: Graph, coeffs: dict[int, int], rhs: int,
                  family: str, cycle: Cycle | None = None, params=None):
+        mc = graph.mc
         for f, a in coeffs.items():
-            if not 0 <= f < graph.mc:
+            if not 0 <= f < mc:
                 raise CutError(f"coefficient index {f} outside fill space")
             if not isinstance(a, int):
                 raise CutError(f"coefficient for index {f} is not an integer")
@@ -83,43 +86,85 @@ class Cut:
         return Cut(graph, coeffs, rhs, family)
 
 
-def evaluate(cut: Cut, x: Point) -> float:
+def point_values(x: Point) -> list:
+    """The coordinates of x as Python numbers for evaluate: ints when x is
+    integral, so that violations are exact, floats otherwise."""
+    if x.is_integral():
+        return np.rint(x.values).astype(int).tolist()
+    return x.values.tolist()
+
+
+def evaluate(cut: Cut, x: Point | list) -> float:
     """Violation rhs - a.x; positive means x violates the cut.
 
-    Exact integer arithmetic is used whenever the point is integral.
+    Exact integer arithmetic is used whenever the point is integral.  x is
+    a Point, or the list point_values returned for one: a caller evaluating
+    many cuts at one point decides its integrality once that way.
     """
     if len(x) != cut.graph.mc:
         raise CutError(
             f"point has dimension {len(x)}, cut lives in dimension {cut.graph.mc}"
         )
-    if x.is_integral():
-        vals = np.rint(x.values).astype(int)
-        return cut.rhs - sum(a * int(vals[f]) for f, a in cut.coeffs.items())
-    return cut.rhs - sum(a * float(x.values[f]) for f, a in cut.coeffs.items())
+    vals = x if isinstance(x, list) else point_values(x)
+    return cut.rhs - sum(a * vals[f] for f, a in cut.coeffs.items())
+
+
+@lru_cache(maxsize=None)
+def _interior_positions(k: int) -> tuple[tuple[int, int], ...]:
+    """Position pairs (a, b), a < b, at cyclic distance >= 2 on a k-cycle."""
+    return tuple((a, b) for a in range(k) for b in range(a + 2, k)
+                 if b - a != k - 1)
+
+
+def _missing_ext(g: Graph, vs: tuple) -> list[int]:
+    """Fill indices of the exterior pairs of vs that are not edges of g
+    (the activation set F)."""
+    t, n = g.fill_table, g.n
+    out = []
+    prev = vs[-1]
+    for v in vs:
+        f = t[prev * n + v]
+        if f >= 0:
+            out.append(f)
+        prev = v
+    return out
 
 
 def _support_fill(g: Graph, pairs) -> tuple[dict[int, int], int]:
     """Unit coefficients on the fill pairs; real pairs count as constant one."""
+    t, n = g.fill_table, g.n
     coeffs: dict[int, int] = {}
     constant = 0
-    for p in pairs:
-        if p in g.edges:
+    for u, v in pairs:
+        f = t[u * n + v]
+        if f < 0:
             constant += 1
         else:
-            coeffs[g.fill_index(*p)] = coeffs.get(g.fill_index(*p), 0) + 1
+            coeffs[f] = coeffs.get(f, 0) + 1
     return coeffs, constant
+
+
+def _all_fill(g: Graph, pairs, what: str) -> dict[int, int]:
+    """Unit coefficients on pairs that must all be fill pairs of g."""
+    t, n = g.fill_table, g.n
+    coeffs: dict[int, int] = {}
+    for u, v in pairs:
+        f = t[u * n + v]
+        if f < 0:
+            raise CutError(f"{what} pair {edge(u, v)} is an edge of the graph")
+        coeffs[f] = 1
+    return coeffs
 
 
 def cut_i1(g: Graph, c: Cycle) -> Cut:
     """Triangulating a k-cycle needs at least k-3 of its interior chords."""
     k = len(c)
-    for p in c.int_pairs():
-        if p in g.edges:
-            raise CutError(f"interior pair {p} is an edge of the graph")
-    coeffs = {g.fill_index(*p): 1 for p in c.int_pairs()}
-    missing = c.missing_ext(g)
-    for p in missing:
-        coeffs[g.fill_index(*p)] = -(k - 3)
+    vs = c.vertices
+    coeffs = _all_fill(g, ((vs[a], vs[b]) for a, b in _interior_positions(k)),
+                       "interior")
+    missing = _missing_ext(g, vs)
+    for f in missing:
+        coeffs[f] = -(k - 3)
     rhs = (k - 3) * (1 - len(missing))
     return Cut(g, coeffs, rhs, "I1", cycle=c.canonical())
 
@@ -137,16 +182,12 @@ def cut_i2(g: Graph, c: Cycle, i: int) -> Cut:
         raise CutError(f"position {i} invalid for a cycle of length {k}")
     vs = c.vertices
     vi, prev, nxt = vs[i], vs[(i - 1) % k], vs[(i + 1) % k]
-    support = [edge(prev, nxt)]
-    support += [edge(vi, vs[j]) for j in range(k)
-                if vs[j] not in (vi, prev, nxt)]
-    for p in support:
-        if p in g.edges:
-            raise CutError(f"support pair {p} is an edge of the graph")
-    coeffs = {g.fill_index(*p): 1 for p in support}
-    missing = c.missing_ext(g)
-    for p in missing:
-        coeffs[g.fill_index(*p)] = -1
+    support = [(prev, nxt)]
+    support += [(vi, v) for v in vs if v not in (vi, prev, nxt)]
+    coeffs = _all_fill(g, support, "support")
+    missing = _missing_ext(g, vs)
+    for f in missing:
+        coeffs[f] = -1
     rhs = 1 - len(missing)
     return Cut(g, coeffs, rhs, "I2", cycle=c.canonical(), params=(i,))
 
@@ -157,11 +198,10 @@ def cut_i3(g: Graph, c: Cycle) -> Cut:
     if k < 5:
         raise FamilyInapplicableError(f"family I3 needs |C| >= 5, got {k}")
     vs = c.vertices
-    pairs = [edge(vs[j], vs[(j + 2) % k]) for j in range(k)]
-    coeffs, constant = _support_fill(g, pairs)
-    missing = c.missing_ext(g)
-    for p in missing:
-        coeffs[g.fill_index(*p)] = -2
+    coeffs, constant = _support_fill(g, ((vs[j], vs[(j + 2) % k]) for j in range(k)))
+    missing = _missing_ext(g, vs)
+    for f in missing:
+        coeffs[f] = -2
     rhs = 2 * (1 - len(missing)) - constant
     return Cut(g, coeffs, rhs, "I3", cycle=c.canonical())
 
@@ -179,12 +219,13 @@ def cut_i4(g: Graph, c: Cycle, i: int, j: int) -> Cut:
             f"got d({j},{i}) = {c.dist(i, j)}"
         )
     vs = c.vertices
-    excluded = {edge(vs[(j - 1) % k], vs[(j + 1) % k]), edge(vs[j], vs[i])}
-    pairs = [p for p in c.int_pairs() if p not in excluded]
-    coeffs, constant = _support_fill(g, pairs)
-    missing = c.missing_ext(g)
-    for p in missing:
-        coeffs[g.fill_index(*p)] = -(k - 4)
+    excluded = {edge((j - 1) % k, (j + 1) % k), edge(j, i)}
+    coeffs, constant = _support_fill(
+        g, ((vs[a], vs[b]) for a, b in _interior_positions(k)
+            if (a, b) not in excluded))
+    missing = _missing_ext(g, vs)
+    for f in missing:
+        coeffs[f] = -(k - 4)
     rhs = (k - 4) * (1 - len(missing)) - constant
     return Cut(g, coeffs, rhs, "I4", cycle=c.canonical(), params=(i, j))
 

@@ -31,9 +31,13 @@ class Graph:
     Use :func:`new_graph` to build one; the bare constructor is shared with
     internal callers (lifting transforms) that need graphs without the
     connectivity requirement.
+
+    ``fill_table[u * n + v]`` is the fill index of the pair {u, v}, or -1
+    when it is an edge or u == v; it does not check its arguments, so
+    outside callers use :meth:`fill_index`.
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "fill_edges", "_fill_index")
+    __slots__ = ("n", "edges", "adj", "adj_mask", "fill_edges", "fill_table")
 
     def __init__(self, n: int, edges, require_connected: bool = True):
         if n < 1:
@@ -61,7 +65,10 @@ class Graph:
         self.fill_edges = tuple(
             p for p in combinations(range(n), 2) if p not in self.edges
         )
-        self._fill_index = {p: i for i, p in enumerate(self.fill_edges)}
+        table = [-1] * (n * n)
+        for i, (u, v) in enumerate(self.fill_edges):
+            table[u * n + v] = table[v * n + u] = i
+        self.fill_table = tuple(table)
 
     @property
     def m(self) -> int:
@@ -75,10 +82,11 @@ class Graph:
         return edge(u, v) in self.edges
 
     def fill_index(self, u: int, v: int) -> int:
-        try:
-            return self._fill_index[edge(u, v)]
-        except KeyError:
-            raise GraphError(f"({u}, {v}) is not a fill edge") from None
+        n = self.n
+        f = self.fill_table[u * n + v] if 0 <= u < n and 0 <= v < n else -1
+        if f < 0:
+            raise GraphError(f"({u}, {v}) is not a fill edge")
+        return f
 
     def fill_pair(self, i: int) -> tuple[int, int]:
         if not 0 <= i < len(self.fill_edges):
@@ -168,13 +176,17 @@ class Cycle:
 
     def canonical(self) -> "Cycle":
         """Rotate the smallest vertex to the front, then orient so the second
-        vertex is the smaller of its two neighbours."""
+        vertex is the smaller of its two neighbours; self if already so."""
         vs = self.vertices
-        i0 = vs.index(min(vs))
-        rot = vs[i0:] + vs[:i0]
-        if rot[1] > rot[-1]:
-            rot = (rot[0],) + tuple(reversed(rot[1:]))
-        return Cycle(rot)
+        if vs[1] < vs[-1] and vs[0] == min(vs):
+            return self
+        return Cycle(_canonical(vs))
+
+
+def _canonical(vs: tuple) -> tuple:
+    i0 = vs.index(min(vs))
+    rot = vs[i0:] + vs[:i0]
+    return rot if rot[1] < rot[-1] else (rot[0],) + rot[:0:-1]
 
 
 class Point:
@@ -216,43 +228,57 @@ class Point:
         return Point(x)
 
 
-def _mcs_order(g: Graph) -> list[int]:
-    """Maximum cardinality search visit order (ties to the lowest id)."""
-    n = g.n
-    weight = [0] * n
-    visited = [False] * n
+def _completed_masks(g: Graph, fill) -> list[int]:
+    """Adjacency masks of g plus the given fill-edge indices."""
+    masks = list(g.adj_mask)
+    for i in fill:
+        u, v = g.fill_pair(i)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _perfect_elimination_order(adj) -> tuple[int, ...] | None:
+    """Reverse maximum cardinality search order (ties to the lowest id) of
+    the graph with adjacency masks adj, if it is a perfect elimination
+    ordering; None otherwise (the graph is then not chordal)."""
+    n = len(adj)
+    weight = [0] * n  # -1 once visited
+    unvisited = (1 << n) - 1
     order = []
     for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best < 0 or weight[v] > weight[best]):
-                best = v
-        visited[best] = True
+        best = weight.index(max(weight))  # ties to the lowest id
+        weight[best] = -1
+        unvisited ^= 1 << best
         order.append(best)
-        for u in g.adj[best]:
-            if not visited[u]:
-                weight[u] += 1
-    return order
-
-
-def _verify_peo(g: Graph, elim_order) -> bool:
-    """Check that eliminating vertices in the given order meets only cliques."""
-    pos = {v: i for i, v in enumerate(elim_order)}
-    masks = g.adj_mask
-    for idx, v in enumerate(elim_order):
-        later = [u for u in g.adj[v] if pos[u] > idx]
+        nbrs = adj[best] & unvisited
+        while nbrs:
+            low = nbrs & -nbrs
+            weight[low.bit_length() - 1] += 1
+            nbrs ^= low
+    elim = tuple(reversed(order))
+    pos = [0] * n
+    for i, v in enumerate(elim):
+        pos[v] = i
+    remaining = (1 << n) - 1
+    for v in elim:
+        remaining ^= 1 << v
+        later = adj[v] & remaining
         if not later:
             continue
         # It suffices to check the earliest-eliminated later neighbour
         # against the rest: clique-ness then follows inductively.
-        w = min(later, key=lambda u: pos[u])
-        rest = 0
-        for u in later:
-            if u != w:
-                rest |= 1 << u
-        if rest & ~masks[w]:
-            return False
-    return True
+        w, first = -1, n
+        rest = later
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            if pos[u] < first:
+                w, first = u, pos[u]
+        if later & ~(1 << w) & ~adj[w]:
+            return None
+    return elim
 
 
 def is_chordal(g: Graph):
@@ -261,65 +287,99 @@ def is_chordal(g: Graph):
     Returns (True, ordering) where eliminating vertices in `ordering` always
     meets a clique of later neighbours, or (False, None).
     """
-    elim = tuple(reversed(_mcs_order(g)))
-    if _verify_peo(g, elim):
-        return True, elim
-    return False, None
+    elim = _perfect_elimination_order(g.adj_mask)
+    return (True, elim) if elim is not None else (False, None)
 
 
-def _shortest_induced_path(g: Graph, v: int, u: int, allowed_mask: int):
-    """BFS path from v to u staying inside allowed_mask, or None."""
-    if not ((allowed_mask >> v) & 1 and (allowed_mask >> u) & 1):
-        return None
-    parent = {v: -1}
-    queue = deque([v])
-    while queue:
-        a = queue.popleft()
-        if a == u:
-            path = []
-            while a != -1:
-                path.append(a)
-                a = parent[a]
-            path.reverse()
-            return path
-        for b in sorted(g.adj[a]):
-            if (allowed_mask >> b) & 1 and b not in parent:
-                parent[b] = a
-                queue.append(b)
-    return None
-
-
-def _is_chordless(g: Graph, cyc: Cycle) -> bool:
-    return all(p in g.edges for p in cyc.ext_pairs()) and not any(
-        p in g.edges for p in cyc.int_pairs()
-    )
-
-
-def iter_chordless_cycles(g: Graph):
-    """Yield chordless cycles of length >= 4 in canonical form, deduplicated.
+def iter_chordless_cycles(g: Graph, fill=()):
+    """Yield chordless cycles of length >= 4 of g plus the given fill-edge
+    indices, in canonical form, deduplicated.
 
     Scans vertex triples (v, w, u) in ascending id order where v-w-u is a
     path and {v, u} is a non-edge, and closes each with a shortest v-u path
     avoiding both w and its neighbourhood, so that the result is chordless
     by construction; every cycle is still verified before being yielded.
+    One breadth-first search per (v, w) serves every endpoint u: u is never
+    expanded, so the search order does not depend on which u is allowed,
+    and u's parent is the first dequeued vertex adjacent to it.
     """
-    full = (1 << g.n) - 1
+    adj = _completed_masks(g, fill)
+    n = g.n
+    full = (1 << n) - 1
     seen: set[tuple[int, ...]] = set()
-    for v in range(g.n):
-        for w in sorted(g.adj[v]):
-            for u in sorted(g.adj[w]):
-                if u <= v or g.has_edge(v, u):
+    for v in range(n):
+        above_v = full ^ ((2 << v) - 1)
+        ws = adj[v]
+        while ws:
+            low = ws & -ws
+            ws ^= low
+            w = low.bit_length() - 1
+            targets = adj[w] & above_v & ~adj[v]
+            if not targets:
+                continue
+            allowed = full & ~(adj[w] | low)
+            parent = _bfs_parents(adj, v, allowed, targets)
+            while targets:
+                low = targets & -targets
+                targets ^= low
+                u = low.bit_length() - 1
+                if u not in parent:
                     continue
-                allowed = (full & ~(g.adj_mask[w] | (1 << w))) | (1 << v) | (1 << u)
-                path = _shortest_induced_path(g, v, u, allowed)
-                if path is None:
+                path = [w, u]
+                a = parent[u]
+                while a != v:
+                    path.append(a)
+                    a = parent[a]
+                path.append(v)
+                vs = _canonical(tuple(path))
+                if vs in seen:
                     continue
-                cyc = Cycle(path + [w]).canonical()
-                if cyc.vertices in seen:
-                    continue
-                seen.add(cyc.vertices)
-                if _is_chordless(g, cyc):
-                    yield cyc
+                seen.add(vs)
+                if _is_chordless(adj, vs):
+                    yield Cycle(vs)
+
+
+def _bfs_parents(adj, v: int, allowed: int, targets: int) -> dict[int, int]:
+    """Breadth-first search from v through the vertices of allowed,
+    neighbours in ascending id order.  Returns the parent of every vertex
+    reached, stopping once each target (never expanded) has one."""
+    parent = {v: -1}
+    seen = 1 << v
+    queue = [v]
+    for a in queue:
+        hit = adj[a] & targets
+        if hit:
+            targets ^= hit
+            while hit:
+                low = hit & -hit
+                parent[low.bit_length() - 1] = a
+                hit ^= low
+            if not targets:
+                break
+        new = adj[a] & allowed & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            b = low.bit_length() - 1
+            parent[b] = a
+            queue.append(b)
+            new ^= low
+    return parent
+
+
+def _is_chordless(adj, vs: tuple) -> bool:
+    """Each vertex of the cycle is adjacent, among the cycle's vertices,
+    to exactly its two cycle neighbours."""
+    on_cycle = 0
+    for a in vs:
+        on_cycle |= 1 << a
+    prev = vs[-2]
+    cur = vs[-1]
+    for nxt in vs:
+        if adj[cur] & on_cycle != (1 << prev) | (1 << nxt):
+            return False
+        prev, cur = cur, nxt
+    return True
 
 
 def find_chordless_cycle(g: Graph):
@@ -337,5 +397,4 @@ def apply_completion(g: Graph, fill) -> Graph:
 
 def is_valid_completion(g: Graph, fill) -> bool:
     """True iff adding the given fill edges makes g chordal."""
-    ok, _ = is_chordal(apply_completion(g, fill))
-    return ok
+    return _perfect_elimination_order(_completed_masks(g, fill)) is not None

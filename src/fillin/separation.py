@@ -24,7 +24,17 @@ from itertools import permutations
 
 import numpy as np
 
-from .cuts import Cut, CutError, FamilyInapplicableError, cut_i1, cut_i2, cut_i3, cut_i4, evaluate
+from .cuts import (
+    Cut,
+    CutError,
+    FamilyInapplicableError,
+    cut_i1,
+    cut_i2,
+    cut_i3,
+    cut_i4,
+    evaluate,
+    point_values,
+)
 from .graphs import Cycle, Graph, Point, iter_chordless_cycles
 
 VIOLATION_TOL = 1e-6
@@ -56,12 +66,15 @@ class SeparationReport:
     violations: list[float] = field(default_factory=list)
     source: str = INTEGER
     stats: SeparationStats = field(default_factory=SeparationStats)
+    _seen: set = field(default_factory=set, repr=False, compare=False)
 
     def add(self, cut: Cut, violation: float) -> bool:
         # one copy of each inequality per family: I1 and I3 coincide on a
         # 5-cycle, say, and both families should still be reported
-        if any(cut.family == c.family and cut.key() == c.key() for c in self.cuts):
+        key = (cut.family, cut.key())
+        if key in self._seen:
             return False
+        self._seen.add(key)
         self.cuts.append(cut)
         self.violations.append(violation)
         return True
@@ -105,21 +118,17 @@ def default_cuts_for_cycle(g: Graph, cyc: Cycle, families=("I1", "I2", "I3", "I4
     return out
 
 
-def _separate_on_completed(g: Graph, on: frozenset[int], x: Point, source: str,
+def _separate_on_completed(g: Graph, on: list[int], vals: list, source: str,
                            families, max_cycles: int, emit_all_positions: bool,
                            tol: float) -> SeparationReport:
     """Harvest chordless cycles of g plus the given fill set, build each
-    enabled family's cut relative to g, and keep those violated at x."""
-    completed = Graph(
-        g.n,
-        list(g.edges) + [g.fill_pair(i) for i in sorted(on)],
-        require_connected=False,
-    )
+    enabled family's cut relative to g, and keep those violated at the
+    point whose point_values are vals."""
     report = SeparationReport(source=source)
-    for cyc in iter_chordless_cycles(completed):
+    for cyc in iter_chordless_cycles(g, on):
         report.stats.cycles_examined += 1
         for cut in default_cuts_for_cycle(g, cyc, families, emit_all_positions):
-            v = evaluate(cut, x)
+            v = evaluate(cut, vals)
             if v > tol:
                 report.add(cut, float(v))
         if report.stats.cycles_examined >= max_cycles:
@@ -135,8 +144,10 @@ def separate_integer(g: Graph, x: Point, families=("I1", "I2", "I3", "I4"),
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     if not x.is_integral():
         raise SeparationError("integer separation requires an integral point")
+    vals = np.rint(x.values).astype(int).tolist()  # point_values(x) for integral x
+    on = [f for f, v in enumerate(vals) if v > 0]
     return _separate_on_completed(
-        g, x.fill_set(), x, INTEGER, families, max_cycles, emit_all_positions, tol
+        g, on, vals, INTEGER, families, max_cycles, emit_all_positions, tol
     )
 
 
@@ -153,9 +164,10 @@ def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
         raise SeparationError(f"threshold must lie strictly inside (0, 1), got {delta}")
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
-    on = frozenset(int(i) for i in np.flatnonzero(x.values >= delta))
+    on = np.flatnonzero(x.values >= delta).tolist()
     return _separate_on_completed(
-        g, on, x, THRESHOLD, families, max_cycles, emit_all_positions, tol
+        g, on, point_values(x), THRESHOLD, families, max_cycles,
+        emit_all_positions, tol
     )
 
 
@@ -183,6 +195,7 @@ def separate_i2_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL) -> Separat
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     xt = _extended_values(g, x)
+    vals = point_values(x)
     report = SeparationReport(source=EXACT_I2)
     n = g.n
     for c in range(n):
@@ -205,7 +218,7 @@ def separate_i2_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL) -> Separat
                 cut = cut_i2(g, cyc, 0)
             except CutError:
                 continue
-            v = evaluate(cut, x)
+            v = evaluate(cut, vals)
             if v > tol:
                 report.add(cut, float(v))
     return report
@@ -266,6 +279,7 @@ def separate_i3_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL,
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     xt = _extended_values(g, x)
+    vals = point_values(x)
     n = g.n
 
     def arcw(a: int, b: int, c: int) -> float:
@@ -289,7 +303,7 @@ def separate_i3_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL,
             cut = cut_i3(g, cyc)
         except CutError:
             continue
-        v2 = evaluate(cut, x)
+        v2 = evaluate(cut, vals)
         if v2 > tol:
             report.add(cut, float(v2))
     return report

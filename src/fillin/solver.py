@@ -376,11 +376,18 @@ def _process_node(search: _Search, fixings: dict, bound: float,
 
 def _fractional_cuts(search: _Search, x: Point) -> list:
     """Threshold separation at the configured delta, escalating to two
-    nearby thresholds whenever the first finds nothing."""
+    nearby thresholds whenever the first finds nothing.  A threshold that
+    rounds x to a set already tried is skipped: its report would be the
+    same."""
     g, cfg = search.g, search.cfg
     deltas = (cfg.delta, 0.5 * cfg.delta, 0.5 * (1.0 + cfg.delta))
     cuts = []
+    tried = set()
     for d in deltas:
+        rounded = (x.values >= d).tobytes()
+        if rounded in tried:
+            continue
+        tried.add(rounded)
         report = separate_threshold(
             g, x, d, families=cfg.families_enabled,
             max_cycles=cfg.max_cycles_per_call,

@@ -1,17 +1,20 @@
 """Shared test fixtures: small graph builders, seeded random suites, and
 independent brute-force oracles (cycle/parameter enumeration for the cut
 families, vertex enumeration for LPs, per-triple Dijkstra for exact I2
-separation)."""
+separation), plus the pair-based chordless-cycle search, cut builders and
+threshold/integer separation that the adjacency-mask versions replaced."""
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
 
-from fillin.cuts import CutError, cut_i2, cut_i3, evaluate
-from fillin.graphs import Cycle, Graph, Point, new_graph
+from fillin.cuts import Cut, CutError, FamilyInapplicableError, cut_i2, cut_i3, evaluate
+from fillin.graphs import Cycle, Graph, Point, apply_completion, edge, new_graph
+from fillin.separation import SeparationReport
 
 # The running 5-vertex example: three chordless 4-cycles, optimum fill 1.
 FIG_EDGES = [(0, 1), (0, 3), (1, 2), (2, 3), (1, 4), (3, 4)]
@@ -169,3 +172,128 @@ def dijkstra_avoiding(xt: np.ndarray, n: int, src: int, dst: int,
                 pred[b] = a
                 heapq.heappush(heap, (nd, b))
     return float("inf"), None
+
+
+def _reference_path(g: Graph, v: int, u: int, allowed_mask: int):
+    """BFS path from v to u staying inside allowed_mask, or None."""
+    if not ((allowed_mask >> v) & 1 and (allowed_mask >> u) & 1):
+        return None
+    parent = {v: -1}
+    queue = deque([v])
+    while queue:
+        a = queue.popleft()
+        if a == u:
+            path = []
+            while a != -1:
+                path.append(a)
+                a = parent[a]
+            path.reverse()
+            return path
+        for b in sorted(g.adj[a]):
+            if (allowed_mask >> b) & 1 and b not in parent:
+                parent[b] = a
+                queue.append(b)
+    return None
+
+
+def reference_chordless_cycles(g: Graph):
+    """The per-triple chordless-cycle search that iter_chordless_cycles
+    replaced: one BFS per triple (v, w, u), over g - N[w] + v + u."""
+    full = (1 << g.n) - 1
+    seen: set[tuple[int, ...]] = set()
+    for v in range(g.n):
+        for w in sorted(g.adj[v]):
+            for u in sorted(g.adj[w]):
+                if u <= v or g.has_edge(v, u):
+                    continue
+                allowed = (full & ~(g.adj_mask[w] | (1 << w))) | (1 << v) | (1 << u)
+                path = _reference_path(g, v, u, allowed)
+                if path is None:
+                    continue
+                cyc = Cycle(path + [w]).canonical()
+                if cyc.vertices in seen:
+                    continue
+                seen.add(cyc.vertices)
+                if all(p in g.edges for p in cyc.ext_pairs()) and not any(
+                        p in g.edges for p in cyc.int_pairs()):
+                    yield cyc
+
+
+def reference_cut(g: Graph, c: Cycle, family: str, params=()) -> Cut:
+    """A family's cut built pair by pair from the cycle's exterior and
+    interior pairs, the way cut_i1..cut_i4 did before the fill table."""
+    k = len(c)
+    vs = c.vertices
+    missing = c.missing_ext(g)
+    if family in ("I3", "I4") and k < 5:
+        raise FamilyInapplicableError(f"family {family} needs |C| >= 5")
+    if family == "I1":
+        if any(p in g.edges for p in c.int_pairs()):
+            raise CutError("interior pair is an edge")
+        coeffs = {g.fill_index(*p): 1 for p in c.int_pairs()}
+        weight, rhs = k - 3, k - 3
+    elif family == "I2":
+        (i,) = params
+        vi, prev, nxt = vs[i], vs[(i - 1) % k], vs[(i + 1) % k]
+        support = [edge(prev, nxt)] + [edge(vi, w) for w in vs
+                                       if w not in (vi, prev, nxt)]
+        if any(p in g.edges for p in support):
+            raise CutError("support pair is an edge")
+        coeffs = {g.fill_index(*p): 1 for p in support}
+        weight, rhs = 1, 1
+    else:
+        if family == "I3":
+            pairs = [edge(vs[j], vs[(j + 2) % k]) for j in range(k)]
+            weight = 2
+        else:
+            i, j = params
+            if c.dist(i, j) < 2:
+                raise FamilyInapplicableError("positions too close")
+            excluded = {edge(vs[(j - 1) % k], vs[(j + 1) % k]), edge(vs[j], vs[i])}
+            pairs = [p for p in c.int_pairs() if p not in excluded]
+            weight = k - 4
+        coeffs = {}
+        for p in pairs:
+            if p not in g.edges:
+                coeffs[g.fill_index(*p)] = coeffs.get(g.fill_index(*p), 0) + 1
+        rhs = weight - sum(p in g.edges for p in pairs)
+    for p in missing:
+        coeffs[g.fill_index(*p)] = -weight
+    rhs -= weight * len(missing)
+    return Cut(g, coeffs, rhs, family, cycle=c.canonical(), params=params or None)
+
+
+def reference_separate(g: Graph, x: Point, on, families=("I1", "I2", "I3", "I4"),
+                       max_cycles: int = 10, emit_all_positions: bool = False,
+                       tol: float = 1e-6) -> SeparationReport:
+    """Integer/threshold separation as it ran before adjacency masks: build
+    the completed Graph, search it pair by pair, build each family's cut
+    pair by pair, evaluate at the Point, dedupe by rescanning the report."""
+    completed = apply_completion(g, sorted(on))
+    report = SeparationReport()
+    for cyc in reference_chordless_cycles(completed):
+        report.stats.cycles_examined += 1
+        k = len(cyc)
+        specs = []
+        if "I1" in families:
+            specs.append(("I1", ()))
+        if "I2" in families:
+            specs += [("I2", (i,)) for i in (range(k) if emit_all_positions else (0,))]
+        if "I3" in families and k >= 5:
+            specs.append(("I3", ()))
+        if "I4" in families and k >= 5:
+            specs += [("I4", (i, j)) for j in range(k) for i in range(k)
+                      if cyc.dist(i, j) >= 2] if emit_all_positions else [("I4", (2, 0))]
+        for family, params in specs:
+            try:
+                cut = reference_cut(g, cyc, family, params)
+            except CutError:
+                continue
+            v = evaluate(cut, x)
+            if v > tol and not any(cut.family == c.family and cut.key() == c.key()
+                                   for c in report.cuts):
+                report.cuts.append(cut)
+                report.violations.append(float(v))
+        if report.stats.cycles_examined >= max_cycles:
+            break
+    return report

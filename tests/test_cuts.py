@@ -16,7 +16,13 @@ from fillin.cuts import (
 )
 from fillin.graphs import Cycle, Graph, Point, new_graph
 from fillin.oracle import feasible_points
-from helpers import all_cycle_sequences, cycle_graph, fig_graph, random_connected_graph
+from helpers import (
+    all_cycle_sequences,
+    cycle_graph,
+    fig_graph,
+    random_connected_graph,
+    reference_cut,
+)
 
 
 def coeffs_by_pair(cut):
@@ -162,6 +168,38 @@ class TestI4:
     def test_too_short(self):
         with pytest.raises(FamilyInapplicableError):
             cut_i4(cycle_graph(4), Cycle((0, 1, 2, 3)), 2, 0)
+
+
+class TestAgainstPairwiseReference:
+    def test_builders_match_pair_by_pair_construction(self):
+        # the fill-table builders give the same cut, or the same refusal,
+        # as building each family from the cycle's exterior/interior pairs
+        rng = np.random.default_rng(67)
+        builders = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
+        checked = refused = 0
+        for _ in range(60):
+            n = int(rng.integers(4, 10))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.1, 0.6)))
+            for _ in range(10):
+                k = int(rng.integers(4, n + 1))
+                c = Cycle(rng.permutation(n)[:k].tolist())
+                specs = [("I1", ()), ("I3", ())]
+                specs += [("I2", (i,)) for i in range(k)]
+                specs += [("I4", (i, j)) for j in range(k) for i in range(k)
+                          if c.dist(i, j) >= 2]
+                for family, params in specs:
+                    try:
+                        ref = reference_cut(g, c, family, params)
+                    except CutError as e:
+                        with pytest.raises(type(e)):
+                            builders[family](g, c, *params)
+                        refused += 1
+                        continue
+                    cut = builders[family](g, c, *params)
+                    assert cut.to_line() == ref.to_line()
+                    assert (cut.cycle, cut.params) == (ref.cycle, ref.params)
+                    checked += 1
+        assert checked > 1000 and refused > 1000
 
 
 class TestLiftZeroPad:

@@ -1,5 +1,10 @@
+from itertools import combinations
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fillin.graphs import (
     Cycle,
@@ -13,7 +18,13 @@ from fillin.graphs import (
     iter_chordless_cycles,
     new_graph,
 )
-from helpers import cycle_graph, complete_graph, fig_graph, random_connected_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    fig_graph,
+    random_connected_graph,
+    reference_chordless_cycles,
+)
 
 
 class TestConstruction:
@@ -62,6 +73,15 @@ class TestConstruction:
         g = cycle_graph(4)
         with pytest.raises(GraphError, match="not a fill edge"):
             g.fill_index(0, 1)
+
+    @pytest.mark.parametrize("u, v", [(-1, 1), (1, -1), (-2, -4), (0, 4), (4, 0),
+                                      (5, 2), (0, 1), (3, 0), (2, 2)])
+    def test_fill_index_rejects_non_fill_pairs(self, u, v):
+        # negative, out-of-range, real edges and the diagonal: none may wrap
+        # around the flat n*n table into another pair's index
+        g = cycle_graph(4)
+        with pytest.raises(GraphError, match="not a fill edge"):
+            g.fill_index(u, v)
 
 
 class TestChordality:
@@ -121,6 +141,41 @@ class TestChordlessCycles:
                     assert p in g.edges
                 for p in cyc.int_pairs():
                     assert p not in g.edges
+
+    def test_same_sequence_as_per_triple_search(self):
+        # one BFS per (v, w) must reproduce the per-triple search exactly,
+        # on the graph itself and on completions given as fill indices
+        rng = np.random.default_rng(23)
+        for _ in range(120):
+            n = int(rng.integers(4, 17))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.1, 0.5)))
+            share = rng.uniform(0, 0.3)
+            fill = [f for f in range(g.mc) if rng.random() < share]
+            assert list(iter_chordless_cycles(g)) == list(reference_chordless_cycles(g))
+            assert list(iter_chordless_cycles(g, fill)) == list(
+                reference_chordless_cycles(apply_completion(g, fill)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(4, 10).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+    def test_networkx_cross_check(self, case):
+        n, edge_bits, fill_bits = case
+        pairs = combinations(range(n), 2)
+        g = Graph(n, [p for p, on in zip(pairs, edge_bits) if on], require_connected=False)
+        fill = [f for f in range(g.mc) if fill_bits[f]]
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges)
+        h.add_edges_from(g.fill_pair(f) for f in fill)
+        cycles = list(iter_chordless_cycles(g, fill))
+        for cyc in cycles:
+            induced = {tuple(sorted(e)) for e in h.subgraph(cyc.vertices).edges}
+            assert induced == set(cyc.ext_pairs())
+        assert (not cycles) == nx.is_chordal(h)
+        assert is_valid_completion(g, fill) == nx.is_chordal(h)
+        assert is_chordal(apply_completion(g, fill))[0] == nx.is_chordal(h)
 
     def test_agreement_with_chordality(self):
         # the two independent procedures must agree on every small graph
@@ -207,6 +262,12 @@ class TestCycleType:
     def test_canonical_idempotent(self):
         c = Cycle((4, 2, 0, 3, 1))
         assert c.canonical().canonical() == c.canonical()
+
+    def test_canonical_cycle_is_returned_as_is(self):
+        c = Cycle((0, 1, 3, 4, 2))
+        assert c.canonical() is c
+        assert Cycle((0, 2, 4, 3, 1)).canonical() == c
+        assert Cycle((1, 3, 4, 2, 0)).canonical() == c
 
     def test_rotations_and_reflections_canonicalize_identically(self):
         base = (2, 5, 1, 4, 0, 3)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from fillin.cuts import evaluate
-from fillin.graphs import Point, apply_completion, is_chordal, new_graph
+from fillin.cuts import cut_i1, cut_i3, evaluate
+from fillin.graphs import Cycle, Graph, Point, apply_completion, is_chordal, new_graph
 from fillin.separation import (
     VIOLATION_TOL,
     SeparationCapabilityError,
     SeparationError,
+    SeparationReport,
     _extended_values,
     _i2_shortest_paths,
     separate_i2_exact,
@@ -22,7 +23,16 @@ from helpers import (
     exhaustive_i3_violation,
     fig_graph,
     random_connected_graph,
+    reference_separate,
 )
+
+
+def assert_same_report(rep, ref):
+    assert [c.to_line() for c in rep.cuts] == [c.to_line() for c in ref.cuts]
+    assert [(c.family, c.params, c.cycle) for c in rep.cuts] == [
+        (c.family, c.params, c.cycle) for c in ref.cuts]
+    assert rep.violations == ref.violations
+    assert rep.stats.cycles_examined == ref.stats.cycles_examined
 
 
 class TestIntegerSeparation:
@@ -119,6 +129,73 @@ class TestThresholdSeparation:
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(SeparationError, match="threshold"):
                 separate_threshold(g, Point.zeros(g), bad)
+
+
+class TestAgainstCompletedGraphReference:
+    """Separation on adjacency masks gives exactly the report of building
+    the completed Graph and searching it pair by pair."""
+
+    OPTIONS = [
+        {},
+        {"emit_all_positions": True},
+        {"families": ("I1", "I3"), "max_cycles": 3},
+        {"families": ("I1", "I2", "I4"), "max_cycles": 50},
+    ]
+
+    @pytest.mark.parametrize("opts", OPTIONS)
+    def test_integer(self, opts):
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            g = random_connected_graph(rng, int(rng.integers(4, 13)),
+                                       float(rng.uniform(0.15, 0.5)))
+            x = Point((rng.random(g.mc) < rng.uniform(0, 0.4)).astype(float))
+            ref = reference_separate(g, x, x.fill_set(), **opts)
+            assert_same_report(separate_integer(g, x, **opts), ref)
+
+    @pytest.mark.parametrize("opts", OPTIONS)
+    def test_threshold(self, opts):
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            g = random_connected_graph(rng, int(rng.integers(4, 13)),
+                                       float(rng.uniform(0.15, 0.5)))
+            x = Point(rng.random(g.mc) * rng.uniform(0.3, 1.0))
+            delta = float(rng.choice([0.25, 0.5, 0.75]))
+            on = np.flatnonzero(x.values >= delta)
+            ref = reference_separate(g, x, on, **opts)
+            assert_same_report(separate_threshold(g, x, delta, **opts), ref)
+
+    def test_threshold_builds_no_graph(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        g = random_connected_graph(rng, 11, 0.3)
+        x = Point(rng.random(g.mc))
+        built = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        rep = separate_threshold(g, x, 0.5)
+        assert rep.stats.cycles_examined > 0
+        assert built == []
+
+
+class TestReport:
+    def test_one_copy_per_family(self):
+        # on a 5-cycle I1 and I3 are the same inequality: it is reported once
+        # under each family, and a repeat under either family is refused
+        g = cycle_graph(5)
+        c = Cycle((0, 1, 2, 3, 4))
+        i1, i3 = cut_i1(g, c), cut_i3(g, c)
+        assert i1.key() == i3.key()
+        rep = SeparationReport()
+        assert rep.add(i1, 2.0)
+        assert rep.add(i3, 2.0)
+        assert not rep.add(cut_i1(g, c), 2.0)
+        assert not rep.add(cut_i3(g, Cycle((1, 2, 3, 4, 0))), 2.0)
+        assert [cut.family for cut in rep.cuts] == ["I1", "I3"]
+        assert rep.violations == [2.0, 2.0]
 
 
 class TestExactI2:

@@ -119,6 +119,27 @@ class TestSolveExactness:
             assert res.upper_bound == len(brute_force_mccp(g))
 
 
+class TestThresholdEscalation:
+    def test_skips_a_threshold_that_rounds_to_a_tried_set(self, monkeypatch):
+        # C5 at 0.4 everywhere: 0.5 rounds to the bare cycle (no violated
+        # cut), 0.25 to the complete graph; 0.75 rounds like 0.5 and is skipped
+        g = cycle_graph(5)
+        deltas = []
+        sep = fillin.solver.separate_threshold
+
+        def recording(g, x, delta, **kwargs):
+            deltas.append(delta)
+            return sep(g, x, delta, **kwargs)
+
+        monkeypatch.setattr(fillin.solver, "separate_threshold", recording)
+        search = _Search(g, SolverConfig())
+        assert fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.4))) == []
+        assert deltas == [0.5, 0.25]
+        deltas.clear()
+        cuts = fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.3)))
+        assert deltas == [0.5] and {c.family for c in cuts} >= {"I1"}
+
+
 class TestPoolMatrix:
     """The pool matrix is the only stored form of a cut, so the LP rows must
     reproduce each cut's own evaluation."""
