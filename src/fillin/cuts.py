@@ -38,7 +38,7 @@ class FamilyInapplicableError(CutError):
 class Cut:
     """Sparse inequality sum_f coeffs[f] * x_f >= rhs over g's fill space."""
 
-    __slots__ = ("graph", "coeffs", "rhs", "family", "cycle", "params")
+    __slots__ = ("graph", "coeffs", "rhs", "family", "cycle", "params", "_key")
 
     def __init__(self, graph: Graph, coeffs: dict[int, int], rhs: int,
                  family: str, cycle: Cycle | None = None, params=None):
@@ -54,16 +54,17 @@ class Cut:
         self.family = family
         self.cycle = cycle
         self.params = params
+        self._key = (tuple(self.coeffs.items()), self.rhs)
 
     def key(self) -> tuple:
         """Structural identity: coefficient multiset and rhs, not provenance."""
-        return (tuple(self.coeffs.items()), self.rhs)
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Cut) and self.key() == other.key()
+        return isinstance(other, Cut) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self):
         terms = " + ".join(f"{a}*x{self.graph.fill_pair(f)}" for f, a in self.coeffs.items())

@@ -8,7 +8,6 @@ points, cuts and completions throughout the package.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -32,12 +31,15 @@ class Graph:
     internal callers (lifting transforms) that need graphs without the
     connectivity requirement.
 
+    Adjacency has one form, bitmasks: bit u of ``adj_mask[v]`` is set iff
+    {u, v} is an edge.
+
     ``fill_table[u * n + v]`` is the fill index of the pair {u, v}, or -1
     when it is an edge or u == v; it does not check its arguments, so
     outside callers use :meth:`fill_index`.
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "fill_edges", "fill_table")
+    __slots__ = ("n", "edges", "adj_mask", "fill_edges", "fill_table")
 
     def __init__(self, n: int, edges, require_connected: bool = True):
         if n < 1:
@@ -51,14 +53,10 @@ class Graph:
             seen.add(edge(u, v))
         self.n = n
         self.edges = frozenset(seen)
-        adj = [set() for _ in range(n)]
         mask = [0] * n
         for u, v in seen:
-            adj[u].add(v)
-            adj[v].add(u)
             mask[u] |= 1 << v
             mask[v] |= 1 << u
-        self.adj = tuple(frozenset(a) for a in adj)
         self.adj_mask = tuple(mask)
         if require_connected and not self.is_connected():
             raise GraphError("graph is disconnected")
@@ -94,19 +92,14 @@ class Graph:
         return self.fill_edges[i]
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in sorted(self.adj[u]):
-                if not (seen >> v) & 1:
-                    seen |= 1 << v
-                    count += 1
-                    queue.append(v)
-        return count == self.n
+        seen = frontier = 1
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= self.adj_mask[v]
+            frontier = reach & ~seen
+            seen |= frontier
+        return seen == (1 << self.n) - 1
 
     def __eq__(self, other):
         return (
@@ -226,6 +219,14 @@ class Point:
                 raise GraphError(f"fill index {i} out of range [0, {g.mc})")
             x[i] = 1.0
         return Point(x)
+
+
+def _bits(mask: int):
+    """Yield the positions of the set bits of mask in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _completed_masks(g: Graph, fill) -> list[int]:

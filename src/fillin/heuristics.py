@@ -1,9 +1,10 @@
 """Minimum-degree-ordering construction heuristic and the primal repair used
-to turn infeasible integer points into chordal completions."""
+to turn infeasible integer points into chordal completions.  All of them
+run on adjacency bitmasks (``Graph.adj_mask``)."""
 
 from __future__ import annotations
 
-from .graphs import Graph, Point, edge, is_chordal
+from .graphs import Graph, Point, _bits, _completed_masks, _perfect_elimination_order
 
 
 def mdo_order(g: Graph, dynamic: bool = False) -> tuple[int, ...]:
@@ -15,20 +16,22 @@ def mdo_order(g: Graph, dynamic: bool = False) -> tuple[int, ...]:
     remaining degrees (including elimination fill) are updated.
     """
     if not dynamic:
-        return tuple(sorted(range(g.n), key=lambda v: (len(g.adj[v]), v)))
-    adj = [set(a) for a in g.adj]
-    remaining = set(range(g.n))
+        return _static_order(g.adj_mask)
+    adj = list(g.adj_mask)
+    remaining = (1 << g.n) - 1
     order = []
     while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
+        v = min(_bits(remaining), key=lambda u: ((adj[u] & remaining).bit_count(), u))
         order.append(v)
-        nbrs = sorted(adj[v] & remaining)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
-        remaining.discard(v)
+        remaining ^= 1 << v
+        nbrs = adj[v] & remaining
+        for u in _bits(nbrs):
+            adj[u] |= nbrs ^ (1 << u)
     return tuple(order)
+
+
+def _static_order(adj) -> tuple[int, ...]:
+    return tuple(sorted(range(len(adj)), key=lambda v: (adj[v].bit_count(), v)))
 
 
 def chordalize_with_order(g: Graph, order) -> frozenset[int]:
@@ -42,29 +45,39 @@ def chordalize_with_order(g: Graph, order) -> frozenset[int]:
     order = tuple(order)
     if sorted(order) != list(range(g.n)):
         raise ValueError("ordering must be a permutation of the vertices")
-    adj = [set(a) for a in g.adj]
-    eliminated = set()
-    fill: set[int] = set()
+    return _elimination_fill(g, g.adj_mask, [int(v) for v in order])
+
+
+def _elimination_fill(g: Graph, adj, order) -> frozenset[int]:
+    """Fill indices of g added by eliminating in order on the graph with
+    masks adj, a supergraph of g on its vertices; adj is not modified."""
+    adj = list(adj)
+    n, table = g.n, g.fill_table
+    remaining = (1 << n) - 1
+    fill = set()
     for v in order:
-        later = sorted(u for u in adj[v] if u not in eliminated)
-        for a_idx in range(len(later)):
-            for b_idx in range(a_idx + 1, len(later)):
-                a, b = later[a_idx], later[b_idx]
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    fill.add(g.fill_index(a, b))
-        eliminated.add(v)
+        remaining ^= 1 << v
+        later = adj[v] & remaining
+        for a in _bits(later):
+            missing = later & ~adj[a] & ~((2 << a) - 1)  # above a, not joined
+            if missing:
+                fill.update(table[a * n + b] for b in _bits(missing))
+            adj[a] |= later ^ (1 << a)
     return frozenset(fill)
+
+
+def _static_mdo_fill(g: Graph, adj) -> frozenset[int]:
+    """Static minimum-degree fill (as fill indices of g) of the supergraph of
+    g with masks adj; none when it is chordal, as the order may not be a PEO."""
+    if _perfect_elimination_order(adj) is not None:
+        return frozenset()
+    return _elimination_fill(g, adj, _static_order(adj))
 
 
 def mdo_completion(g: Graph) -> frozenset[int]:
     """Chordal completion from the static minimum-degree ordering; no fill
-    for a graph that is already chordal (the static order need not be a
-    perfect elimination ordering of it)."""
-    if is_chordal(g)[0]:
-        return frozenset()
-    return chordalize_with_order(g, mdo_order(g))
+    for a graph that is already chordal."""
+    return _static_mdo_fill(g, g.adj_mask)
 
 
 def primal_repair(g: Graph, x: Point) -> frozenset[int]:
@@ -77,13 +90,4 @@ def primal_repair(g: Graph, x: Point) -> frozenset[int]:
     if not x.is_integral():
         raise ValueError("primal repair requires an integral point")
     on = x.fill_set()
-    completed = Graph(
-        g.n,
-        list(g.edges) + [g.fill_pair(i) for i in on],
-        require_connected=False,
-    )
-    repaired = set(on)
-    for f in mdo_completion(completed):
-        u, v = completed.fill_pair(f)
-        repaired.add(g.fill_index(u, v))
-    return frozenset(repaired)
+    return on | _static_mdo_fill(g, _completed_masks(g, on))

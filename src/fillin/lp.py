@@ -37,9 +37,9 @@ sum(x) - eps.x <= sum(x*) - eps.x* <= z*, hence
 
     z* <= sum(x) <= z* + eps_max * sum(x) <= z* + 5e-7.
 
-The objective overestimates the LP bound by less than the 1e-6 the solver
-subtracts before rounding a bound up, so every node bound stays valid; the
-same margin covers the reduced costs that root reduced-cost fixing reads.
+The objective overestimates the LP bound by less than solver.BOUND_TOL =
+1e-6, which the solver subtracts before rounding a bound up, so every node
+bound stays valid; the same margin covers root reduced-cost fixing.
 Tolerances, the pivot cap and the refactorization interval are the fixed
 module constants below.
 """

@@ -1,6 +1,6 @@
 """Branch-and-cut driver: LP relaxations over a growing global cut pool,
-lazy cuts at integer points, threshold (and optional exact) separation at
-fractional points, and the minimum-degree primal heuristic for incumbents.
+lazy cuts at integer points, threshold (and optional exact I2) separation
+at fractional points, and the minimum-degree primal heuristic for incumbents.
 
 Best-bound node selection; branching fixes the most fractional variable to
 0 and 1.  All cuts are globally valid, so the pool is shared by every node
@@ -33,7 +33,6 @@ from .separation import (
     EXACT_MAX_N,
     VIOLATION_TOL,
     separate_i2_exact,
-    separate_i3_exact,
     separate_integer,
     separate_threshold,
 )
@@ -46,6 +45,7 @@ TIME_LIMIT = "TIME_LIMIT"
 
 MAX_ROUNDS_PER_NODE = 50  # separation rounds at one node before it branches
 HEURISTIC_INTERVAL = 100  # LP-rounding heuristic on every this-many-th node
+BOUND_TOL = 1e-6  # LP-bound slack before rounding up; lp.py keeps its error below
 
 
 @dataclass
@@ -53,7 +53,6 @@ class SolverConfig:
     delta: float = 0.5
     families_enabled: tuple[str, ...] = FAMILIES
     exact_i2: bool = False
-    exact_i3: bool = False
     max_cycles_per_call: int = 10
     time_limit_s: float | None = None
     node_limit: int | None = None
@@ -240,7 +239,7 @@ class _Search:
         if self._root_info is None:
             return
         bound, rc, at_upper = self._root_info
-        cutoff = self.ub - 1 + 1e-6
+        cutoff = self.ub - 1 + BOUND_TOL
         for j in range(self.g.mc):
             if j in self.global_fix:
                 continue
@@ -282,7 +281,6 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
 
     search.push(0.0, {})
     status = OPTIMAL
-    ceil_tol = 1e-6
 
     while search.heap:
         if deadline is not None and time.perf_counter() > deadline:
@@ -292,14 +290,14 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
             status = FEASIBLE
             break
         bound, _, fixings, basis = heapq.heappop(search.heap)
-        if math.ceil(bound - ceil_tol) >= search.ub:
+        if math.ceil(bound - BOUND_TOL) >= search.ub:
             continue  # best-bound order: every other open node is no better
         search.nodes += 1
         _process_node(search, fixings, bound, basis, deadline)
 
     lb = search.ub
     if status != OPTIMAL and search.heap:
-        lb = min(math.ceil(b - ceil_tol) for b, _, _, _ in search.heap)
+        lb = min(math.ceil(b - BOUND_TOL) for b, _, _, _ in search.heap)
         lb = min(lb, search.ub)
     if lb == search.ub:
         status = OPTIMAL  # open nodes, if any, cannot improve the incumbent
@@ -341,7 +339,7 @@ def _process_node(search: _Search, fixings: dict, bound: float,
         if not fixings:
             search.note_root_relaxation(res)
         node_bound = res.objective
-        if math.ceil(node_bound - 1e-6) >= search.ub:
+        if math.ceil(node_bound - BOUND_TOL) >= search.ub:
             return
         x = res.point
         if x.is_integral():
@@ -398,8 +396,6 @@ def _fractional_cuts(search: _Search, x: Point) -> list:
             break
     if cfg.exact_i2 and g.n <= EXACT_MAX_N:
         cuts += separate_i2_exact(g, x).cuts
-    if cfg.exact_i3 and g.n <= EXACT_MAX_N:
-        cuts += separate_i3_exact(g, x).cuts
     return cuts
 
 

@@ -1,8 +1,9 @@
 """Shared test fixtures: small graph builders, seeded random suites, and
 independent brute-force oracles (cycle/parameter enumeration for the cut
 families, vertex enumeration for LPs, per-triple Dijkstra for exact I2
-separation), plus the pair-based chordless-cycle search, cut builders and
-threshold/integer separation that the adjacency-mask versions replaced."""
+separation), plus the pair-based chordless-cycle search, cut builders,
+threshold/integer separation and set-based heuristics that the
+adjacency-mask versions replaced."""
 
 from __future__ import annotations
 
@@ -13,7 +14,15 @@ from itertools import combinations, permutations
 import numpy as np
 
 from fillin.cuts import Cut, CutError, FamilyInapplicableError, cut_i2, cut_i3, evaluate
-from fillin.graphs import Cycle, Graph, Point, apply_completion, edge, new_graph
+from fillin.graphs import (
+    Cycle,
+    Graph,
+    Point,
+    apply_completion,
+    edge,
+    is_chordal,
+    new_graph,
+)
 from fillin.separation import SeparationReport
 
 # The running 5-vertex example: three chordless 4-cycles, optimum fill 1.
@@ -32,6 +41,11 @@ CHORDAL_TRAP_EDGES = [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
 
 def chordal_trap_graph() -> Graph:
     return new_graph(7, CHORDAL_TRAP_EDGES)
+
+
+def neighbours(g: Graph, v: int) -> list[int]:
+    """Neighbours of v in ascending order, read from the edge set."""
+    return [u for u in range(g.n) if u != v and g.has_edge(u, v)]
 
 
 def cycle_graph(k: int) -> Graph:
@@ -189,7 +203,7 @@ def _reference_path(g: Graph, v: int, u: int, allowed_mask: int):
                 a = parent[a]
             path.reverse()
             return path
-        for b in sorted(g.adj[a]):
+        for b in neighbours(g, a):
             if (allowed_mask >> b) & 1 and b not in parent:
                 parent[b] = a
                 queue.append(b)
@@ -202,8 +216,8 @@ def reference_chordless_cycles(g: Graph):
     full = (1 << g.n) - 1
     seen: set[tuple[int, ...]] = set()
     for v in range(g.n):
-        for w in sorted(g.adj[v]):
-            for u in sorted(g.adj[w]):
+        for w in neighbours(g, v):
+            for u in neighbours(g, w):
                 if u <= v or g.has_edge(v, u):
                     continue
                 allowed = (full & ~(g.adj_mask[w] | (1 << w))) | (1 << v) | (1 << u)
@@ -297,3 +311,65 @@ def reference_separate(g: Graph, x: Point, on, families=("I1", "I2", "I3", "I4")
         if report.stats.cycles_examined >= max_cycles:
             break
     return report
+
+
+def _adjacency_sets(g: Graph) -> list[set[int]]:
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def reference_mdo_order(g: Graph, dynamic: bool = False) -> tuple[int, ...]:
+    """mdo_order on adjacency sets, as it ran before adjacency masks."""
+    adj = _adjacency_sets(g)
+    if not dynamic:
+        return tuple(sorted(range(g.n), key=lambda v: (len(adj[v]), v)))
+    remaining = set(range(g.n))
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
+        order.append(v)
+        nbrs = sorted(adj[v] & remaining)
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                adj[nbrs[i]].add(nbrs[j])
+                adj[nbrs[j]].add(nbrs[i])
+        remaining.discard(v)
+    return tuple(order)
+
+
+def reference_chordalize_with_order(g: Graph, order) -> frozenset[int]:
+    """chordalize_with_order on adjacency sets, pair by pair."""
+    adj = _adjacency_sets(g)
+    eliminated = set()
+    fill: set[int] = set()
+    for v in order:
+        later = sorted(u for u in adj[v] if u not in eliminated)
+        for a_idx in range(len(later)):
+            for b_idx in range(a_idx + 1, len(later)):
+                a, b = later[a_idx], later[b_idx]
+                if b not in adj[a]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    fill.add(g.fill_index(a, b))
+        eliminated.add(v)
+    return frozenset(fill)
+
+
+def reference_mdo_completion(g: Graph) -> frozenset[int]:
+    if is_chordal(g)[0]:
+        return frozenset()
+    return reference_chordalize_with_order(g, reference_mdo_order(g))
+
+
+def reference_primal_repair(g: Graph, x: Point) -> frozenset[int]:
+    """primal_repair as it ran before adjacency masks: build g + E(x) as a
+    Graph, complete it, and map its fill indices back to g's."""
+    on = x.fill_set()
+    completed = apply_completion(g, on)
+    repaired = set(on)
+    for f in reference_mdo_completion(completed):
+        repaired.add(g.fill_index(*completed.fill_pair(f)))
+    return frozenset(repaired)

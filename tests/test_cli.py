@@ -94,6 +94,12 @@ class TestSolve:
         assert code == 1
         assert "max_cycles_per_call" in err
 
+    def test_exact_i3_flag_is_gone(self, fig_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", fig_file, "--exact-i3"])
+        assert exc.value.code == 2
+        assert "--exact-i3" in capsys.readouterr().err
+
     def test_family_flag(self, fig_file, capsys):
         code, out, _ = run(capsys, "solve", fig_file, "--cuts", "i1")
         assert code == 0

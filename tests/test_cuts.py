@@ -369,6 +369,10 @@ class TestCutPlumbing:
         assert cut_i1(g, c).key() == cut_i3(g, c).key()
         assert cut_i1(g, c).key() != cut_i2(g, c, 0).key()
 
+    def test_key_is_built_once(self):
+        c = cut_i1(cycle_graph(5), Cycle((0, 1, 2, 3, 4)))
+        assert c.key() is c.key()
+
     def test_line_roundtrip(self):
         g = new_graph(5, [(0, 1), (2, 3), (3, 4), (0, 4)])
         cut = cut_i2(g, Cycle((0, 1, 2, 3, 4)), 0)

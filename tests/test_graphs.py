@@ -22,6 +22,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     fig_graph,
+    neighbours,
     random_connected_graph,
     reference_chordless_cycles,
 )
@@ -107,7 +108,7 @@ class TestChordality:
             return
         pos = {v: i for i, v in enumerate(order)}
         for v in order:
-            later = [u for u in g.adj[v] if pos[u] > pos[v]]
+            later = [u for u in neighbours(g, v) if pos[u] > pos[v]]
             for i, a in enumerate(later):
                 for b in later[i + 1:]:
                     assert g.has_edge(a, b)

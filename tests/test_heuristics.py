@@ -1,3 +1,5 @@
+import importlib.resources as importlib_resources
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fillin.heuristics import (
     mdo_order,
     primal_repair,
 )
+from fillin.instances import gen_grid, gen_queen, parse_dimacs
 from fillin.oracle import brute_force_mccp
 from helpers import (
     CHORDAL_TRAP_EDGES,
@@ -17,7 +20,13 @@ from helpers import (
     fig_graph,
     path_graph,
     random_connected_graph,
+    reference_chordalize_with_order,
+    reference_mdo_completion,
+    reference_mdo_order,
+    reference_primal_repair,
 )
+
+DATA = importlib_resources.files("fillin") / "data"
 
 
 class TestMdoOrder:
@@ -125,3 +134,41 @@ class TestPrimalRepair:
             assert a == b
             assert x.fill_set() <= a
             assert is_valid_completion(g, a)
+
+
+class TestRoadmapFills:
+    # the fills listed for the root-incumbent candidates in ROADMAP item 4
+    @pytest.mark.parametrize("name, static, dynamic", [
+        ("grid4_4", 25, 18),
+        ("grid3_6", 38, 17),
+        ("queen4_4", 36, 28),
+        ("myciel4", 49, 46),
+    ])
+    def test_static_and_dynamic_min_degree(self, name, static, dynamic):
+        g = {
+            "grid4_4": lambda: gen_grid(4, 4),
+            "grid3_6": lambda: gen_grid(3, 6),
+            "queen4_4": lambda: gen_queen(4, 4),
+            "myciel4": lambda: parse_dimacs((DATA / "myciel4.col").read_text()),
+        }[name]()
+        assert len(mdo_completion(g)) == static
+        fill = chordalize_with_order(g, mdo_order(g, dynamic=True))
+        assert len(fill) == dynamic
+        assert is_valid_completion(g, fill)
+
+
+class TestAgainstSetReference:
+    def test_same_outputs_on_seeded_graphs(self):
+        rng = np.random.default_rng(71)
+        for _ in range(80):
+            g = random_connected_graph(rng, int(rng.integers(4, 17)),
+                                       float(rng.uniform(0.1, 0.6)))
+            for dynamic in (False, True):
+                assert mdo_order(g, dynamic) == reference_mdo_order(g, dynamic)
+            order = rng.permutation(g.n)
+            assert chordalize_with_order(g, order) == \
+                reference_chordalize_with_order(g, order)
+            assert mdo_completion(g) == reference_mdo_completion(g)
+            for p in (0.0, 0.2, 0.5):
+                x = Point((rng.random(g.mc) < p).astype(float))
+                assert primal_repair(g, x) == reference_primal_repair(g, x)

@@ -6,7 +6,7 @@ import pytest
 import fillin.lp
 import fillin.solver
 from fillin.cuts import evaluate
-from fillin.graphs import Point, is_valid_completion, new_graph
+from fillin.graphs import Graph, Point, is_valid_completion, new_graph
 from fillin.heuristics import mdo_completion
 from fillin.instances import gen_grid, gen_queen
 from fillin.oracle import brute_force_mccp
@@ -43,7 +43,7 @@ class TestConfig:
 
     def test_as_dict_reports_every_field(self):
         cfg = SolverConfig(delta=0.3, families_enabled=("I1", "I3"), exact_i2=True,
-                           exact_i3=True, max_cycles_per_call=4, time_limit_s=9.5,
+                           max_cycles_per_call=4, time_limit_s=9.5,
                            node_limit=7, emit_all_positions=True)
         assert set(cfg.as_dict()) == {f.name for f in fields(SolverConfig)}
         assert SolverConfig(**cfg.as_dict()) == cfg
@@ -106,7 +106,7 @@ class TestSolveExactness:
     def test_exact_separators_do_not_change_the_answer(self):
         g = cycle_graph(7)
         base = solve(g)
-        enh = solve(g, SolverConfig(exact_i2=True, exact_i3=True))
+        enh = solve(g, SolverConfig(exact_i2=True))
         assert enh.status == OPTIMAL
         assert enh.upper_bound == base.upper_bound == 4
 
@@ -242,3 +242,30 @@ class TestReporting:
     def test_wall_time_recorded(self):
         res = solve(cycle_graph(5))
         assert res.wall_time_s >= 0.0
+
+
+class TestNoGraphBuilt:
+    def test_solve_builds_no_graph(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        graphs = [gen_grid(3, 5)] + [random_connected_graph(rng, int(rng.integers(8, 13)),
+                                                             float(rng.uniform(0.2, 0.5)))
+                                     for _ in range(20)]
+        built = []
+        repairs = []
+        init = Graph.__init__
+        repair = fillin.solver.primal_repair
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        def counting_repair(g, x):
+            repairs.append(x)
+            return repair(g, x)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        monkeypatch.setattr(fillin.solver, "primal_repair", counting_repair)
+        for g in graphs:
+            assert solve(g).status == OPTIMAL
+        assert repairs  # the repair heuristic ran
+        assert built == []
