@@ -33,8 +33,6 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
                     help="comma-separated cut families to enable (default all)")
     sp.add_argument("--exact-i2", action="store_true",
                     help="run the exact I2 separator at fractional points")
-    sp.add_argument("--max-cycles", type=int, default=10, metavar="N",
-                    help="chordless cycles harvested per separation call")
     sp.add_argument("--all-positions", action="store_true",
                     help="emit every I2/I4 position per cycle, not one")
     sp.add_argument("--json-out", default=None, metavar="PATH",
@@ -47,7 +45,6 @@ def _solver_config(args) -> SolverConfig:
         delta=args.delta,
         families_enabled=families,
         exact_i2=args.exact_i2,
-        max_cycles_per_call=args.max_cycles,
         time_limit_s=args.time_limit,
         node_limit=args.node_limit,
         emit_all_positions=args.all_positions,

@@ -3,7 +3,8 @@
 Three mechanisms:
 
 * integer separation -- at an integer point, chordless cycles of the
-  completed graph yield one violated cut per enabled family;
+  completed graph yield one violated cut per enabled family, scanned until
+  MAX_CUTS_PER_CALL violated cuts are held;
 * threshold separation -- a fractional point is rounded by a threshold, the
   integer machinery runs on the rounded graph, and every candidate is then
   re-checked against the true fractional point (heuristic: may miss cuts);
@@ -27,7 +28,7 @@ import numpy as np
 from .cuts import (
     Cut,
     CutError,
-    FamilyInapplicableError,
+    _interior_positions,
     cut_i1,
     cut_i2,
     cut_i3,
@@ -38,6 +39,15 @@ from .cuts import (
 from .graphs import Cycle, Graph, Point, iter_chordless_cycles
 
 VIOLATION_TOL = 1e-6
+# Integer and threshold separation stop once a call holds this many violated
+# cuts.  A low cap ends cut rounds short of the bound: a ladder pass took
+# 1.02 s at a cap of 10, 0.76 s at 30 and 0.63 s at 100 (0.58 s at 300).
+# With no cap at all, queen5_5 spent 12 of its first 20 s separating and
+# missed a 90 s limit it met in 74 s at a cap of 10 cycles.
+MAX_CUTS_PER_CALL = 100
+# Screened violations within this much of the tolerance are built and
+# evaluated; the screen's rounding error is many orders of magnitude below.
+SCREEN_SLACK = 1e-9
 EXACT_MAX_N = 25  # largest graph the exact separators run on
 
 INTEGER = "INTEGER"
@@ -83,61 +93,86 @@ class SeparationReport:
         return len(self.cuts)
 
 
-def default_cuts_for_cycle(g: Graph, cyc: Cycle, families=("I1", "I2", "I3", "I4"),
-                           emit_all_positions: bool = False) -> list[Cut]:
-    """Build the enabled families' cuts for one cycle (conditional form).
+def _screened_cuts(g: Graph, cyc: Cycle, vals: list, families,
+                   emit_all_positions: bool, floor: float) -> list:
+    """(builder, arguments) of every enabled family's cut on the canonical
+    cycle cyc whose violation at vals, computed straight from the fill
+    table, exceeds floor; I1, then I2 by position, I3, then I4 by (j, i).
 
-    One cut per family by default (I2 at position 0, I4 at (j=0, i=2) of the
-    canonical rotation); positions ranging over the whole cycle if asked.
+    One cut per family by default (I2 at position 0, I4 at (i=2, j=0));
+    positions ranging over the whole cycle if asked.  With real edges
+    counting as one and act = 1 - sum over exterior pairs of (1 - x), the
+    violations are: I1 (k-3) act - sum of the interior pairs; I2 act - sum
+    of its support; I3 2 act - sum of the distance-2 chords; I4 (k-4) act -
+    sum of the interior pairs but the two it excludes.
     """
-    cyc = cyc.canonical()
-    k = len(cyc)
-    out: list[Cut] = []
-    if "I1" in families:
-        out.append(cut_i1(g, cyc))
+    vs = cyc.vertices
+    k = len(vs)
+    t, n = g.fill_table, g.n
+    x = [[vals[f] if (f := t[r + v]) >= 0 else 1 for v in vs]
+         for r in [u * n for u in vs]]
+    act = 1 - sum(1 - x[a][a - 1] for a in range(k))
+    out = []
+    if "I1" in families or "I4" in families:
+        interior = sum(x[a][b] for a, b in _interior_positions(k))
+    if "I1" in families and (k - 3) * act - interior > floor:
+        out.append((cut_i1, (g, cyc)))
     if "I2" in families:
-        positions = range(k) if emit_all_positions else (0,)
-        for i in positions:
-            try:
-                out.append(cut_i2(g, cyc, i))
-            except CutError:
-                continue
-    if "I3" in families and k >= 5:
-        out.append(cut_i3(g, cyc))
-    if "I4" in families and k >= 5:
+        for i in range(k) if emit_all_positions else (0,):
+            prev, nxt = (i - 1) % k, (i + 1) % k
+            row = x[i]
+            support = x[prev][nxt] + sum(row) - row[prev] - row[i] - row[nxt]
+            if act - support > floor:
+                out.append((cut_i2, (g, cyc, i)))
+    if k < 5:
+        return out
+    if "I3" in families and 2 * act - sum(x[j][j - 2] for j in range(k)) > floor:
+        out.append((cut_i3, (g, cyc)))
+    if "I4" in families:
         if emit_all_positions:
             pairs = [(i, j) for j in range(k) for i in range(k)
                      if cyc.dist(i, j) >= 2]
         else:
             pairs = [(2, 0)]
         for i, j in pairs:
-            try:
-                out.append(cut_i4(g, cyc, i, j))
-            except CutError:
-                continue
+            support = interior - x[j - 1][(j + 1) % k] - x[j][i]
+            if (k - 4) * act - support > floor:
+                out.append((cut_i4, (g, cyc, i, j)))
     return out
 
 
 def _separate_on_completed(g: Graph, on: list[int], vals: list, source: str,
-                           families, max_cycles: int, emit_all_positions: bool,
+                           families, max_cuts: int, emit_all_positions: bool,
                            tol: float) -> SeparationReport:
-    """Harvest chordless cycles of g plus the given fill set, build each
-    enabled family's cut relative to g, and keep those violated at the
-    point whose point_values are vals."""
+    """Harvest chordless cycles of g plus the given fill set until the report
+    holds max_cuts cuts (or every cycle is scanned), and keep each enabled
+    family's cut relative to g that is violated at the point whose
+    point_values are vals.
+
+    Only the cuts whose screened violation (_screened_cuts) comes within
+    SCREEN_SLACK of tol are built, through cut_i1..cut_i4 with all their
+    checks, and evaluate alone decides which are kept.  The screen sums the
+    same terms as evaluate in another order, so its rounding error is far
+    below SCREEN_SLACK: the report is the one building every cut would give.
+    """
     report = SeparationReport(source=source)
+    floor = tol - SCREEN_SLACK
     for cyc in iter_chordless_cycles(g, on):
         report.stats.cycles_examined += 1
-        for cut in default_cuts_for_cycle(g, cyc, families, emit_all_positions):
+        for build, args in _screened_cuts(g, cyc.canonical(), vals, families,
+                                          emit_all_positions, floor):
+            try:
+                cut = build(*args)
+            except CutError:
+                continue
             v = evaluate(cut, vals)
-            if v > tol:
-                report.add(cut, float(v))
-        if report.stats.cycles_examined >= max_cycles:
-            break
+            if v > tol and report.add(cut, float(v)) and len(report) >= max_cuts:
+                return report
     return report
 
 
 def separate_integer(g: Graph, x: Point, families=("I1", "I2", "I3", "I4"),
-                     max_cycles: int = 10, emit_all_positions: bool = False,
+                     max_cuts: int = MAX_CUTS_PER_CALL, emit_all_positions: bool = False,
                      tol: float = VIOLATION_TOL) -> SeparationReport:
     """Lazy cuts at an integer point; empty iff g + E(x) is chordal."""
     if len(x) != g.mc:
@@ -147,12 +182,13 @@ def separate_integer(g: Graph, x: Point, families=("I1", "I2", "I3", "I4"),
     vals = np.rint(x.values).astype(int).tolist()  # point_values(x) for integral x
     on = [f for f, v in enumerate(vals) if v > 0]
     return _separate_on_completed(
-        g, on, vals, INTEGER, families, max_cycles, emit_all_positions, tol
+        g, on, vals, INTEGER, families, max_cuts, emit_all_positions, tol
     )
 
 
 def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
-                       families=("I1", "I2", "I3", "I4"), max_cycles: int = 10,
+                       families=("I1", "I2", "I3", "I4"),
+                       max_cuts: int = MAX_CUTS_PER_CALL,
                        emit_all_positions: bool = False,
                        tol: float = VIOLATION_TOL) -> SeparationReport:
     """Round coordinates >= delta up, separate combinatorially, re-check at x.
@@ -166,7 +202,7 @@ def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     on = np.flatnonzero(x.values >= delta).tolist()
     return _separate_on_completed(
-        g, on, point_values(x), THRESHOLD, families, max_cycles,
+        g, on, point_values(x), THRESHOLD, families, max_cuts,
         emit_all_positions, tol
     )
 

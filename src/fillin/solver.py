@@ -1,6 +1,16 @@
 """Branch-and-cut driver: LP relaxations over a growing global cut pool,
 lazy cuts at integer points, threshold (and optional exact I2) separation
-at fractional points, and the minimum-degree primal heuristic for incumbents.
+at fractional points, and the minimum-degree primal heuristics for
+incumbents (the better of the static and dynamic orders at the root).
+
+Each cut round of a node solves the LP, re-activates pooled rows the point
+violates (and re-solves if there were any), then separates: integer
+separation at an integer point; at a fractional point threshold separation
+at delta, then at the two nearby thresholds while nothing is found, then
+exact I2 if enabled and still nothing is found.  A separation call scans
+chordless cycles until it holds separation.MAX_CUTS_PER_CALL violated cuts
+or runs out of cycles.  The node branches once a round adds no new cut to
+the pool or after MAX_ROUNDS_PER_NODE rounds.
 
 Best-bound node selection; branching fixes the most fractional variable to
 0 and 1.  All cuts are globally valid, so the pool is shared by every node
@@ -27,7 +37,7 @@ import numpy as np
 
 from .cuts import FAMILIES, Cut
 from .graphs import Graph, Point, is_chordal, is_valid_completion
-from .heuristics import mdo_completion, primal_repair
+from .heuristics import chordalize_with_order, mdo_completion, mdo_order, primal_repair
 from .lp import INFEASIBLE, ITERATION_LIMIT, Basis, LpProblem, solve_lp
 from .separation import (
     EXACT_MAX_N,
@@ -53,7 +63,6 @@ class SolverConfig:
     delta: float = 0.5
     families_enabled: tuple[str, ...] = FAMILIES
     exact_i2: bool = False
-    max_cycles_per_call: int = 10
     time_limit_s: float | None = None
     node_limit: int | None = None
     emit_all_positions: bool = False
@@ -67,10 +76,6 @@ class SolverConfig:
             raise ValueError(f"unknown cut families {sorted(unknown)}")
         if "I1" not in self.families_enabled:
             raise ValueError("family I1 must stay enabled: it certifies optimality")
-        if self.max_cycles_per_call < 1:
-            raise ValueError(
-                f"max_cycles_per_call must be at least 1, got {self.max_cycles_per_call}"
-            )
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -89,17 +94,19 @@ class SolveResult:
 
 
 def root_initialize(g: Graph, cfg: SolverConfig | None = None):
-    """Initial incumbent (minimum-degree completion) and initial cut pool
-    (lazy cuts harvested from the chordless cycles of the bare graph)."""
+    """Initial incumbent and initial cut pool (lazy cuts harvested from the
+    chordless cycles of the bare graph); no fill and no cuts when g is
+    chordal.  The incumbent is the smaller of the static and the dynamic
+    minimum-degree completions, the static one on a tie."""
     if cfg is None:
         cfg = SolverConfig()
-    incumbent = mdo_completion(g)
-    if not incumbent:
-        return incumbent, []  # g is chordal
+    if is_chordal(g)[0]:
+        return frozenset(), []
+    incumbent = min(mdo_completion(g, chordal=False),
+                    chordalize_with_order(g, mdo_order(g, dynamic=True)), key=len)
     report = separate_integer(
         g, Point.zeros(g),
         families=cfg.families_enabled,
-        max_cycles=cfg.max_cycles_per_call,
         emit_all_positions=cfg.emit_all_positions,
     )
     return incumbent, list(report.cuts)
@@ -127,7 +134,7 @@ class _Search:
         self._matrix = np.zeros((0, g.mc))
         self._rhs = np.zeros(0)
         self.active: list[int] = []
-        self.idle = {}
+        self._idle = np.zeros(0, dtype=np.intp)  # consecutive slack solves, per pool row
         self.incumbent: frozenset[int] = frozenset(range(g.mc))
         self.ub = g.mc
         self.nodes = 0
@@ -146,11 +153,11 @@ class _Search:
             grow = max(256, self._matrix.shape[0])
             self._matrix = np.vstack([self._matrix, np.zeros((grow, self.g.mc))])
             self._rhs = np.concatenate([self._rhs, np.zeros(grow)])
+            self._idle = np.concatenate([self._idle, np.zeros(grow, dtype=np.intp)])
         for f, a in cut.coeffs.items():
             self._matrix[idx, f] = a
         self._rhs[idx] = cut.rhs
         self.active.append(idx)
-        self.idle[idx] = 0
         if cut.family in self.counts:
             self.counts[cut.family] += 1
         if logger.isEnabledFor(logging.DEBUG):
@@ -163,24 +170,23 @@ class _Search:
         return True
 
     def refresh_active(self, x: np.ndarray) -> int:
-        """Re-activate pooled rows violated at x; age and drop slack ones."""
+        """Re-activate pooled rows violated at x; age and drop slack ones.
+
+        An active row slack at x ages by one solve, any other active row is
+        reset; a row idle for more than IDLE_DROP solves leaves the LP.  The
+        kept rows keep their order and the re-activated ones follow in pool
+        order.
+        """
         k = len(self.pool_keys)
         slack = self._matrix[:k] @ x - self._rhs[:k]
         violated = slack < -VIOLATION_TOL
-        violated[self.active] = False
-        keep = []
-        for i in self.active:
-            if slack[i] > 1e-6:
-                self.idle[i] += 1
-                if self.idle[i] > self.IDLE_DROP:
-                    continue
-            else:
-                self.idle[i] = 0
-            keep.append(i)
-        added = np.flatnonzero(violated).tolist()
-        for i in added:
-            self.idle[i] = 0
-        self.active = keep + added
+        active = np.array(self.active, dtype=np.intp)
+        violated[active] = False
+        idle = np.where(slack[active] > 1e-6, self._idle[active] + 1, 0)
+        self._idle[active] = idle
+        added = np.flatnonzero(violated)
+        self._idle[added] = 0
+        self.active = active[idle <= self.IDLE_DROP].tolist() + added.tolist()
         return len(added)
 
     def offer_incumbent(self, fill: frozenset[int]) -> bool:
@@ -209,7 +215,7 @@ class _Search:
             if pid not in pos:
                 pos[pid] = len(self.active)
                 self.active.append(pid)
-                self.idle[pid] = 0
+                self._idle[pid] = 0
         return Basis(basis.cols, tuple(pos[pid] for pid in basis.rows))
 
     def pool_basis(self, basis: Basis) -> Basis:
@@ -267,14 +273,13 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     t0 = time.perf_counter()
     deadline = None if cfg.time_limit_s is None else t0 + cfg.time_limit_s
 
-    ok, _ = is_chordal(g)
-    if ok:
+    incumbent, root_cuts = root_initialize(g, cfg)
+    if not incumbent:  # g is chordal
         return SolveResult(OPTIMAL, frozenset(), 0, 0, 0,
                            {fam: 0 for fam in FAMILIES}, 0,
                            time.perf_counter() - t0)
 
     search = _Search(g, cfg)
-    incumbent, root_cuts = root_initialize(g, cfg)
     search.offer_incumbent(incumbent)
     for cut in root_cuts:
         search.add_cut(cut)
@@ -346,7 +351,6 @@ def _process_node(search: _Search, fixings: dict, bound: float,
             xi = Point(np.rint(x.values))
             report = separate_integer(
                 g, xi, families=cfg.families_enabled,
-                max_cycles=cfg.max_cycles_per_call,
                 emit_all_positions=cfg.emit_all_positions,
             )
             if not report.cuts:
@@ -376,7 +380,8 @@ def _fractional_cuts(search: _Search, x: Point) -> list:
     """Threshold separation at the configured delta, escalating to two
     nearby thresholds whenever the first finds nothing.  A threshold that
     rounds x to a set already tried is skipped: its report would be the
-    same."""
+    same.  Exact I2 separation, if enabled, runs only when every threshold
+    came back empty."""
     g, cfg = search.g, search.cfg
     deltas = (cfg.delta, 0.5 * cfg.delta, 0.5 * (1.0 + cfg.delta))
     cuts = []
@@ -388,14 +393,13 @@ def _fractional_cuts(search: _Search, x: Point) -> list:
         tried.add(rounded)
         report = separate_threshold(
             g, x, d, families=cfg.families_enabled,
-            max_cycles=cfg.max_cycles_per_call,
             emit_all_positions=cfg.emit_all_positions,
         )
         cuts.extend(report.cuts)
         if cuts:
             break
-    if cfg.exact_i2 and g.n <= EXACT_MAX_N:
-        cuts += separate_i2_exact(g, x).cuts
+    if not cuts and cfg.exact_i2 and g.n <= EXACT_MAX_N:
+        cuts = separate_i2_exact(g, x).cuts
     return cuts
 
 

@@ -3,11 +3,13 @@ independent brute-force oracles (cycle/parameter enumeration for the cut
 families, vertex enumeration for LPs, per-triple Dijkstra for exact I2
 separation), plus the pair-based chordless-cycle search, cut builders,
 threshold/integer separation and set-based heuristics that the
-adjacency-mask versions replaced."""
+adjacency-mask versions replaced, and the loop form of the LP active-set
+refresh."""
 
 from __future__ import annotations
 
 import heapq
+import importlib.resources as importlib_resources
 from collections import deque
 from itertools import combinations, permutations
 
@@ -23,7 +25,8 @@ from fillin.graphs import (
     is_chordal,
     new_graph,
 )
-from fillin.separation import SeparationReport
+from fillin.instances import parse_dimacs
+from fillin.separation import MAX_CUTS_PER_CALL, SeparationReport
 
 # The running 5-vertex example: three chordless 4-cycles, optimum fill 1.
 FIG_EDGES = [(0, 1), (0, 3), (1, 2), (2, 3), (1, 4), (3, 4)]
@@ -37,6 +40,12 @@ def fig_graph() -> Graph:
 # perfect elimination ordering: eliminating in that order adds one edge.
 CHORDAL_TRAP_EDGES = [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
                       (2, 3), (2, 4), (2, 5), (2, 6), (3, 5), (4, 5), (4, 6)]
+
+
+def myciel4() -> Graph:
+    """The vendored DIMACS Mycielski graph myciel4 (optimum fill 46)."""
+    return parse_dimacs((importlib_resources.files("fillin") / "data" / "myciel4.col")
+                        .read_text())
 
 
 def chordal_trap_graph() -> Graph:
@@ -278,11 +287,12 @@ def reference_cut(g: Graph, c: Cycle, family: str, params=()) -> Cut:
 
 
 def reference_separate(g: Graph, x: Point, on, families=("I1", "I2", "I3", "I4"),
-                       max_cycles: int = 10, emit_all_positions: bool = False,
+                       max_cuts: int = MAX_CUTS_PER_CALL, emit_all_positions: bool = False,
                        tol: float = 1e-6) -> SeparationReport:
     """Integer/threshold separation as it ran before adjacency masks: build
-    the completed Graph, search it pair by pair, build each family's cut
-    pair by pair, evaluate at the Point, dedupe by rescanning the report."""
+    the completed Graph, search it pair by pair, build every family's cut
+    pair by pair, evaluate at the Point, dedupe by rescanning the report;
+    stop once the report holds max_cuts cuts."""
     completed = apply_completion(g, sorted(on))
     report = SeparationReport()
     for cyc in reference_chordless_cycles(completed):
@@ -308,8 +318,8 @@ def reference_separate(g: Graph, x: Point, on, families=("I1", "I2", "I3", "I4")
                                    for c in report.cuts):
                 report.cuts.append(cut)
                 report.violations.append(float(v))
-        if report.stats.cycles_examined >= max_cycles:
-            break
+                if len(report.cuts) >= max_cuts:
+                    return report
     return report
 
 
@@ -373,3 +383,25 @@ def reference_primal_repair(g: Graph, x: Point) -> frozenset[int]:
     for f in reference_mdo_completion(completed):
         repaired.add(g.fill_index(*completed.fill_pair(f)))
     return frozenset(repaired)
+
+
+def reference_refresh_active(active: list[int], idle: dict, slack, idle_drop: int,
+                             tol: float = 1e-6) -> tuple[list[int], int]:
+    """_Search.refresh_active as a loop over the active rows with idle counts
+    in a dict, given the pool's slack at the point; updates idle in place and
+    returns the new active list and the number of re-activated rows."""
+    violated = slack < -tol
+    violated[active] = False
+    keep = []
+    for i in active:
+        if slack[i] > 1e-6:
+            idle[i] += 1
+            if idle[i] > idle_drop:
+                continue
+        else:
+            idle[i] = 0
+        keep.append(i)
+    added = np.flatnonzero(violated).tolist()
+    for i in added:
+        idle[i] = 0
+    return keep + added, len(added)

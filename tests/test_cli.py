@@ -89,10 +89,11 @@ class TestSolve:
         assert code == 1
         assert "error" in err
 
-    def test_max_cycles_must_be_positive(self, fig_file, capsys):
-        code, _, err = run(capsys, "solve", fig_file, "--max-cycles", "0")
-        assert code == 1
-        assert "max_cycles_per_call" in err
+    def test_max_cycles_flag_is_gone(self, fig_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", fig_file, "--max-cycles", "10"])
+        assert exc.value.code == 2
+        assert "--max-cycles" in capsys.readouterr().err
 
     def test_exact_i3_flag_is_gone(self, fig_file, capsys):
         with pytest.raises(SystemExit) as exc:

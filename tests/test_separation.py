@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from fillin.cuts import cut_i1, cut_i3, evaluate
-from fillin.graphs import Cycle, Graph, Point, apply_completion, is_chordal, new_graph
+from fillin.cuts import Cut, cut_i1, cut_i3, evaluate
+from fillin.graphs import (
+    Cycle,
+    Graph,
+    Point,
+    apply_completion,
+    is_chordal,
+    iter_chordless_cycles,
+    new_graph,
+)
+from fillin.instances import gen_grid
 from fillin.separation import (
+    MAX_CUTS_PER_CALL,
     VIOLATION_TOL,
     SeparationCapabilityError,
     SeparationError,
@@ -22,6 +32,7 @@ from helpers import (
     exhaustive_i2_violation,
     exhaustive_i3_violation,
     fig_graph,
+    myciel4,
     random_connected_graph,
     reference_separate,
 )
@@ -45,7 +56,7 @@ class TestIntegerSeparation:
 
     def test_fig_graph_at_zero_single_cycle(self):
         g = fig_graph()
-        rep = separate_integer(g, Point.zeros(g), max_cycles=1)
+        rep = separate_integer(g, Point.zeros(g), max_cuts=1)
         cycles = {c.cycle.vertices for c in rep.cuts}
         assert len(cycles) == 1
         assert cycles <= {(0, 1, 2, 3), (1, 2, 3, 4), (0, 1, 4, 3)}
@@ -138,8 +149,8 @@ class TestAgainstCompletedGraphReference:
     OPTIONS = [
         {},
         {"emit_all_positions": True},
-        {"families": ("I1", "I3"), "max_cycles": 3},
-        {"families": ("I1", "I2", "I4"), "max_cycles": 50},
+        {"families": ("I1", "I3"), "max_cuts": 3},
+        {"families": ("I1", "I2", "I4"), "max_cuts": 50},
     ]
 
     @pytest.mark.parametrize("opts", OPTIONS)
@@ -179,6 +190,49 @@ class TestAgainstCompletedGraphReference:
         rep = separate_threshold(g, x, 0.5)
         assert rep.stats.cycles_examined > 0
         assert built == []
+
+
+class TestStopRule:
+    def test_stops_once_the_cap_is_held(self):
+        g = myciel4()
+        full = separate_integer(g, Point.zeros(g), max_cuts=10**6)
+        assert len(full) > MAX_CUTS_PER_CALL
+        rep = separate_integer(g, Point.zeros(g))
+        assert len(rep) == MAX_CUTS_PER_CALL
+        assert rep.cuts == full.cuts[:MAX_CUTS_PER_CALL]
+        assert rep.stats.cycles_examined < full.stats.cycles_examined
+
+    def test_scans_every_cycle_below_the_cap(self):
+        g = gen_grid(4, 5)
+        x = Point(np.random.default_rng(7).random(g.mc) * 0.6)
+        on = np.flatnonzero(x.values >= 0.5).tolist()
+        rep = separate_threshold(g, x, 0.5)
+        assert 0 < len(rep) < MAX_CUTS_PER_CALL
+        assert rep.stats.cycles_examined == len(list(iter_chordless_cycles(g, on)))
+
+    @pytest.mark.parametrize("separate", ["integer", "threshold"])
+    def test_builds_only_the_cuts_it_reports(self, monkeypatch, separate):
+        g = gen_grid(4, 5)
+        rng = np.random.default_rng(7)
+        if separate == "integer":
+            x = Point((rng.random(g.mc) < 0.1).astype(float))
+            run = lambda: separate_integer(g, x)  # noqa: E731
+        else:
+            # most cycles of the rounded graph give no violated cut at x
+            x = Point(rng.random(g.mc) * 0.6)
+            run = lambda: separate_threshold(g, x, 0.5)  # noqa: E731
+        built = []
+        init = Cut.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cut, "__init__", counting_init)
+        rep = run()
+        assert len(built) == len(rep) > 0
+        if separate == "threshold":
+            assert rep.stats.cycles_examined > len(rep)
 
 
 class TestReport:

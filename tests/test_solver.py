@@ -3,11 +3,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import fillin.graphs
+import fillin.heuristics
 import fillin.lp
 import fillin.solver
 from fillin.cuts import evaluate
 from fillin.graphs import Graph, Point, is_valid_completion, new_graph
-from fillin.heuristics import mdo_completion
+from fillin.heuristics import chordalize_with_order, mdo_completion, mdo_order
 from fillin.instances import gen_grid, gen_queen
 from fillin.oracle import brute_force_mccp
 from fillin.solver import (
@@ -20,7 +22,14 @@ from fillin.solver import (
     root_initialize,
     solve,
 )
-from helpers import complete_graph, cycle_graph, fig_graph, random_connected_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    fig_graph,
+    myciel4,
+    random_connected_graph,
+    reference_refresh_active,
+)
 
 
 class TestConfig:
@@ -36,15 +45,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown"):
             SolverConfig(families_enabled=("I1", "I9"))
 
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_max_cycles_at_least_one(self, cap):
-        with pytest.raises(ValueError, match="max_cycles_per_call"):
-            SolverConfig(max_cycles_per_call=cap)
+    def test_max_cycles_field_is_gone(self):
+        with pytest.raises(TypeError, match="max_cycles_per_call"):
+            SolverConfig(max_cycles_per_call=10)
+        assert len(fields(SolverConfig)) == 6
 
     def test_as_dict_reports_every_field(self):
         cfg = SolverConfig(delta=0.3, families_enabled=("I1", "I3"), exact_i2=True,
-                           max_cycles_per_call=4, time_limit_s=9.5,
-                           node_limit=7, emit_all_positions=True)
+                           time_limit_s=9.5, node_limit=7, emit_all_positions=True)
         assert set(cfg.as_dict()) == {f.name for f in fields(SolverConfig)}
         assert SolverConfig(**cfg.as_dict()) == cfg
         assert cfg != SolverConfig()
@@ -69,6 +77,39 @@ class TestRootInitialize:
         incumbent, _ = root_initialize(g)
         assert len(incumbent) >= 5
         assert is_valid_completion(g, incumbent)
+
+    def test_incumbent_is_the_better_min_degree_completion(self):
+        # grid4_4: static 25, dynamic 18 (the optimum)
+        g = gen_grid(4, 4)
+        assert len(root_initialize(g)[0]) == 18
+        rng = np.random.default_rng(89)
+        graphs = [gen_queen(4, 4), cycle_graph(7)]
+        graphs += [random_connected_graph(rng, int(rng.integers(6, 13)), 0.3)
+                   for _ in range(30)]
+        for g in graphs:
+            static = mdo_completion(g)
+            dynamic = chordalize_with_order(g, mdo_order(g, dynamic=True))
+            assert root_initialize(g)[0] == min(static, dynamic, key=len)
+
+
+class TestChordalityTestedOnce:
+    def test_solve_tests_the_input_once(self, monkeypatch):
+        tested = []
+        for mod in (fillin.graphs, fillin.heuristics):
+            peo = mod._perfect_elimination_order
+
+            def counting(adj, peo=peo):
+                tested.append(adj)
+                return peo(adj)
+
+            monkeypatch.setattr(mod, "_perfect_elimination_order", counting)
+        rng = np.random.default_rng(97)
+        graphs = [complete_graph(5), gen_grid(3, 4)]
+        graphs += [random_connected_graph(rng, 9, 0.3) for _ in range(10)]
+        for g in graphs:
+            tested.clear()
+            solve(g)
+            assert sum(adj is g.adj_mask for adj in tested) == 1
 
 
 class TestSolveExactness:
@@ -138,6 +179,68 @@ class TestThresholdEscalation:
         deltas.clear()
         cuts = fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.3)))
         assert deltas == [0.5] and {c.family for c in cuts} >= {"I1"}
+
+
+    def test_exact_i2_only_when_thresholds_find_nothing(self, monkeypatch):
+        g = cycle_graph(5)
+        exact = []
+        sep = fillin.solver.separate_i2_exact
+
+        def counting(g, x, **kwargs):
+            exact.append(x)
+            return sep(g, x, **kwargs)
+
+        monkeypatch.setattr(fillin.solver, "separate_i2_exact", counting)
+        search = _Search(g, SolverConfig(exact_i2=True))
+        assert fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.3)))
+        assert exact == []  # the threshold at 0.5 found I1
+        fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.4)))
+        assert len(exact) == 1
+
+
+class TestRootBound:
+    """Separation scans until it holds violated cuts, so the root loop does
+    not stop on an unlucky first few cycles."""
+
+    def test_myciel4_is_proved_at_the_root(self):
+        res = solve(myciel4())
+        assert (res.status, res.upper_bound, res.nodes) == (OPTIMAL, 46, 1)
+
+    @pytest.mark.parametrize("name, g, floor", [("grid4_5", gen_grid(4, 5), 21),
+                                                ("queen5_5", gen_queen(5, 5), 69)])
+    def test_root_lower_bound(self, name, g, floor):
+        assert solve(g, SolverConfig(node_limit=1)).lower_bound >= floor
+
+
+class TestRefreshActive:
+    def test_matches_the_loop(self):
+        # a pool of k rows with zero coefficients: the slack at any point is
+        # -rhs, so each round sets rhs to drive the slack it wants
+        rng = np.random.default_rng(101)
+        g = cycle_graph(6)
+        k = 200
+        search = _Search(g, SolverConfig())
+        for i in range(k):
+            search.pool_keys.add(i)
+        search._matrix = np.zeros((k, g.mc))
+        search._idle = np.zeros(k, dtype=np.intp)
+        search.active = rng.permutation(k)[:80].tolist()
+        active, idle = list(search.active), dict.fromkeys(range(k), 0)
+        busy = rng.uniform(0.6, 1.0, k)  # chance a row is slack in a round
+        dropped = 0
+        for _ in range(120):
+            u = rng.random(k)
+            slack = np.where(u < busy, rng.uniform(1e-7, 1.0, k),
+                             rng.choice([-0.5, -2e-6, -1e-6, 0.0, 1e-6], k))
+            search._rhs = -slack
+            n = search.refresh_active(np.zeros(g.mc))
+            before = len(active)
+            active, n_ref = reference_refresh_active(active, idle, slack.copy(),
+                                                     _Search.IDLE_DROP)
+            dropped += before + n_ref - len(active)
+            assert search.active == active and n == n_ref
+            assert search._idle.tolist() == [idle[i] for i in range(k)]
+        assert dropped > 0
 
 
 class TestPoolMatrix:
