@@ -45,9 +45,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown"):
             SolverConfig(families_enabled=("I1", "I9"))
 
-    def test_max_cycles_field_is_gone(self):
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_cycles_at_least_one(self, cap):
+        # The per-call cap is the constant separation.MAX_CUTS_PER_CALL; the
+        # field is gone, so every value is refused as an unknown keyword.
         with pytest.raises(TypeError, match="max_cycles_per_call"):
-            SolverConfig(max_cycles_per_call=10)
+            SolverConfig(max_cycles_per_call=cap)
         assert len(fields(SolverConfig)) == 6
 
     def test_as_dict_reports_every_field(self):
