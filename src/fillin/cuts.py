@@ -231,6 +231,57 @@ def cut_i4(g: Graph, c: Cycle, i: int, j: int) -> Cut:
     return Cut(g, coeffs, rhs, "I4", cycle=c.canonical(), params=(i, j))
 
 
+def screen_cycle(g: Graph, c: Cycle, vals: list, families=FAMILIES,
+                 all_positions: bool = False, floor: float = 0.0) -> list:
+    """(family, positions) of every enabled family's cut on the canonical
+    cycle c whose violation at vals, computed straight from the fill table,
+    exceeds floor; I1, then I2 by position, I3, then I4 by (j, i).
+
+    vals are the point_values of a point.  One cut per family by default
+    (I2 at position 0, I4 at (i=2, j=0)); positions ranging over the whole
+    cycle if asked.  The positions are the arguments cut_i2 and cut_i4 take
+    after the cycle.  With real edges counting as one and act = 1 - sum over
+    exterior pairs of (1 - x), the violations are: I1 (k-3) act - sum of the
+    interior pairs; I2 act - sum of its support; I3 2 act - sum of the
+    distance-2 chords; I4 (k-4) act - sum of the interior pairs but the two
+    it excludes.  They are the builders' rhs - a.x summed in another order,
+    so they differ from evaluate by rounding error only.
+    """
+    vs = c.vertices
+    k = len(vs)
+    t, n = g.fill_table, g.n
+    x = [[vals[f] if (f := t[r + v]) >= 0 else 1 for v in vs]
+         for r in [u * n for u in vs]]
+    act = 1 - sum(1 - x[a][a - 1] for a in range(k))
+    out = []
+    if "I1" in families or "I4" in families:
+        interior = sum(x[a][b] for a, b in _interior_positions(k))
+    if "I1" in families and (k - 3) * act - interior > floor:
+        out.append(("I1", ()))
+    if "I2" in families:
+        for i in range(k) if all_positions else (0,):
+            prev, nxt = (i - 1) % k, (i + 1) % k
+            row = x[i]
+            support = x[prev][nxt] + sum(row) - row[prev] - row[i] - row[nxt]
+            if act - support > floor:
+                out.append(("I2", (i,)))
+    if k < 5:
+        return out
+    if "I3" in families and 2 * act - sum(x[j][j - 2] for j in range(k)) > floor:
+        out.append(("I3", ()))
+    if "I4" in families:
+        if all_positions:
+            pairs = [(i, j) for j in range(k) for i in range(k)
+                     if c.dist(i, j) >= 2]
+        else:
+            pairs = [(2, 0)]
+        for i, j in pairs:
+            support = interior - x[j - 1][(j + 1) % k] - x[j][i]
+            if (k - 4) * act - support > floor:
+                out.append(("I4", (i, j)))
+    return out
+
+
 def lift_zero_pad(cut: Cut, sub_to_super: dict[int, int], super_g: Graph) -> Cut:
     """Re-index a cut valid on an induced subgraph into a supergraph.
 

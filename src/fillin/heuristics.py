@@ -74,16 +74,10 @@ def _static_mdo_fill(g: Graph, adj) -> frozenset[int]:
     return _elimination_fill(g, adj, _static_order(adj))
 
 
-def mdo_completion(g: Graph, chordal: bool | None = None) -> frozenset[int]:
+def mdo_completion(g: Graph) -> frozenset[int]:
     """Chordal completion from the static minimum-degree ordering; no fill
-    for a graph that is already chordal.  A caller that has already tested
-    g (is_chordal) passes the answer as chordal, and the test is not run
-    again."""
-    if chordal is None:
-        return _static_mdo_fill(g, g.adj_mask)
-    if chordal:
-        return frozenset()
-    return _elimination_fill(g, g.adj_mask, _static_order(g.adj_mask))
+    for a graph that is already chordal."""
+    return _static_mdo_fill(g, g.adj_mask)
 
 
 def primal_repair(g: Graph, x: Point) -> frozenset[int]:

@@ -28,13 +28,13 @@ import numpy as np
 from .cuts import (
     Cut,
     CutError,
-    _interior_positions,
     cut_i1,
     cut_i2,
     cut_i3,
     cut_i4,
     evaluate,
     point_values,
+    screen_cycle,
 )
 from .graphs import Cycle, Graph, Point, iter_chordless_cycles
 
@@ -93,54 +93,6 @@ class SeparationReport:
         return len(self.cuts)
 
 
-def _screened_cuts(g: Graph, cyc: Cycle, vals: list, families,
-                   emit_all_positions: bool, floor: float) -> list:
-    """(builder, arguments) of every enabled family's cut on the canonical
-    cycle cyc whose violation at vals, computed straight from the fill
-    table, exceeds floor; I1, then I2 by position, I3, then I4 by (j, i).
-
-    One cut per family by default (I2 at position 0, I4 at (i=2, j=0));
-    positions ranging over the whole cycle if asked.  With real edges
-    counting as one and act = 1 - sum over exterior pairs of (1 - x), the
-    violations are: I1 (k-3) act - sum of the interior pairs; I2 act - sum
-    of its support; I3 2 act - sum of the distance-2 chords; I4 (k-4) act -
-    sum of the interior pairs but the two it excludes.
-    """
-    vs = cyc.vertices
-    k = len(vs)
-    t, n = g.fill_table, g.n
-    x = [[vals[f] if (f := t[r + v]) >= 0 else 1 for v in vs]
-         for r in [u * n for u in vs]]
-    act = 1 - sum(1 - x[a][a - 1] for a in range(k))
-    out = []
-    if "I1" in families or "I4" in families:
-        interior = sum(x[a][b] for a, b in _interior_positions(k))
-    if "I1" in families and (k - 3) * act - interior > floor:
-        out.append((cut_i1, (g, cyc)))
-    if "I2" in families:
-        for i in range(k) if emit_all_positions else (0,):
-            prev, nxt = (i - 1) % k, (i + 1) % k
-            row = x[i]
-            support = x[prev][nxt] + sum(row) - row[prev] - row[i] - row[nxt]
-            if act - support > floor:
-                out.append((cut_i2, (g, cyc, i)))
-    if k < 5:
-        return out
-    if "I3" in families and 2 * act - sum(x[j][j - 2] for j in range(k)) > floor:
-        out.append((cut_i3, (g, cyc)))
-    if "I4" in families:
-        if emit_all_positions:
-            pairs = [(i, j) for j in range(k) for i in range(k)
-                     if cyc.dist(i, j) >= 2]
-        else:
-            pairs = [(2, 0)]
-        for i, j in pairs:
-            support = interior - x[j - 1][(j + 1) % k] - x[j][i]
-            if (k - 4) * act - support > floor:
-                out.append((cut_i4, (g, cyc, i, j)))
-    return out
-
-
 def _separate_on_completed(g: Graph, on: list[int], vals: list, source: str,
                            families, max_cuts: int, emit_all_positions: bool,
                            tol: float) -> SeparationReport:
@@ -149,22 +101,29 @@ def _separate_on_completed(g: Graph, on: list[int], vals: list, source: str,
     family's cut relative to g that is violated at the point whose
     point_values are vals.
 
-    Only the cuts whose screened violation (_screened_cuts) comes within
+    Only the cuts whose screened violation (cuts.screen_cycle) comes within
     SCREEN_SLACK of tol are built, through cut_i1..cut_i4 with all their
-    checks, and evaluate alone decides which are kept.  The screen sums the
-    same terms as evaluate in another order, so its rounding error is far
-    below SCREEN_SLACK: the report is the one building every cut would give.
+    checks, and evaluate alone decides which are kept.  The screen's rounding
+    error is far below SCREEN_SLACK, so the report is the one building every
+    cut would give.
     """
+    # Looked up per call, so a builder patched under its name in this module
+    # is the one called (perfbench/layers.py times the builders that way).
+    builders = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
     report = SeparationReport(source=source)
     floor = tol - SCREEN_SLACK
     for cyc in iter_chordless_cycles(g, on):
         report.stats.cycles_examined += 1
-        for build, args in _screened_cuts(g, cyc.canonical(), vals, families,
-                                          emit_all_positions, floor):
-            try:
-                cut = build(*args)
-            except CutError:
-                continue
+        cyc = cyc.canonical()
+        for fam, positions in screen_cycle(g, cyc, vals, families,
+                                           emit_all_positions, floor):
+            if fam in ("I2", "I4"):
+                try:
+                    cut = builders[fam](g, cyc, *positions)
+                except CutError:
+                    continue
+            else:
+                cut = builders[fam](g, cyc)
             v = evaluate(cut, vals)
             if v > tol and report.add(cut, float(v)) and len(report) >= max_cuts:
                 return report

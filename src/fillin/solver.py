@@ -36,7 +36,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cuts import FAMILIES, Cut
-from .graphs import Graph, Point, is_chordal, is_valid_completion
+# is_chordal is not called here (mdo_completion tests the input), but it stays
+# importable as fillin.solver.is_chordal: perfbench/layers.py traces the graphs
+# layer through that name and reports the layer absent without it.
+from .graphs import Graph, Point, is_chordal, is_valid_completion  # noqa: F401
 from .heuristics import chordalize_with_order, mdo_completion, mdo_order, primal_repair
 from .lp import INFEASIBLE, ITERATION_LIMIT, Basis, LpProblem, solve_lp
 from .separation import (
@@ -100,10 +103,11 @@ def root_initialize(g: Graph, cfg: SolverConfig | None = None):
     minimum-degree completions, the static one on a tie."""
     if cfg is None:
         cfg = SolverConfig()
-    if is_chordal(g)[0]:
-        return frozenset(), []
-    incumbent = min(mdo_completion(g, chordal=False),
-                    chordalize_with_order(g, mdo_order(g, dynamic=True)), key=len)
+    incumbent = mdo_completion(g)
+    if not incumbent:
+        return incumbent, []  # g is chordal
+    incumbent = min(incumbent, chordalize_with_order(g, mdo_order(g, dynamic=True)),
+                    key=len)
     report = separate_integer(
         g, Point.zeros(g),
         families=cfg.families_enabled,

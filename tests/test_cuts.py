@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from fillin.cuts import (
     lift_chord,
     lift_conditional,
     lift_zero_pad,
+    screen_cycle,
 )
 from fillin.graphs import Cycle, Graph, Point, new_graph
 from fillin.oracle import feasible_points
@@ -200,6 +203,53 @@ class TestAgainstPairwiseReference:
                     assert (cut.cycle, cut.params) == (ref.cycle, ref.params)
                     checked += 1
         assert checked > 1000 and refused > 1000
+
+
+class TestScreenCycle:
+    BUILDERS = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
+
+    def test_every_family_and_position_in_order(self):
+        g = cycle_graph(6)
+        c = Cycle(range(6))
+        vals = [0.5] * g.mc
+        everything = screen_cycle(g, c, vals, all_positions=True, floor=-math.inf)
+        assert everything == (
+            [("I1", ())] + [("I2", (i,)) for i in range(6)] + [("I3", ())]
+            + [("I4", (i, j)) for j in range(6) for i in range(6) if c.dist(i, j) >= 2]
+        )
+        assert screen_cycle(g, c, vals, floor=-math.inf) == [
+            ("I1", ()), ("I2", (0,)), ("I3", ()), ("I4", (2, 0))]
+        assert screen_cycle(g, c, vals, ("I2",), floor=-math.inf) == [("I2", (0,))]
+        assert screen_cycle(cycle_graph(4), Cycle(range(4)), [0.5] * 2,
+                            floor=-math.inf) == [
+            ("I1", ()), ("I2", (0,))]
+
+    def test_screened_violation_is_the_builders(self):
+        # each family's closed-form violation is evaluate on the built cut,
+        # to rounding error, at integer and fractional points
+        rng = np.random.default_rng(71)
+        checked = 0
+        for trial in range(60):
+            n = int(rng.integers(4, 10))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.1, 0.6)))
+            for _ in range(10):
+                k = int(rng.integers(4, n + 1))
+                c = Cycle(rng.permutation(n)[:k].tolist()).canonical()
+                if trial % 2:
+                    vals = rng.random(g.mc).tolist()
+                else:
+                    vals = rng.integers(0, 2, g.mc).tolist()
+                for family, params in screen_cycle(g, c, vals, all_positions=True,
+                                                   floor=-math.inf):
+                    try:
+                        v = evaluate(self.BUILDERS[family](g, c, *params), vals)
+                    except CutError:
+                        continue
+                    spec = (family, params)
+                    assert spec in screen_cycle(g, c, vals, (family,), True, v - 1e-9)
+                    assert spec not in screen_cycle(g, c, vals, (family,), True, v + 1e-9)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestLiftZeroPad:

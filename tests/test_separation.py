@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from fillin.cuts import Cut, cut_i1, cut_i3, evaluate
+import fillin.separation
+
+from fillin.cuts import Cut, CutError, cut_i1, cut_i3, evaluate
 from fillin.graphs import (
     Cycle,
     Graph,
@@ -60,6 +62,17 @@ class TestIntegerSeparation:
         cycles = {c.cycle.vertices for c in rep.cuts}
         assert len(cycles) == 1
         assert cycles <= {(0, 1, 2, 3), (1, 2, 3, 4), (0, 1, 4, 3)}
+
+    @pytest.mark.parametrize("family", ["I1", "I3"])
+    def test_i1_and_i3_refusals_propagate(self, monkeypatch, family):
+        # on a chordless cycle the I1 and I3 builders cannot refuse, so a
+        # refusal is a defect and must not be skipped like an I2/I4 one
+        def refuse(*args):
+            raise CutError("refused")
+
+        monkeypatch.setattr(fillin.separation, "cut_" + family.lower(), refuse)
+        with pytest.raises(CutError, match="refused"):
+            separate_integer(cycle_graph(5), Point.zeros(cycle_graph(5)))
 
     def test_c5_at_zero_all_families(self):
         g = cycle_graph(5)
