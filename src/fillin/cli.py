@@ -33,8 +33,6 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
                     help="comma-separated cut families to enable (default all)")
     sp.add_argument("--exact-i2", action="store_true",
                     help="run the exact I2 separator at fractional points")
-    sp.add_argument("--all-positions", action="store_true",
-                    help="emit every I2/I4 position per cycle, not one")
     sp.add_argument("--json-out", default=None, metavar="PATH",
                     help="also write the JSON result to this file")
 
@@ -47,7 +45,6 @@ def _solver_config(args) -> SolverConfig:
         exact_i2=args.exact_i2,
         time_limit_s=args.time_limit,
         node_limit=args.node_limit,
-        emit_all_positions=args.all_positions,
     )
 
 

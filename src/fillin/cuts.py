@@ -232,19 +232,19 @@ def cut_i4(g: Graph, c: Cycle, i: int, j: int) -> Cut:
 
 
 def screen_cycle(g: Graph, c: Cycle, vals: list, families=FAMILIES,
-                 all_positions: bool = False, floor: float = 0.0) -> list:
+                 floor: float = 0.0) -> list:
     """(family, positions) of every enabled family's cut on the canonical
     cycle c whose violation at vals, computed straight from the fill table,
-    exceeds floor; I1, then I2 by position, I3, then I4 by (j, i).
+    exceeds floor; in the order I1, I2, I3, I4.
 
-    vals are the point_values of a point.  One cut per family by default
-    (I2 at position 0, I4 at (i=2, j=0)); positions ranging over the whole
-    cycle if asked.  The positions are the arguments cut_i2 and cut_i4 take
+    vals are the point_values of a point.  One cut per family: I2 at
+    position 0 and I4 at (i=2, j=0), the arguments cut_i2 and cut_i4 take
     after the cycle.  With real edges counting as one and act = 1 - sum over
     exterior pairs of (1 - x), the violations are: I1 (k-3) act - sum of the
-    interior pairs; I2 act - sum of its support; I3 2 act - sum of the
-    distance-2 chords; I4 (k-4) act - sum of the interior pairs but the two
-    it excludes.  They are the builders' rhs - a.x summed in another order,
+    interior pairs; I2 act - sum of its support, {v_{k-1}, v_1} and the
+    pairs of v_0 but its cycle neighbours; I3 2 act - sum of the distance-2
+    chords; I4 (k-4) act - sum of the interior pairs but {v_{k-1}, v_1} and
+    {v_0, v_2}.  They are the builders' rhs - a.x summed in another order,
     so they differ from evaluate by rounding error only.
     """
     vs = c.vertices
@@ -259,26 +259,18 @@ def screen_cycle(g: Graph, c: Cycle, vals: list, families=FAMILIES,
     if "I1" in families and (k - 3) * act - interior > floor:
         out.append(("I1", ()))
     if "I2" in families:
-        for i in range(k) if all_positions else (0,):
-            prev, nxt = (i - 1) % k, (i + 1) % k
-            row = x[i]
-            support = x[prev][nxt] + sum(row) - row[prev] - row[i] - row[nxt]
-            if act - support > floor:
-                out.append(("I2", (i,)))
+        row = x[0]
+        support = x[k - 1][1] + sum(row) - row[k - 1] - row[0] - row[1]
+        if act - support > floor:
+            out.append(("I2", (0,)))
     if k < 5:
         return out
     if "I3" in families and 2 * act - sum(x[j][j - 2] for j in range(k)) > floor:
         out.append(("I3", ()))
     if "I4" in families:
-        if all_positions:
-            pairs = [(i, j) for j in range(k) for i in range(k)
-                     if c.dist(i, j) >= 2]
-        else:
-            pairs = [(2, 0)]
-        for i, j in pairs:
-            support = interior - x[j - 1][(j + 1) % k] - x[j][i]
-            if (k - 4) * act - support > floor:
-                out.append(("I4", (i, j)))
+        support = interior - x[k - 1][1] - x[0][2]
+        if (k - 4) * act - support > floor:
+            out.append(("I4", (2, 0)))
     return out
 
 

@@ -39,9 +39,8 @@ sum(x) - eps.x <= sum(x*) - eps.x* <= z*, hence
 
 The objective overestimates the LP bound by less than solver.BOUND_TOL =
 1e-6, which the solver subtracts before rounding a bound up, so every node
-bound stays valid; the same margin covers root reduced-cost fixing.
-Tolerances, the pivot cap and the refactorization interval are the fixed
-module constants below.
+bound stays valid.  Tolerances, the pivot cap and the refactorization
+interval are the fixed module constants below.
 """
 
 from __future__ import annotations
@@ -114,12 +113,7 @@ class LpResult:
     point: Point | None
     iterations: int
     certificate: np.ndarray | None = None
-    # at optimality: reduced costs of the structural variables and which of
-    # them sit at their upper bound (for reduced-cost fixing by the caller),
-    # and the optimal basis (to warm-start a re-solve)
-    reduced_costs: np.ndarray | None = None
-    at_upper: np.ndarray | None = None
-    basis: Basis | None = None
+    basis: Basis | None = None  # at optimality, to warm-start a re-solve
 
 
 @lru_cache(maxsize=128)
@@ -417,7 +411,5 @@ def solve_lp(p: LpProblem, basis: Basis | None = None) -> LpResult:
 
     return LpResult(
         OPTIMAL, float(x.sum()), Point(x), lp.iterations,
-        reduced_costs=lp.d[:nv].copy(),
-        at_upper=lp.step[:nv] < 0,
         basis=Basis(tuple(lp.S), tuple(lp.T)),
     )

@@ -94,8 +94,7 @@ class SeparationReport:
 
 
 def _separate_on_completed(g: Graph, on: list[int], vals: list, source: str,
-                           families, max_cuts: int, emit_all_positions: bool,
-                           tol: float) -> SeparationReport:
+                           families, max_cuts: int, tol: float) -> SeparationReport:
     """Harvest chordless cycles of g plus the given fill set until the report
     holds max_cuts cuts (or every cycle is scanned), and keep each enabled
     family's cut relative to g that is violated at the point whose
@@ -115,8 +114,7 @@ def _separate_on_completed(g: Graph, on: list[int], vals: list, source: str,
     for cyc in iter_chordless_cycles(g, on):
         report.stats.cycles_examined += 1
         cyc = cyc.canonical()
-        for fam, positions in screen_cycle(g, cyc, vals, families,
-                                           emit_all_positions, floor):
+        for fam, positions in screen_cycle(g, cyc, vals, families, floor):
             if fam in ("I2", "I4"):
                 try:
                     cut = builders[fam](g, cyc, *positions)
@@ -131,7 +129,7 @@ def _separate_on_completed(g: Graph, on: list[int], vals: list, source: str,
 
 
 def separate_integer(g: Graph, x: Point, families=("I1", "I2", "I3", "I4"),
-                     max_cuts: int = MAX_CUTS_PER_CALL, emit_all_positions: bool = False,
+                     max_cuts: int = MAX_CUTS_PER_CALL,
                      tol: float = VIOLATION_TOL) -> SeparationReport:
     """Lazy cuts at an integer point; empty iff g + E(x) is chordal."""
     if len(x) != g.mc:
@@ -140,15 +138,12 @@ def separate_integer(g: Graph, x: Point, families=("I1", "I2", "I3", "I4"),
         raise SeparationError("integer separation requires an integral point")
     vals = np.rint(x.values).astype(int).tolist()  # point_values(x) for integral x
     on = [f for f, v in enumerate(vals) if v > 0]
-    return _separate_on_completed(
-        g, on, vals, INTEGER, families, max_cuts, emit_all_positions, tol
-    )
+    return _separate_on_completed(g, on, vals, INTEGER, families, max_cuts, tol)
 
 
 def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
                        families=("I1", "I2", "I3", "I4"),
                        max_cuts: int = MAX_CUTS_PER_CALL,
-                       emit_all_positions: bool = False,
                        tol: float = VIOLATION_TOL) -> SeparationReport:
     """Round coordinates >= delta up, separate combinatorially, re-check at x.
 
@@ -161,8 +156,7 @@ def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     on = np.flatnonzero(x.values >= delta).tolist()
     return _separate_on_completed(
-        g, on, point_values(x), THRESHOLD, families, max_cuts,
-        emit_all_positions, tol
+        g, on, point_values(x), THRESHOLD, families, max_cuts, tol
     )
 
 

@@ -3,14 +3,18 @@ lazy cuts at integer points, threshold (and optional exact I2) separation
 at fractional points, and the minimum-degree primal heuristics for
 incumbents (the better of the static and dynamic orders at the root).
 
-Each cut round of a node solves the LP, re-activates pooled rows the point
-violates (and re-solves if there were any), then separates: integer
-separation at an integer point; at a fractional point threshold separation
-at delta, then at the two nearby thresholds while nothing is found, then
-exact I2 if enabled and still nothing is found.  A separation call scans
-chordless cycles until it holds separation.MAX_CUTS_PER_CALL violated cuts
-or runs out of cycles.  The node branches once a round adds no new cut to
-the pool or after MAX_ROUNDS_PER_NODE rounds.
+A node runs one kind of cut round, at integer and fractional points alike.
+The round solves the LP, re-activates pooled rows the point violates (and
+re-solves if there were any), picks cuts, and adds them to the pool; the
+node branches once a round adds no new cut or after MAX_ROUNDS_PER_NODE
+rounds.  The cuts picked depend on the point.  At an integer point they
+come from integer separation: if there are none the point is a chordal
+completion, offered as the incumbent, and the node is done; otherwise the
+point's repair (primal_repair) is offered.  At a fractional point they come
+from threshold separation at delta, then at the two nearby thresholds while
+nothing is found, then from exact I2 if enabled and still nothing is found.
+A separation call scans chordless cycles until it holds
+separation.MAX_CUTS_PER_CALL violated cuts or runs out of cycles.
 
 Best-bound node selection; branching fixes the most fractional variable to
 0 and 1.  All cuts are globally valid, so the pool is shared by every node
@@ -57,7 +61,6 @@ FEASIBLE = "FEASIBLE"
 TIME_LIMIT = "TIME_LIMIT"
 
 MAX_ROUNDS_PER_NODE = 50  # separation rounds at one node before it branches
-HEURISTIC_INTERVAL = 100  # LP-rounding heuristic on every this-many-th node
 BOUND_TOL = 1e-6  # LP-bound slack before rounding up; lp.py keeps its error below
 
 
@@ -68,7 +71,6 @@ class SolverConfig:
     exact_i2: bool = False
     time_limit_s: float | None = None
     node_limit: int | None = None
-    emit_all_positions: bool = False
 
     def __post_init__(self):
         self.families_enabled = tuple(self.families_enabled)
@@ -108,11 +110,7 @@ def root_initialize(g: Graph, cfg: SolverConfig | None = None):
         return incumbent, []  # g is chordal
     incumbent = min(incumbent, chordalize_with_order(g, mdo_order(g, dynamic=True)),
                     key=len)
-    report = separate_integer(
-        g, Point.zeros(g),
-        families=cfg.families_enabled,
-        emit_all_positions=cfg.emit_all_positions,
-    )
+    report = separate_integer(g, Point.zeros(g), families=cfg.families_enabled)
     return incumbent, list(report.cuts)
 
 
@@ -144,8 +142,6 @@ class _Search:
         self.nodes = 0
         self.counter = 0
         self.heap: list = []  # (bound, counter, fixings, pool basis or None)
-        self.global_fix: dict[int, int] = {}
-        self._root_info = None  # (bound, reduced_costs, at_upper)
 
     def add_cut(self, cut: Cut) -> bool:
         key = cut.key()
@@ -202,7 +198,6 @@ class _Search:
         self.incumbent = frozenset(fill)
         self.ub = len(fill)
         logger.info("incumbent improved to %d", self.ub)
-        self.update_global_fixings()
         return True
 
     def push(self, bound: float, fixings: dict, basis: Basis | None = None):
@@ -226,37 +221,12 @@ class _Search:
         """An LP basis with its tight rows named by pool id."""
         return Basis(basis.cols, tuple(self.active[i] for i in basis.rows))
 
-    def build_lp(self, fixings: dict) -> LpProblem | None:
+    def build_lp(self, fixings: dict) -> LpProblem:
         lb = np.zeros(self.g.mc)
         ub = np.ones(self.g.mc)
         for j, val in fixings.items():
             lb[j] = ub[j] = val
-        for j, val in self.global_fix.items():
-            if fixings.get(j, val) != val:
-                return None  # contradicts a proven global fixing
-            lb[j] = ub[j] = val
         return LpProblem(self._matrix[self.active], self._rhs[self.active], lb, ub)
-
-    def note_root_relaxation(self, res) -> None:
-        if res.reduced_costs is not None:
-            self._root_info = (res.objective, res.reduced_costs, res.at_upper)
-            self.update_global_fixings()
-
-    def update_global_fixings(self) -> None:
-        """Reduced-cost fixing: a variable whose root reduced cost already
-        pushes the bound past ub-1 keeps its root-LP bound value in every
-        improving solution."""
-        if self._root_info is None:
-            return
-        bound, rc, at_upper = self._root_info
-        cutoff = self.ub - 1 + BOUND_TOL
-        for j in range(self.g.mc):
-            if j in self.global_fix:
-                continue
-            if at_upper[j] and bound - rc[j] > cutoff:
-                self.global_fix[j] = 1
-            elif not at_upper[j] and rc[j] > 0 and bound + rc[j] > cutoff:
-                self.global_fix[j] = 0
 
     def incumbent_point(self) -> np.ndarray:
         x = np.zeros(self.g.mc)
@@ -331,10 +301,7 @@ def _process_node(search: _Search, fixings: dict, bound: float,
             search.push(bound, fixings, basis)  # cuts are global; nothing is lost
             return
         lp_basis = search.activate(basis)  # before build_lp: rows must be in
-        problem = search.build_lp(fixings)
-        if problem is None:
-            return  # contradicts a globally fixed variable
-        res = solve_lp(problem, basis=lp_basis)
+        res = solve_lp(search.build_lp(fixings), basis=lp_basis)
         if res.status == INFEASIBLE:
             return
         if res.status == ITERATION_LIMIT:
@@ -345,39 +312,24 @@ def _process_node(search: _Search, fixings: dict, bound: float,
         # pull violated pooled rows back into the LP before separating anew
         if search.refresh_active(res.point.values):
             continue
-        if not fixings:
-            search.note_root_relaxation(res)
         node_bound = res.objective
         if math.ceil(node_bound - BOUND_TOL) >= search.ub:
             return
         x = res.point
         if x.is_integral():
             xi = Point(np.rint(x.values))
-            report = separate_integer(
-                g, xi, families=cfg.families_enabled,
-                emit_all_positions=cfg.emit_all_positions,
-            )
-            if not report.cuts:
+            cuts = separate_integer(g, xi, families=cfg.families_enabled).cuts
+            if not cuts:
                 search.offer_incumbent(xi.fill_set())
                 return
-            added = sum(search.add_cut(c) for c in report.cuts)
             search.offer_incumbent(primal_repair(g, xi))
-            rounds += 1
-            if added == 0 or rounds >= MAX_ROUNDS_PER_NODE:
-                _branch(search, x, fixings, node_bound, basis)
-                return
         else:
             cuts = _fractional_cuts(search, x)
-            added = sum(search.add_cut(c) for c in cuts)
-            if search.nodes % HEURISTIC_INTERVAL == 0:
-                rounded = frozenset(
-                    int(i) for i in np.flatnonzero(x.values >= cfg.delta)
-                )
-                search.offer_incumbent(primal_repair(g, Point.from_fill(g, rounded)))
-            rounds += 1
-            if added == 0 or rounds >= MAX_ROUNDS_PER_NODE:
-                _branch(search, x, fixings, node_bound, basis)
-                return
+        added = sum(search.add_cut(c) for c in cuts)
+        rounds += 1
+        if added == 0 or rounds >= MAX_ROUNDS_PER_NODE:
+            _branch(search, x, fixings, node_bound, basis)
+            return
 
 
 def _fractional_cuts(search: _Search, x: Point) -> list:
@@ -395,11 +347,7 @@ def _fractional_cuts(search: _Search, x: Point) -> list:
         if rounded in tried:
             continue
         tried.add(rounded)
-        report = separate_threshold(
-            g, x, d, families=cfg.families_enabled,
-            emit_all_positions=cfg.emit_all_positions,
-        )
-        cuts.extend(report.cuts)
+        cuts.extend(separate_threshold(g, x, d, families=cfg.families_enabled).cuts)
         if cuts:
             break
     if not cuts and cfg.exact_i2 and g.n <= EXACT_MAX_N:
@@ -410,14 +358,12 @@ def _fractional_cuts(search: _Search, x: Point) -> list:
 def _branch(search: _Search, x: Point | None, fixings: dict, bound: float,
             child_basis: Basis | None) -> None:
     g = search.g
-    free = [j for j in range(g.mc)
-            if j not in fixings and j not in search.global_fix]
+    free = [j for j in range(g.mc) if j not in fixings]
     if not free:
         if x is None:
             # the LP stopped at its pivot cap, but the fixings pin every
             # variable: the leaf's point is known without it
-            pinned = {**search.global_fix, **fixings}
-            search.offer_incumbent(frozenset(j for j, v in pinned.items() if v))
+            search.offer_incumbent(frozenset(j for j, v in fixings.items() if v))
         return
     if x is not None:
         j = min(free, key=lambda f: (abs(float(x.values[f]) - 0.5), f))

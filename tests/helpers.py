@@ -287,7 +287,7 @@ def reference_cut(g: Graph, c: Cycle, family: str, params=()) -> Cut:
 
 
 def reference_separate(g: Graph, x: Point, on, families=("I1", "I2", "I3", "I4"),
-                       max_cuts: int = MAX_CUTS_PER_CALL, emit_all_positions: bool = False,
+                       max_cuts: int = MAX_CUTS_PER_CALL,
                        tol: float = 1e-6) -> SeparationReport:
     """Integer/threshold separation as it ran before adjacency masks: build
     the completed Graph, search it pair by pair, build every family's cut
@@ -302,12 +302,11 @@ def reference_separate(g: Graph, x: Point, on, families=("I1", "I2", "I3", "I4")
         if "I1" in families:
             specs.append(("I1", ()))
         if "I2" in families:
-            specs += [("I2", (i,)) for i in (range(k) if emit_all_positions else (0,))]
+            specs.append(("I2", (0,)))
         if "I3" in families and k >= 5:
             specs.append(("I3", ()))
         if "I4" in families and k >= 5:
-            specs += [("I4", (i, j)) for j in range(k) for i in range(k)
-                      if cyc.dist(i, j) >= 2] if emit_all_positions else [("I4", (2, 0))]
+            specs.append(("I4", (2, 0)))
         for family, params in specs:
             try:
                 cut = reference_cut(g, cyc, family, params)

@@ -101,6 +101,12 @@ class TestSolve:
         assert exc.value.code == 2
         assert "--exact-i3" in capsys.readouterr().err
 
+    def test_all_positions_flag_is_gone(self, fig_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", fig_file, "--all-positions"])
+        assert exc.value.code == 2
+        assert "--all-positions" in capsys.readouterr().err
+
     def test_family_flag(self, fig_file, capsys):
         code, out, _ = run(capsys, "solve", fig_file, "--cuts", "i1")
         assert code == 0

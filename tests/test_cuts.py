@@ -212,13 +212,11 @@ class TestScreenCycle:
         g = cycle_graph(6)
         c = Cycle(range(6))
         vals = [0.5] * g.mc
-        everything = screen_cycle(g, c, vals, all_positions=True, floor=-math.inf)
-        assert everything == (
-            [("I1", ())] + [("I2", (i,)) for i in range(6)] + [("I3", ())]
-            + [("I4", (i, j)) for j in range(6) for i in range(6) if c.dist(i, j) >= 2]
-        )
-        assert screen_cycle(g, c, vals, floor=-math.inf) == [
-            ("I1", ()), ("I2", (0,)), ("I3", ()), ("I4", (2, 0))]
+        specs = screen_cycle(g, c, vals, floor=-math.inf)
+        assert specs == [("I1", ()), ("I2", (0,)), ("I3", ()), ("I4", (2, 0))]
+        for family, params in specs:
+            cut = self.BUILDERS[family](g, c, *params)
+            assert (cut.family, cut.params) == (family, params or None)
         assert screen_cycle(g, c, vals, ("I2",), floor=-math.inf) == [("I2", (0,))]
         assert screen_cycle(cycle_graph(4), Cycle(range(4)), [0.5] * 2,
                             floor=-math.inf) == [
@@ -229,7 +227,7 @@ class TestScreenCycle:
         # to rounding error, at integer and fractional points
         rng = np.random.default_rng(71)
         checked = 0
-        for trial in range(60):
+        for trial in range(120):
             n = int(rng.integers(4, 10))
             g = random_connected_graph(rng, n, float(rng.uniform(0.1, 0.6)))
             for _ in range(10):
@@ -239,15 +237,14 @@ class TestScreenCycle:
                     vals = rng.random(g.mc).tolist()
                 else:
                     vals = rng.integers(0, 2, g.mc).tolist()
-                for family, params in screen_cycle(g, c, vals, all_positions=True,
-                                                   floor=-math.inf):
+                for family, params in screen_cycle(g, c, vals, floor=-math.inf):
                     try:
                         v = evaluate(self.BUILDERS[family](g, c, *params), vals)
                     except CutError:
                         continue
                     spec = (family, params)
-                    assert spec in screen_cycle(g, c, vals, (family,), True, v - 1e-9)
-                    assert spec not in screen_cycle(g, c, vals, (family,), True, v + 1e-9)
+                    assert spec in screen_cycle(g, c, vals, (family,), v - 1e-9)
+                    assert spec not in screen_cycle(g, c, vals, (family,), v + 1e-9)
                     checked += 1
         assert checked > 1000
 

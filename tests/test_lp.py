@@ -170,7 +170,6 @@ class TestWarmBasis:
         r = solve_lp(box_problem([[1.0, 3.0]], [3.0]), basis=Basis((0,), (0,)))
         assert r.status == OPTIMAL and r.iterations == 0
         assert r.point.values == pytest.approx([0.0, 1.0])
-        assert r.at_upper.tolist() == [False, True]
 
     def test_appended_row_resolves_from_basis(self):
         rng = np.random.default_rng(21)
@@ -259,10 +258,3 @@ class TestFeasibilityAndDeterminism:
             assert r1.iterations == r2.iterations
             if r1.status == OPTIMAL:
                 assert (r1.point.values == r2.point.values).all()
-
-    def test_reduced_costs_reported(self):
-        r = solve_lp(box_problem([[1.0, 1.0, 0.0]], [1.0]))
-        assert r.reduced_costs is not None
-        assert r.reduced_costs.shape == (3,)
-        # variable 2 is untouched by any row: moving it up costs exactly 1
-        assert r.reduced_costs[2] == pytest.approx(1.0)

@@ -161,7 +161,6 @@ class TestAgainstCompletedGraphReference:
 
     OPTIONS = [
         {},
-        {"emit_all_positions": True},
         {"families": ("I1", "I3"), "max_cuts": 3},
         {"families": ("I1", "I2", "I4"), "max_cuts": 50},
     ]

@@ -1,7 +1,11 @@
+import time
 from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fillin.graphs
 import fillin.heuristics
@@ -11,7 +15,7 @@ from fillin.cuts import evaluate
 from fillin.graphs import Graph, Point, is_valid_completion, new_graph
 from fillin.heuristics import chordalize_with_order, mdo_completion, mdo_order
 from fillin.instances import gen_grid, gen_queen
-from fillin.oracle import brute_force_mccp
+from fillin.oracle import brute_force_mccp, feasible_points
 from fillin.solver import (
     FEASIBLE,
     OPTIMAL,
@@ -51,11 +55,17 @@ class TestConfig:
         # field is gone, so every value is refused as an unknown keyword.
         with pytest.raises(TypeError, match="max_cycles_per_call"):
             SolverConfig(max_cycles_per_call=cap)
-        assert len(fields(SolverConfig)) == 6
+        assert len(fields(SolverConfig)) == 5
+
+    def test_emit_all_positions_is_gone(self):
+        # I2 and I4 are separated at one position per cycle, always
+        with pytest.raises(TypeError, match="emit_all_positions"):
+            SolverConfig(emit_all_positions=True)
+        assert len(fields(SolverConfig)) == 5
 
     def test_as_dict_reports_every_field(self):
         cfg = SolverConfig(delta=0.3, families_enabled=("I1", "I3"), exact_i2=True,
-                           time_limit_s=9.5, node_limit=7, emit_all_positions=True)
+                           time_limit_s=9.5, node_limit=7)
         assert set(cfg.as_dict()) == {f.name for f in fields(SolverConfig)}
         assert SolverConfig(**cfg.as_dict()) == cfg
         assert cfg != SolverConfig()
@@ -316,6 +326,18 @@ class TestLimitsAndBounds:
             assert res.upper_bound == res.lower_bound == len(brute_force_mccp(g))
             assert is_valid_completion(g, res.best_fill)
 
+    @pytest.mark.parametrize("g, cfg", [
+        pytest.param(gen_grid(5, 5), SolverConfig(exact_i2=True, time_limit_s=2),
+                     id="grid5_5-exact_i2"),
+        pytest.param(gen_queen(5, 5), SolverConfig(time_limit_s=2), id="queen5_5"),
+    ])
+    def test_time_limit_holds_on_a_hard_rung(self, g, cfg):
+        t0 = time.perf_counter()
+        res = solve(g, cfg)
+        assert time.perf_counter() - t0 < 2.5
+        assert res.lower_bound <= res.upper_bound
+        assert is_valid_completion(g, res.best_fill)
+
     def test_optimal_iff_bounds_meet(self):
         for cfg in (SolverConfig(), SolverConfig(node_limit=2)):
             res = solve(cycle_graph(6), cfg)
@@ -375,3 +397,42 @@ class TestNoGraphBuilt:
             assert solve(g).status == OPTIMAL
         assert repairs  # the repair heuristic ran
         assert built == []
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A cycle through the first 4-n of n = 4-7 vertices, the rest hung on as
+    a random tree, plus up to n - 3 extra edges."""
+    n = draw(st.integers(4, 7))
+    k = draw(st.integers(4, n))
+    edges = {(v - 1, v) for v in range(1, k)} | {(0, k - 1)}
+    edges |= {(draw(st.integers(0, v - 1)), v) for v in range(k, n)}
+    edges |= draw(st.sets(st.sampled_from(list(combinations(range(n), 2))),
+                          max_size=n - 3))
+    return new_graph(n, sorted(edges))
+
+
+class TestPoolValidity:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(small_connected_graphs())
+    def test_no_pooled_row_cuts_off_a_completion(self, g):
+        # every pooled cut is globally valid: no chordal completion violates it
+        searches = []
+        init = _Search.__init__
+
+        def capturing_init(self, *args, **kwargs):
+            searches.append(self)
+            init(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Search, "__init__", capturing_init)
+            assert solve(g).status == OPTIMAL
+        if not searches:
+            return  # g is chordal: the solve needed no search
+        (search,) = searches
+        k = len(search.pool_keys)
+        rows = np.rint(search._matrix[:k]).astype(np.int64)
+        rhs = np.rint(search._rhs[:k]).astype(np.int64)
+        assert (rows == search._matrix[:k]).all() and (rhs == search._rhs[:k]).all()
+        points = np.array([np.rint(p.values) for p in feasible_points(g)], dtype=np.int64)
+        assert (points @ rows.T >= rhs).all()
