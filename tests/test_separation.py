@@ -161,6 +161,7 @@ class TestAgainstCompletedGraphReference:
 
     OPTIONS = [
         {},
+        {"max_cuts": 1},
         {"families": ("I1", "I3"), "max_cuts": 3},
         {"families": ("I1", "I2", "I4"), "max_cuts": 50},
     ]
