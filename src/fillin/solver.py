@@ -27,6 +27,12 @@ final basis.  A stored basis names its basic variables and the pool ids of
 its tight rows (rows whose surplus is nonbasic); those rows are put back
 into the LP before it is built, and every other row enters with its
 surplus basic, so only the root LP starts from the slack basis.
+
+Before any LP the root cuts may prove the incumbent optimal.  Harvested at
+x = 0 from chordless cycles of G, each is a covering row with unit
+coefficients.  On rows with pairwise disjoint supports y = 1 is a feasible
+LP dual, so the sum of their right-hand sides bounds the optimum from below;
+when it reaches the incumbent, no root node is pushed.
 """
 
 from __future__ import annotations
@@ -258,7 +264,8 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     for cut in root_cuts:
         search.add_cut(cut)
 
-    search.push(0.0, {})
+    if _packing_bound(root_cuts) < search.ub:
+        search.push(0.0, {})
     status = OPTIMAL
 
     while search.heap:
@@ -290,6 +297,18 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         total_cuts=len(search.pool_keys),
         wall_time_s=time.perf_counter() - t0,
     )
+
+
+def _packing_bound(cuts: list[Cut]) -> int:
+    """Sum of rhs over the unit-coefficient cuts packed greedily, in list
+    order, with pairwise disjoint supports: a lower bound on the optimum."""
+    used: set[int] = set()
+    bound = 0
+    for cut in cuts:
+        if used.isdisjoint(cut.coeffs) and all(a == 1 for a in cut.coeffs.values()):
+            used.update(cut.coeffs)
+            bound += cut.rhs
+    return bound
 
 
 def _process_node(search: _Search, fixings: dict, bound: float,

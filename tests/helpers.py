@@ -3,8 +3,9 @@ independent brute-force oracles (cycle/parameter enumeration for the cut
 families, vertex enumeration for LPs, per-triple Dijkstra for exact I2
 separation), plus the pair-based chordless-cycle search, cut builders,
 threshold/integer separation and set-based heuristics that the
-adjacency-mask versions replaced, and the loop form of the LP active-set
-refresh."""
+adjacency-mask versions replaced, the loop form of the LP active-set
+refresh, and an exact minimum fill-in by dynamic programming that reaches
+past brute force."""
 
 from __future__ import annotations
 
@@ -404,3 +405,53 @@ def reference_refresh_active(active: list[int], idle: dict, slack, idle_drop: in
     for i in added:
         idle[i] = 0
     return keep + added, len(added)
+
+
+def min_fill_dp(g: Graph) -> int:
+    """Exact minimum fill-in by dynamic programming over eliminated vertex
+    sets, on bitmasks; O(2^n n^2), about 15 ms at n = 12.
+
+    Eliminating v after the set S joins v to every vertex outside S that v
+    reaches by a path whose interior lies in S; those of them v is not
+    adjacent to are v's fill edges, and the minimum fill-in is the cheapest
+    elimination order.  A vertex reaches through S exactly the outside
+    neighbours of the components of G[S] it touches.
+    """
+    n = g.n
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+    best = [n * n] * (1 << n)
+    best[0] = 0
+    for s in range(full):
+        # each component of G[s] with the union of its vertices' neighbours
+        comps = []
+        left = s
+        while left:
+            comp = left & -left
+            nbrs = adj[comp.bit_length() - 1]
+            grow = nbrs & left & ~comp
+            while grow:
+                comp |= grow
+                while grow:
+                    low = grow & -grow
+                    nbrs |= adj[low.bit_length() - 1]
+                    grow ^= low
+                grow = nbrs & left & ~comp
+            left &= ~comp
+            comps.append((comp, nbrs))
+        rest = full & ~s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            reach = adj[v]
+            for comp, nbrs in comps:
+                if adj[v] & comp:
+                    reach |= nbrs
+            cost = best[s] + (reach & ~adj[v] & ~s & ~low).bit_count()
+            if cost < best[s | low]:
+                best[s | low] = cost
+    return best[full]

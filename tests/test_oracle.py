@@ -3,7 +3,7 @@ import pytest
 
 from fillin.graphs import Point, apply_completion, is_chordal, is_valid_completion
 from fillin.heuristics import mdo_completion
-from fillin.instances import gen_grid
+from fillin.instances import gen_grid, gen_queen
 from fillin.oracle import (
     EnumerationBudget,
     OracleBudgetError,
@@ -12,7 +12,33 @@ from fillin.oracle import (
     enumerate_completions,
     feasible_points,
 )
-from helpers import complete_graph, cycle_graph, fig_graph, random_connected_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    fig_graph,
+    min_fill_dp,
+    random_connected_graph,
+)
+
+
+class TestMinFillDp:
+    """The elimination-order DP is the reference past brute force's range, so
+    it is checked against brute force where both run."""
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(127)
+        graphs = [fig_graph(), complete_graph(4)]
+        graphs += [random_connected_graph(rng, int(rng.integers(4, 8)),
+                                          float(rng.uniform(0.2, 0.6)))
+                   for _ in range(38)]
+        for g in graphs:
+            assert min_fill_dp(g) == len(brute_force_mccp(g))
+
+    @pytest.mark.parametrize("name, g, opt", [("C8", cycle_graph(8), 5),
+                                              ("grid3_4", gen_grid(3, 4), 9),
+                                              ("queen3_4", gen_queen(3, 4), 12)])
+    def test_published_optima(self, name, g, opt):
+        assert min_fill_dp(g) == opt
 
 
 class TestBruteForce:

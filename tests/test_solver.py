@@ -11,7 +11,7 @@ import fillin.graphs
 import fillin.heuristics
 import fillin.lp
 import fillin.solver
-from fillin.cuts import evaluate
+from fillin.cuts import Cut, evaluate
 from fillin.graphs import Graph, Point, is_valid_completion, new_graph
 from fillin.heuristics import chordalize_with_order, mdo_completion, mdo_order
 from fillin.instances import gen_grid, gen_queen
@@ -22,6 +22,7 @@ from fillin.solver import (
     TIME_LIMIT,
     SolverConfig,
     SolveResult,
+    _packing_bound,
     _Search,
     root_initialize,
     solve,
@@ -30,10 +31,26 @@ from helpers import (
     complete_graph,
     cycle_graph,
     fig_graph,
+    min_fill_dp,
     myciel4,
     random_connected_graph,
     reference_refresh_active,
 )
+
+
+def recording_lps(monkeypatch) -> list:
+    """Route solve's LP calls through a wrapper; the list it returns fills
+    with one (problem, result) pair per call."""
+    lps = []
+    solve_lp = fillin.solver.solve_lp
+
+    def recording(problem, basis=None):
+        res = solve_lp(problem, basis=basis)
+        lps.append((problem, res))
+        return res
+
+    monkeypatch.setattr(fillin.solver, "solve_lp", recording)
+    return lps
 
 
 class TestConfig:
@@ -225,6 +242,71 @@ class TestRootBound:
         assert solve(g, SolverConfig(node_limit=1)).lower_bound >= floor
 
 
+class TestRootPackingBound:
+    """Root cuts are unit covering rows; those with pairwise disjoint
+    supports sum to a lower bound that can close a solve before any LP."""
+
+    @pytest.mark.parametrize("name, g, opt", [("C5", cycle_graph(5), 2),
+                                              ("C6", cycle_graph(6), 3),
+                                              ("C7", cycle_graph(7), 4),
+                                              ("fig", fig_graph(), 1),
+                                              ("grid3_3", gen_grid(3, 3), 5)])
+    def test_closes_without_an_lp(self, monkeypatch, name, g, opt):
+        lps = recording_lps(monkeypatch)
+        res = solve(g)
+        assert (res.status, res.lower_bound, res.upper_bound, res.nodes) == (OPTIMAL, opt, opt, 0)
+        assert is_valid_completion(g, res.best_fill) and len(res.best_fill) == opt
+        assert lps == []
+
+    def test_a_short_packing_still_runs_the_search(self, monkeypatch):
+        # grid3_4: packing 7 against the incumbent 9
+        g = gen_grid(3, 4)
+        assert _packing_bound(root_initialize(g)[1]) == 7
+        lps = recording_lps(monkeypatch)
+        res = solve(g)
+        assert (res.status, res.upper_bound, res.nodes, res.total_cuts) == (OPTIMAL, 9, 1, 24)
+        assert lps
+
+    @pytest.mark.parametrize("k", range(4, 10))
+    def test_cycle_bound_is_k_minus_3(self, k):
+        assert _packing_bound(root_initialize(cycle_graph(k))[1]) == k - 3
+
+    def test_never_above_the_optimum(self):
+        rng = np.random.default_rng(103)
+        for _ in range(60):
+            g = random_connected_graph(rng, int(rng.integers(4, 9)),
+                                       float(rng.uniform(0.2, 0.6)))
+            assert _packing_bound(root_initialize(g)[1]) <= len(brute_force_mccp(g))
+
+    def test_only_unit_rows_with_disjoint_supports_count(self):
+        g = cycle_graph(6)
+        chain = [Cut(g, {0: 1, 1: 1}, 1, "I1"), Cut(g, {1: 1, 2: 1}, 1, "I1"),
+                 Cut(g, {2: 1, 3: 1}, 1, "I1")]
+        assert _packing_bound(chain) == 2  # the middle row meets the first
+        # 2 x_4 >= 2 says only x_4 >= 1: counting its rhs would claim 2
+        assert _packing_bound([Cut(g, {4: 2}, 2, "I1")]) == 0
+        assert _packing_bound([Cut(g, {4: 1, 5: -1}, 1, "I2")]) == 0
+
+
+class TestPastBruteForce:
+    def test_matches_min_fill_dp(self):
+        # connected graphs like many-small's: a random spanning tree plus
+        # density 0.2-0.5
+        rng = np.random.default_rng(131)
+        by_bound = by_search = 0
+        for _ in range(60):
+            g = random_connected_graph(rng, int(rng.integers(9, 14)),
+                                       float(rng.uniform(0.2, 0.5)))
+            res = solve(g)
+            assert res.status == OPTIMAL
+            assert res.lower_bound == res.upper_bound == min_fill_dp(g)
+            assert is_valid_completion(g, res.best_fill)
+            assert len(res.best_fill) == res.upper_bound
+            by_bound += res.nodes == 0 and res.upper_bound > 0
+            by_search += res.nodes > 0
+        assert by_bound >= 10 and by_search >= 10
+
+
 class TestRefreshActive:
     def test_matches_the_loop(self):
         # a pool of k rows with zero coefficients: the slack at any point is
@@ -313,15 +395,31 @@ class TestLimitsAndBounds:
 
     def test_lp_pivot_cap_still_exact(self, monkeypatch):
         # Every LP stops at its pivot cap, so the search branches on parent
-        # bounds down to fully fixed leaves.  On the last graph the
-        # minimum-degree incumbent (2) misses the optimum (1): only the
-        # leaves can find it.
+        # bounds down to fully fixed leaves.  Each graph's root packing falls
+        # short of its incumbent, so the search runs.  On root_misses the
+        # root incumbent (3) misses the optimum (2): only the leaves can find
+        # it.
         monkeypatch.setattr(fillin.lp, "PIVOTS_PER_DIM", 0)
-        mdo_misses = new_graph(6, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5),
-                                   (2, 3), (2, 4), (3, 4), (3, 5)])
-        assert len(mdo_completion(mdo_misses)) > len(brute_force_mccp(mdo_misses))
-        for g in (fig_graph(), cycle_graph(5), cycle_graph(6), mdo_misses):
+        root_misses = new_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4),
+                                    (2, 5), (3, 4), (3, 5), (4, 5)])
+        assert len(root_initialize(root_misses)[0]) > len(brute_force_mccp(root_misses))
+        graphs = [gen_queen(3, 3), root_misses]
+        rng = np.random.default_rng(109)
+        for _ in range(100):
+            g = random_connected_graph(rng, int(rng.integers(6, 9)),
+                                       float(rng.uniform(0.3, 0.6)))
+            incumbent, cuts = root_initialize(g)
+            # small enough to enumerate every leaf
+            if g.mc <= 9 and _packing_bound(cuts) < len(incumbent):
+                graphs.append(g)
+                if len(graphs) == 5:
+                    break
+        assert len(graphs) == 5
+        lps = recording_lps(monkeypatch)
+        for g in graphs:
+            lps.clear()
             res = solve(g)
+            assert any(r.status == fillin.lp.ITERATION_LIMIT for _, r in lps)
             assert res.status == OPTIMAL
             assert res.upper_bound == res.lower_bound == len(brute_force_mccp(g))
             assert is_valid_completion(g, res.best_fill)
@@ -412,6 +510,18 @@ def small_connected_graphs(draw):
     return new_graph(n, sorted(edges))
 
 
+@st.composite
+def random_tree_graphs(draw):
+    """Connected graphs built like many-small's: a random tree on n = 9-12
+    vertices plus every other pair with one probability in 0.2-0.5."""
+    n = draw(st.integers(9, 12))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = rnd.uniform(0.2, 0.5)
+    edges = {(rnd.randrange(v), v) for v in range(1, n)}
+    edges |= {p for p in combinations(range(n), 2) if rnd.random() < density}
+    return new_graph(n, sorted(edges))
+
+
 class TestPoolValidity:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(small_connected_graphs())
@@ -436,3 +546,27 @@ class TestPoolValidity:
         assert (rows == search._matrix[:k]).all() and (rhs == search._rhs[:k]).all()
         points = np.array([np.rint(p.values) for p in feasible_points(g)], dtype=np.int64)
         assert (points @ rows.T >= rhs).all()
+
+
+class TestLpRows:
+    def test_every_optimal_lp_point_satisfies_its_rows(self, monkeypatch):
+        # about half of these graphs close by the root packing bound; most of
+        # the others take one LP
+        lps = recording_lps(monkeypatch)
+        checked = []
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(random_tree_graphs())
+        def check(g):
+            lps.clear()
+            assert solve(g).status == OPTIMAL
+            for p, res in lps:
+                if res.status != fillin.lp.OPTIMAL:
+                    continue
+                x = res.point.values
+                assert (p.lb - 1e-9 <= x).all() and (x <= p.ub + 1e-9).all()
+                assert (p.rows @ x >= p.rhs - 1e-7).all()
+                checked.append(x)
+
+        check()
+        assert len(checked) >= 50
