@@ -246,6 +246,11 @@ def screen_cycle(g: Graph, c: Cycle, vals: list, families=FAMILIES,
     chords; I4 (k-4) act - sum of the interior pairs but {v_{k-1}, v_1} and
     {v_0, v_2}.  They are the builders' rhs - a.x summed in another order,
     so they differ from evaluate by rounding error only.
+
+    With I1 enabled, I2 is not listed on a 4-cycle nor I3 on a 5-cycle.
+    Separation passes only cycles chordless in g, whose interior pairs are
+    all fill pairs, and there those two cuts are I1 exactly.  Without I1
+    they are listed like the others.
     """
     vs = c.vertices
     k = len(vs)
@@ -254,19 +259,21 @@ def screen_cycle(g: Graph, c: Cycle, vals: list, families=FAMILIES,
          for r in [u * n for u in vs]]
     act = 1 - sum(1 - x[a][a - 1] for a in range(k))
     out = []
-    if "I1" in families or "I4" in families:
+    i1 = "I1" in families
+    if i1 or "I4" in families:
         interior = sum(x[a][b] for a, b in _interior_positions(k))
-    if "I1" in families and (k - 3) * act - interior > floor:
+    if i1 and (k - 3) * act - interior > floor:
         out.append(("I1", ()))
-    if "I2" in families:
+    if "I2" in families and not (i1 and k == 4):
         row = x[0]
         support = x[k - 1][1] + sum(row) - row[k - 1] - row[0] - row[1]
         if act - support > floor:
             out.append(("I2", (0,)))
     if k < 5:
         return out
-    if "I3" in families and 2 * act - sum(x[j][j - 2] for j in range(k)) > floor:
-        out.append(("I3", ()))
+    if "I3" in families and not (i1 and k == 5):
+        if 2 * act - sum(x[j][j - 2] for j in range(k)) > floor:
+            out.append(("I3", ()))
     if "I4" in families:
         support = interior - x[k - 1][1] - x[0][2]
         if (k - 4) * act - support > floor:

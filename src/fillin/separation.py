@@ -4,7 +4,7 @@ Three mechanisms:
 
 * integer separation -- at an integer point, chordless cycles of the
   completed graph yield one violated cut per enabled family, scanned until
-  MAX_CUTS_PER_CALL violated cuts are held;
+  MAX_CUTS_PER_CALL distinct violated inequalities are held;
 * threshold separation -- a fractional point is rounded by a threshold, the
   integer machinery runs on the rounded graph, and every candidate is then
   re-checked against the true fractional point (heuristic: may miss cuts);
@@ -14,7 +14,9 @@ Three mechanisms:
   one batched Floyd-Warshall per centre vertex).
 
 Every emitted cut is re-evaluated at the exact queried point and kept only
-if strictly violated.
+if strictly violated.  A report holds each inequality once, by Cut.key() as
+the pool does; integer and threshold separation do not even build the copies
+where families coincide on short cycles (see cuts.screen_cycle).
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from .cuts import (
 from .graphs import Cycle, Graph, Point, iter_chordless_cycles
 
 VIOLATION_TOL = 1e-6
-# Integer and threshold separation stop once a call holds this many violated
-# cuts.  A low cap ends cut rounds short of the bound: a ladder pass took
-# 1.02 s at a cap of 10, 0.76 s at 30 and 0.63 s at 100 (0.58 s at 300).
+# Integer and threshold separation stop once a call holds this many distinct
+# violated inequalities.  A low cap ends cut rounds short of the bound: a
+# ladder pass took 1.02 s at a cap of 10, 0.76 s at 30 and 0.63 s at 100
+# (0.58 s at 300).
 # With no cap at all, queen5_5 spent 12 of its first 20 s separating and
 # missed a 90 s limit it met in 74 s at a cap of 10 cycles.
 MAX_CUTS_PER_CALL = 100
@@ -49,11 +52,6 @@ MAX_CUTS_PER_CALL = 100
 # evaluated; the screen's rounding error is many orders of magnitude below.
 SCREEN_SLACK = 1e-9
 EXACT_MAX_N = 25  # largest graph the exact separators run on
-
-INTEGER = "INTEGER"
-THRESHOLD = "THRESHOLD"
-EXACT_I2 = "EXACT_I2"
-EXACT_I3 = "EXACT_I3"
 
 
 class SeparationError(ValueError):
@@ -74,14 +72,11 @@ class SeparationStats:
 class SeparationReport:
     cuts: list[Cut] = field(default_factory=list)
     violations: list[float] = field(default_factory=list)
-    source: str = INTEGER
     stats: SeparationStats = field(default_factory=SeparationStats)
     _seen: set = field(default_factory=set, repr=False, compare=False)
 
     def add(self, cut: Cut, violation: float) -> bool:
-        # one copy of each inequality per family: I1 and I3 coincide on a
-        # 5-cycle, say, and both families should still be reported
-        key = (cut.family, cut.key())
+        key = cut.key()
         if key in self._seen:
             return False
         self._seen.add(key)
@@ -93,8 +88,8 @@ class SeparationReport:
         return len(self.cuts)
 
 
-def _separate_on_completed(g: Graph, on: list[int], vals: list, source: str,
-                           families, max_cuts: int, tol: float) -> SeparationReport:
+def _separate_on_completed(g: Graph, on: list[int], vals: list, families,
+                           max_cuts: int, tol: float) -> SeparationReport:
     """Harvest chordless cycles of g plus the given fill set until the report
     holds max_cuts cuts (or every cycle is scanned), and keep each enabled
     family's cut relative to g that is violated at the point whose
@@ -104,24 +99,19 @@ def _separate_on_completed(g: Graph, on: list[int], vals: list, source: str,
     SCREEN_SLACK of tol are built, through cut_i1..cut_i4 with all their
     checks, and evaluate alone decides which are kept.  The screen's rounding
     error is far below SCREEN_SLACK, so the report is the one building every
-    cut would give.
+    cut would give.  Each cycle is chordless in g, so every interior pair is
+    a fill pair and no builder can refuse it: a CutError is a defect and
+    propagates.
     """
     # Looked up per call, so a builder patched under its name in this module
     # is the one called (perfbench/layers.py times the builders that way).
     builders = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
-    report = SeparationReport(source=source)
+    report = SeparationReport()
     floor = tol - SCREEN_SLACK
     for cyc in iter_chordless_cycles(g, on):
         report.stats.cycles_examined += 1
-        cyc = cyc.canonical()
         for fam, positions in screen_cycle(g, cyc, vals, families, floor):
-            if fam in ("I2", "I4"):
-                try:
-                    cut = builders[fam](g, cyc, *positions)
-                except CutError:
-                    continue
-            else:
-                cut = builders[fam](g, cyc)
+            cut = builders[fam](g, cyc, *positions)
             v = evaluate(cut, vals)
             if v > tol and report.add(cut, float(v)) and len(report) >= max_cuts:
                 return report
@@ -138,7 +128,7 @@ def separate_integer(g: Graph, x: Point, families=("I1", "I2", "I3", "I4"),
         raise SeparationError("integer separation requires an integral point")
     vals = np.rint(x.values).astype(int).tolist()  # point_values(x) for integral x
     on = [f for f, v in enumerate(vals) if v > 0]
-    return _separate_on_completed(g, on, vals, INTEGER, families, max_cuts, tol)
+    return _separate_on_completed(g, on, vals, families, max_cuts, tol)
 
 
 def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
@@ -155,9 +145,7 @@ def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     on = np.flatnonzero(x.values >= delta).tolist()
-    return _separate_on_completed(
-        g, on, point_values(x), THRESHOLD, families, max_cuts, tol
-    )
+    return _separate_on_completed(g, on, point_values(x), families, max_cuts, tol)
 
 
 def _extended_values(g: Graph, x: Point) -> np.ndarray:
@@ -185,7 +173,7 @@ def separate_i2_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL) -> Separat
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     xt = _extended_values(g, x)
     vals = point_values(x)
-    report = SeparationReport(source=EXACT_I2)
+    report = SeparationReport()
     n = g.n
     for c in range(n):
         # bound[p, q] = 1 - x(p,q) - (1 - 1.5 x(p,c)) - (1 - 1.5 x(c,q))
@@ -274,7 +262,7 @@ def separate_i3_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL,
     def arcw(a: int, b: int, c: int) -> float:
         return (1.0 - xt[a, b]) + xt[a, c] + (1.0 - xt[b, c])
 
-    report = SeparationReport(source=EXACT_I3)
+    report = SeparationReport()
     for u, v, w, t in permutations(range(n), 4):
         fixed = arcw(u, v, w) + arcw(v, w, t)
         if fixed >= 2.0 - tol:

@@ -43,10 +43,19 @@ CHORDAL_TRAP_EDGES = [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
                       (2, 3), (2, 4), (2, 5), (2, 6), (3, 5), (4, 5), (4, 6)]
 
 
+def _vendored(name: str) -> Graph:
+    return parse_dimacs((importlib_resources.files("fillin") / "data" / f"{name}.col")
+                        .read_text())
+
+
+def myciel3() -> Graph:
+    """The vendored DIMACS Mycielski graph myciel3 (optimum fill 10)."""
+    return _vendored("myciel3")
+
+
 def myciel4() -> Graph:
     """The vendored DIMACS Mycielski graph myciel4 (optimum fill 46)."""
-    return parse_dimacs((importlib_resources.files("fillin") / "data" / "myciel4.col")
-                        .read_text())
+    return _vendored("myciel4")
 
 
 def chordal_trap_graph() -> Graph:
@@ -292,8 +301,8 @@ def reference_separate(g: Graph, x: Point, on, families=("I1", "I2", "I3", "I4")
                        tol: float = 1e-6) -> SeparationReport:
     """Integer/threshold separation as it ran before adjacency masks: build
     the completed Graph, search it pair by pair, build every family's cut
-    pair by pair, evaluate at the Point, dedupe by rescanning the report;
-    stop once the report holds max_cuts cuts."""
+    pair by pair, evaluate at the Point, dedupe by key (of any family) by
+    rescanning the report; stop once the report holds max_cuts cuts."""
     completed = apply_completion(g, sorted(on))
     report = SeparationReport()
     for cyc in reference_chordless_cycles(completed):
@@ -314,8 +323,7 @@ def reference_separate(g: Graph, x: Point, on, families=("I1", "I2", "I3", "I4")
             except CutError:
                 continue
             v = evaluate(cut, x)
-            if v > tol and not any(cut.family == c.family and cut.key() == c.key()
-                                   for c in report.cuts):
+            if v > tol and not any(cut.key() == c.key() for c in report.cuts):
                 report.cuts.append(cut)
                 report.violations.append(float(v))
                 if len(report.cuts) >= max_cuts:

@@ -218,9 +218,17 @@ class TestScreenCycle:
             cut = self.BUILDERS[family](g, c, *params)
             assert (cut.family, cut.params) == (family, params or None)
         assert screen_cycle(g, c, vals, ("I2",), floor=-math.inf) == [("I2", (0,))]
-        assert screen_cycle(cycle_graph(4), Cycle(range(4)), [0.5] * 2,
-                            floor=-math.inf) == [
-            ("I1", ()), ("I2", (0,))]
+        # with I1 enabled, the copies of I1 (I2 on a 4-cycle, I3 on a
+        # 5-cycle) are not listed
+        c4, c5 = cycle_graph(4), cycle_graph(5)
+        assert screen_cycle(c4, Cycle(range(4)), [0.5] * 2, floor=-math.inf) == [
+            ("I1", ())]
+        assert screen_cycle(c4, Cycle(range(4)), [0.5] * 2, ("I2",),
+                            floor=-math.inf) == [("I2", (0,))]
+        assert screen_cycle(c5, Cycle(range(5)), [0.5] * 5, floor=-math.inf) == [
+            ("I1", ()), ("I2", (0,)), ("I4", (2, 0))]
+        assert screen_cycle(c5, Cycle(range(5)), [0.5] * 5, ("I2", "I3", "I4"),
+                            floor=-math.inf) == [("I2", (0,)), ("I3", ()), ("I4", (2, 0))]
 
     def test_screened_violation_is_the_builders(self):
         # each family's closed-form violation is evaluate on the built cut,
@@ -237,7 +245,11 @@ class TestScreenCycle:
                     vals = rng.random(g.mc).tolist()
                 else:
                     vals = rng.integers(0, 2, g.mc).tolist()
-                for family, params in screen_cycle(g, c, vals, floor=-math.inf):
+                # one family at a time: with all enabled, I2 on a 4-cycle
+                # and I3 on a 5-cycle are left to I1
+                specs = [spec for family in self.BUILDERS
+                         for spec in screen_cycle(g, c, vals, (family,), -math.inf)]
+                for family, params in specs:
                     try:
                         v = evaluate(self.BUILDERS[family](g, c, *params), vals)
                     except CutError:

@@ -143,6 +143,19 @@ class TestChordlessCycles:
                 for p in cyc.int_pairs():
                     assert p not in g.edges
 
+    def test_cycles_are_yielded_canonical(self):
+        # separation hands the cycles to the builders as they come
+        rng = np.random.default_rng(31)
+        seen = 0
+        for _ in range(60):
+            n = int(rng.integers(4, 13))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.1, 0.5)))
+            fill = [f for f in range(g.mc) if rng.random() < 0.2]
+            for c in iter_chordless_cycles(g, fill):
+                assert c.canonical() is c
+                seen += 1
+        assert seen > 200
+
     def test_same_sequence_as_per_triple_search(self):
         # one BFS per (v, w) must reproduce the per-triple search exactly,
         # on the graph itself and on completions given as fill indices

@@ -50,11 +50,14 @@ def assert_same_report(rep, ref):
 
 class TestIntegerSeparation:
     def test_c4_at_zero(self):
+        # I2 on a chordless 4-cycle is I1: one inequality, reported once
         g = cycle_graph(4)
         rep = separate_integer(g, Point.zeros(g))
-        families = [c.family for c in rep.cuts]
-        assert families == ["I1", "I2"]
-        assert rep.violations == [1, 1]
+        assert [c.family for c in rep.cuts] == ["I1"]
+        assert rep.violations == [1]
+        rep = separate_integer(g, Point.zeros(g), families=("I2",))
+        assert [c.family for c in rep.cuts] == ["I2"]
+        assert rep.cuts[0].key() == cut_i1(g, Cycle((0, 1, 2, 3))).key()
 
     def test_fig_graph_at_zero_single_cycle(self):
         g = fig_graph()
@@ -63,22 +66,31 @@ class TestIntegerSeparation:
         assert len(cycles) == 1
         assert cycles <= {(0, 1, 2, 3), (1, 2, 3, 4), (0, 1, 4, 3)}
 
-    @pytest.mark.parametrize("family", ["I1", "I3"])
-    def test_i1_and_i3_refusals_propagate(self, monkeypatch, family):
-        # on a chordless cycle the I1 and I3 builders cannot refuse, so a
-        # refusal is a defect and must not be skipped like an I2/I4 one
+    @pytest.mark.parametrize("family", ["I1", "I2", "I3", "I4"])
+    def test_builder_refusals_propagate(self, monkeypatch, family):
+        # on a chordless cycle no builder can refuse, so a refusal is a
+        # defect; C6 at zero builds all four families
+        g = cycle_graph(6)
+        assert [c.family for c in separate_integer(g, Point.zeros(g)).cuts] == [
+            "I1", "I2", "I3", "I4"]
+
         def refuse(*args):
             raise CutError("refused")
 
         monkeypatch.setattr(fillin.separation, "cut_" + family.lower(), refuse)
         with pytest.raises(CutError, match="refused"):
-            separate_integer(cycle_graph(5), Point.zeros(cycle_graph(5)))
+            separate_integer(g, Point.zeros(g))
 
     def test_c5_at_zero_all_families(self):
+        # I3 on a chordless 5-cycle is I1: reported once, as I1, unless I1
+        # is left out
         g = cycle_graph(5)
         rep = separate_integer(g, Point.zeros(g))
         by_family = {c.family: v for c, v in zip(rep.cuts, rep.violations)}
-        assert by_family == {"I1": 2, "I2": 1, "I3": 2, "I4": 1}
+        assert by_family == {"I1": 2, "I2": 1, "I4": 1}
+        rep = separate_integer(g, Point.zeros(g), families=("I2", "I3", "I4"))
+        by_family = {c.family: v for c, v in zip(rep.cuts, rep.violations)}
+        assert by_family == {"I2": 1, "I3": 2, "I4": 1}
 
     def test_empty_iff_chordal(self):
         rng = np.random.default_rng(19)
@@ -249,20 +261,52 @@ class TestStopRule:
 
 
 class TestReport:
-    def test_one_copy_per_family(self):
-        # on a 5-cycle I1 and I3 are the same inequality: it is reported once
-        # under each family, and a repeat under either family is refused
+    def test_one_copy_per_inequality(self):
+        # on a 5-cycle I1 and I3 are the same inequality: the first family
+        # to report it keeps it, and a repeat under either family is refused
         g = cycle_graph(5)
         c = Cycle((0, 1, 2, 3, 4))
         i1, i3 = cut_i1(g, c), cut_i3(g, c)
         assert i1.key() == i3.key()
         rep = SeparationReport()
         assert rep.add(i1, 2.0)
-        assert rep.add(i3, 2.0)
+        assert not rep.add(i3, 2.0)
         assert not rep.add(cut_i1(g, c), 2.0)
         assert not rep.add(cut_i3(g, Cycle((1, 2, 3, 4, 0))), 2.0)
-        assert [cut.family for cut in rep.cuts] == ["I1", "I3"]
-        assert rep.violations == [2.0, 2.0]
+        assert [cut.family for cut in rep.cuts] == ["I1"]
+        assert rep.violations == [2.0]
+
+
+class TestOneIdentity:
+    """A report holds each inequality once, by Cut.key(), the identity the
+    solver's cut pool dedupes by."""
+
+    def test_no_report_holds_two_cuts_with_one_key(self):
+        rng = np.random.default_rng(89)
+        cuts = dict.fromkeys(["integer", "threshold", "exact_i2", "exact_i3"], 0)
+        for _ in range(30):
+            g = random_connected_graph(rng, int(rng.integers(4, 8)),
+                                       float(rng.uniform(0.2, 0.5)))
+            xi = Point((rng.random(g.mc) < 0.2).astype(float))
+            x = Point(rng.random(g.mc) * rng.uniform(0.2, 1.0))
+            for name, rep in [("integer", separate_integer(g, xi)),
+                              ("integer", separate_integer(g, Point.zeros(g))),
+                              ("threshold", separate_threshold(g, x, 0.5)),
+                              ("exact_i2", separate_i2_exact(g, x)),
+                              ("exact_i3", separate_i3_exact(g, x))]:
+                keys = [c.key() for c in rep.cuts]
+                assert len(set(keys)) == len(keys)
+                cuts[name] += len(keys)
+        assert min(cuts.values()) >= 10
+
+    @pytest.mark.parametrize("m", [1, 5, 10, 20, 26])
+    def test_cap_counts_distinct_inequalities(self, m):
+        # grid3_6 at x = 0 has 26 distinct violated cuts, 10 of them on the
+        # 4-cycles where I1 and I2 coincide
+        g = gen_grid(3, 6)
+        assert len(separate_integer(g, Point.zeros(g), max_cuts=10**6)) == 26
+        rep = separate_integer(g, Point.zeros(g), max_cuts=m)
+        assert len({c.key() for c in rep.cuts}) == len(rep) == m
 
 
 class TestExactI2:

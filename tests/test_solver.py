@@ -1,3 +1,4 @@
+import random
 import time
 from dataclasses import fields
 from itertools import combinations
@@ -32,6 +33,7 @@ from helpers import (
     cycle_graph,
     fig_graph,
     min_fill_dp,
+    myciel3,
     myciel4,
     random_connected_graph,
     reference_refresh_active,
@@ -510,16 +512,44 @@ def small_connected_graphs(draw):
     return new_graph(n, sorted(edges))
 
 
-@st.composite
-def random_tree_graphs(draw):
-    """Connected graphs built like many-small's: a random tree on n = 9-12
-    vertices plus every other pair with one probability in 0.2-0.5."""
-    n = draw(st.integers(9, 12))
-    rnd = draw(st.randoms(use_true_random=False))
+def tree_plus_pairs(rnd, n: int) -> Graph:
+    """A graph built like many-small's: a random tree on n vertices plus
+    every other pair with one probability in 0.2-0.5, drawn from rnd."""
     density = rnd.uniform(0.2, 0.5)
     edges = {(rnd.randrange(v), v) for v in range(1, n)}
     edges |= {p for p in combinations(range(n), 2) if rnd.random() < density}
     return new_graph(n, sorted(edges))
+
+
+@st.composite
+def random_tree_graphs(draw):
+    """Connected graphs built like many-small's on n = 9-12 vertices."""
+    n = draw(st.integers(9, 12))
+    return tree_plus_pairs(draw(st.randoms(use_true_random=False)), n)
+
+
+def solve_capturing(g: Graph, cfg: SolverConfig | None = None):
+    """solve(g, cfg) and its _Search (None when g is chordal)."""
+    searches = []
+    init = _Search.__init__
+
+    def capturing_init(self, *args, **kwargs):
+        searches.append(self)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Search, "__init__", capturing_init)
+        res = solve(g, cfg)
+    return res, (searches[0] if searches else None)
+
+
+def pooled_rows(search: _Search) -> tuple[np.ndarray, np.ndarray]:
+    """The pool's rows and right-hand sides, checked to be integers."""
+    k = len(search.pool_keys)
+    rows = np.rint(search._matrix[:k]).astype(np.int64)
+    rhs = np.rint(search._rhs[:k]).astype(np.int64)
+    assert (rows == search._matrix[:k]).all() and (rhs == search._rhs[:k]).all()
+    return rows, rhs
 
 
 class TestPoolValidity:
@@ -527,25 +557,64 @@ class TestPoolValidity:
     @given(small_connected_graphs())
     def test_no_pooled_row_cuts_off_a_completion(self, g):
         # every pooled cut is globally valid: no chordal completion violates it
-        searches = []
-        init = _Search.__init__
-
-        def capturing_init(self, *args, **kwargs):
-            searches.append(self)
-            init(self, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Search, "__init__", capturing_init)
-            assert solve(g).status == OPTIMAL
-        if not searches:
+        res, search = solve_capturing(g)
+        assert res.status == OPTIMAL
+        if search is None:
             return  # g is chordal: the solve needed no search
-        (search,) = searches
-        k = len(search.pool_keys)
-        rows = np.rint(search._matrix[:k]).astype(np.int64)
-        rhs = np.rint(search._rhs[:k]).astype(np.int64)
-        assert (rows == search._matrix[:k]).all() and (rhs == search._rhs[:k]).all()
+        rows, rhs = pooled_rows(search)
         points = np.array([np.rint(p.values) for p in feasible_points(g)], dtype=np.int64)
         assert (points @ rows.T >= rhs).all()
+
+    def test_no_pooled_row_cuts_off_a_sampled_completion(self):
+        # graphs too large to enumerate pool cuts beyond the root: each
+        # pooled row must hold at the completions of random elimination
+        # orders and at the optimum found
+        rng = np.random.default_rng(97)
+        rnd = random.Random(97)
+        graphs = [gen_grid(3, 5), gen_grid(3, 6), gen_queen(3, 5), myciel3()]
+        graphs += [tree_plus_pairs(rnd, rnd.randint(9, 12)) for _ in range(30)]
+        beyond_root = 0
+        for g in graphs:
+            res, search = solve_capturing(g)
+            assert res.status == OPTIMAL
+            if search is None:
+                continue
+            rows, rhs = pooled_rows(search)
+            completions = [chordalize_with_order(g, rng.permutation(g.n))
+                           for _ in range(200)] + [res.best_fill]
+            points = np.zeros((len(completions), g.mc), dtype=np.int64)
+            for i, fill in enumerate(completions):
+                points[i, list(fill)] = 1
+            assert (points @ rows.T >= rhs).all()
+            beyond_root += len(rows) - len({c.key() for c in root_initialize(g)[1]})
+        assert beyond_root >= 100
+
+
+class TestOneCutIdentity:
+    def test_pool_refuses_no_separated_cut(self, monkeypatch):
+        # separation reports each inequality once, by the pool's own key,
+        # and never re-finds a pooled row (violated ones re-enter the LP
+        # first); so every cut offered to the pool is new
+        offered, refused = [], []
+        add_cut = _Search.add_cut
+
+        def counting(self, cut):
+            new = add_cut(self, cut)
+            (offered if new else refused).append(cut.to_line())
+            return new
+
+        monkeypatch.setattr(_Search, "add_cut", counting)
+        ladder = [gen_grid(3, c) for c in (3, 4, 5, 6)]
+        ladder += [gen_queen(r, c) for r, c in ((3, 3), (3, 4), (3, 5), (4, 4))]
+        ladder += [myciel3(), myciel4()]
+        for g in ladder:
+            assert solve(g).status == OPTIMAL
+        exact = SolverConfig(exact_i2=True)
+        for g in (gen_grid(3, 4), gen_grid(3, 5), gen_queen(3, 5), gen_queen(4, 4),
+                  myciel3()):
+            assert solve(g, exact).status == OPTIMAL
+        assert refused == []
+        assert len(offered) > 1500
 
 
 class TestLpRows:
