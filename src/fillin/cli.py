@@ -32,7 +32,8 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--cuts", default="i1,i2,i3,i4", metavar="LIST",
                     help="comma-separated cut families to enable (default all)")
     sp.add_argument("--exact-i2", action="store_true",
-                    help="run the exact I2 separator at fractional points")
+                    help="run the exact I2 separator at fractional points "
+                         "(needs i2 in --cuts)")
     sp.add_argument("--json-out", default=None, metavar="PATH",
                     help="also write the JSON result to this file")
 

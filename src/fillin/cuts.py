@@ -6,19 +6,27 @@ space.  Pairs of the inequality's support that are real edges of the graph
 are folded into the right-hand side as constants fixed at one, so a Cut
 never carries coefficients outside the fill space.
 
-Family summary, for a sequence C of k distinct vertices with activation set
-F = exterior pairs of C missing from the graph (each such f enters with a
-negative coefficient that switches the cut off unless x_f = 1):
+The four cycle families share one shape, and _TABLE defines each once.  On
+a sequence C of k distinct vertices a family's cut reads
 
-  I1  all interior chords of C, rhs k-3 (needs k >= 4 and a fill interior)
-  I2  the short chord across position i plus all chords at v_i, rhs 1
-  I3  the k chords joining vertices two apart on C, rhs 2 (k >= 5)
-  I4  all interior chords except two designated ones, rhs k-4 (k >= 5)
+    sum of x over its support >= m(k) (1 - sum over exterior pairs of (1 - x))
+
+with x = 1 on real edges.  So each exterior pair missing from the graph
+enters with coefficient -m(k), which switches the cut off unless it is
+filled, and the rhs is m(k)(1 - |missing|) less the real support pairs.
+
+  family  m(k)  support, as position pairs on C            a real support pair
+  I1      k-3   every chord                                is refused
+  I2      1     the chord across i, then every chord at i  is refused
+  I3      2     the k chords joining positions two apart   counts as one (k >= 5)
+  I4      k-4   every chord but those across j and {j, i}  counts as one (k >= 5)
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -117,6 +125,41 @@ def _interior_positions(k: int) -> tuple[tuple[int, int], ...]:
                  if b - a != k - 1)
 
 
+def _i2_support(k: int, i: int) -> tuple[tuple[int, int], ...]:
+    """The chord across position i, then the chords at i in position order."""
+    prev, nxt = (i - 1) % k, (i + 1) % k
+    return ((prev, nxt),) + tuple((i, b) for b in range(k) if b not in (prev, i, nxt))
+
+
+def _i4_support(k: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """Every chord but the one across position j and the one joining j to i."""
+    excluded = {edge((j - 1) % k, (j + 1) % k), edge(j, i)}
+    return tuple(p for p in _interior_positions(k) if p not in excluded)
+
+
+class _Family(NamedTuple):
+    multiplier: Callable[[int], int]  # m(k)
+    support: Callable[..., tuple]  # (k, *positions) -> position pairs
+    refuses: str  # CutError's name for a real support pair; "" counts it as one
+    min_k: int  # shortest cycle the family exists on
+    screened: tuple  # the positions screen_cycle lists
+
+
+_TABLE = {
+    "I1": _Family(lambda k: k - 3, _interior_positions, "interior", 4, ()),
+    "I2": _Family(lambda k: 1, _i2_support, "support", 4, (0,)),
+    "I3": _Family(lambda k: 2, lambda k: tuple((j, (j + 2) % k) for j in range(k)),
+                  "", 5, ()),
+    "I4": _Family(lambda k: k - 4, _i4_support, "", 5, (2, 0)),
+}
+
+
+@lru_cache(maxsize=None)
+def _support(family: str, k: int, positions: tuple) -> tuple[tuple[int, int], ...]:
+    """The family's support on a k-cycle at the given positions."""
+    return _TABLE[family].support(k, *positions)
+
+
 def _missing_ext(g: Graph, vs: tuple) -> list[int]:
     """Fill indices of the exterior pairs of vs that are not edges of g
     (the activation set F)."""
@@ -131,43 +174,40 @@ def _missing_ext(g: Graph, vs: tuple) -> list[int]:
     return out
 
 
-def _support_fill(g: Graph, pairs) -> tuple[dict[int, int], int]:
-    """Unit coefficients on the fill pairs; real pairs count as constant one."""
+def _check_length(family: str, k: int) -> None:
+    min_k = _TABLE[family].min_k
+    if k < min_k:
+        raise FamilyInapplicableError(f"family {family} needs |C| >= {min_k}, got {k}")
+
+
+def _build(family: str, g: Graph, c: Cycle, positions: tuple = ()) -> Cut:
+    """The family's cut on c at the given positions (see _TABLE)."""
+    spec = _TABLE[family]
+    vs = c.vertices
+    k = len(vs)
+    m = spec.multiplier(k)
     t, n = g.fill_table, g.n
     coeffs: dict[int, int] = {}
-    constant = 0
-    for u, v in pairs:
+    real = 0
+    for a, b in _support(family, k, positions):
+        u, v = vs[a], vs[b]
         f = t[u * n + v]
-        if f < 0:
-            constant += 1
+        if f >= 0:
+            coeffs[f] = 1
+        elif spec.refuses:
+            raise CutError(f"{spec.refuses} pair {edge(u, v)} is an edge of the graph")
         else:
-            coeffs[f] = coeffs.get(f, 0) + 1
-    return coeffs, constant
-
-
-def _all_fill(g: Graph, pairs, what: str) -> dict[int, int]:
-    """Unit coefficients on pairs that must all be fill pairs of g."""
-    t, n = g.fill_table, g.n
-    coeffs: dict[int, int] = {}
-    for u, v in pairs:
-        f = t[u * n + v]
-        if f < 0:
-            raise CutError(f"{what} pair {edge(u, v)} is an edge of the graph")
-        coeffs[f] = 1
-    return coeffs
+            real += 1
+    missing = _missing_ext(g, vs)
+    for f in missing:
+        coeffs[f] = -m
+    return Cut(g, coeffs, m * (1 - len(missing)) - real, family,
+               cycle=c.canonical(), params=positions or None)
 
 
 def cut_i1(g: Graph, c: Cycle) -> Cut:
     """Triangulating a k-cycle needs at least k-3 of its interior chords."""
-    k = len(c)
-    vs = c.vertices
-    coeffs = _all_fill(g, ((vs[a], vs[b]) for a, b in _interior_positions(k)),
-                       "interior")
-    missing = _missing_ext(g, vs)
-    for f in missing:
-        coeffs[f] = -(k - 3)
-    rhs = (k - 3) * (1 - len(missing))
-    return Cut(g, coeffs, rhs, "I1", cycle=c.canonical())
+    return _build("I1", g, c)
 
 
 def cut_i2(g: Graph, c: Cycle, i: int) -> Cut:
@@ -181,37 +221,19 @@ def cut_i2(g: Graph, c: Cycle, i: int) -> Cut:
     k = len(c)
     if not 0 <= i < k:
         raise CutError(f"position {i} invalid for a cycle of length {k}")
-    vs = c.vertices
-    vi, prev, nxt = vs[i], vs[(i - 1) % k], vs[(i + 1) % k]
-    support = [(prev, nxt)]
-    support += [(vi, v) for v in vs if v not in (vi, prev, nxt)]
-    coeffs = _all_fill(g, support, "support")
-    missing = _missing_ext(g, vs)
-    for f in missing:
-        coeffs[f] = -1
-    rhs = 1 - len(missing)
-    return Cut(g, coeffs, rhs, "I2", cycle=c.canonical(), params=(i,))
+    return _build("I2", g, c, (i,))
 
 
 def cut_i3(g: Graph, c: Cycle) -> Cut:
     """At least two of the k distance-2 chords of C must be present."""
-    k = len(c)
-    if k < 5:
-        raise FamilyInapplicableError(f"family I3 needs |C| >= 5, got {k}")
-    vs = c.vertices
-    coeffs, constant = _support_fill(g, ((vs[j], vs[(j + 2) % k]) for j in range(k)))
-    missing = _missing_ext(g, vs)
-    for f in missing:
-        coeffs[f] = -2
-    rhs = 2 * (1 - len(missing)) - constant
-    return Cut(g, coeffs, rhs, "I3", cycle=c.canonical())
+    _check_length("I3", len(c))
+    return _build("I3", g, c)
 
 
 def cut_i4(g: Graph, c: Cycle, i: int, j: int) -> Cut:
     """All interior chords except {v_{j-1},v_{j+1}} and {v_j,v_i}: rhs k-4."""
     k = len(c)
-    if k < 5:
-        raise FamilyInapplicableError(f"family I4 needs |C| >= 5, got {k}")
+    _check_length("I4", k)
     if not (0 <= i < k and 0 <= j < k):
         raise CutError(f"positions ({i}, {j}) invalid for a cycle of length {k}")
     if c.dist(i, j) < 2:
@@ -219,16 +241,24 @@ def cut_i4(g: Graph, c: Cycle, i: int, j: int) -> Cut:
             f"family I4 needs cycle distance >= 2 between positions, "
             f"got d({j},{i}) = {c.dist(i, j)}"
         )
-    vs = c.vertices
-    excluded = {edge((j - 1) % k, (j + 1) % k), edge(j, i)}
-    coeffs, constant = _support_fill(
-        g, ((vs[a], vs[b]) for a, b in _interior_positions(k)
-            if (a, b) not in excluded))
-    missing = _missing_ext(g, vs)
-    for f in missing:
-        coeffs[f] = -(k - 4)
-    rhs = (k - 4) * (1 - len(missing)) - constant
-    return Cut(g, coeffs, rhs, "I4", cycle=c.canonical(), params=(i, j))
+    return _build("I4", g, c, (i, j))
+
+
+@lru_cache(maxsize=None)
+def _screen_plan(k: int, families: tuple) -> tuple:
+    """screen_cycle's work on a k-cycle, reading its flat value list at
+    a*k + b for the position pair (a, b): a getter of the exterior pairs, and
+    (family, positions, m(k), getter of the support) of each family it
+    screens, in table order."""
+    plan = []
+    for fam, spec in _TABLE.items():
+        if fam not in families or k < spec.min_k:
+            continue
+        if "I1" in families and (fam, k) in (("I2", 4), ("I3", 5)):
+            continue  # this cut is I1's
+        support = [a * k + b for a, b in _support(fam, k, spec.screened)]
+        plan.append((fam, spec.screened, spec.multiplier(k), itemgetter(*support)))
+    return itemgetter(*(a * k + (a - 1) % k for a in range(k))), tuple(plan)
 
 
 def screen_cycle(g: Graph, c: Cycle, vals: list, families=FAMILIES,
@@ -237,15 +267,13 @@ def screen_cycle(g: Graph, c: Cycle, vals: list, families=FAMILIES,
     cycle c whose violation at vals, computed straight from the fill table,
     exceeds floor; in the order I1, I2, I3, I4.
 
-    vals are the point_values of a point.  One cut per family: I2 at
-    position 0 and I4 at (i=2, j=0), the arguments cut_i2 and cut_i4 take
-    after the cycle.  With real edges counting as one and act = 1 - sum over
-    exterior pairs of (1 - x), the violations are: I1 (k-3) act - sum of the
-    interior pairs; I2 act - sum of its support, {v_{k-1}, v_1} and the
-    pairs of v_0 but its cycle neighbours; I3 2 act - sum of the distance-2
-    chords; I4 (k-4) act - sum of the interior pairs but {v_{k-1}, v_1} and
-    {v_0, v_2}.  They are the builders' rhs - a.x summed in another order,
-    so they differ from evaluate by rounding error only.
+    vals are the point_values of a point.  One cut per family, at the
+    table's screened positions: I2 at position 0 and I4 at (i=2, j=0), the
+    arguments cut_i2 and cut_i4 take after the cycle.  With real edges
+    counting as one and act = 1 - sum over exterior pairs of (1 - x), the
+    violation is m(k) act - the sum over the support, the builders' rhs - a.x
+    summed in another order, so it differs from evaluate by rounding error
+    only.
 
     With I1 enabled, I2 is not listed on a 4-cycle nor I3 on a 5-cycle.
     Separation passes only cycles chordless in g, whose interior pairs are
@@ -254,31 +282,12 @@ def screen_cycle(g: Graph, c: Cycle, vals: list, families=FAMILIES,
     """
     vs = c.vertices
     k = len(vs)
+    exterior, plan = _screen_plan(k, tuple(families))
     t, n = g.fill_table, g.n
-    x = [[vals[f] if (f := t[r + v]) >= 0 else 1 for v in vs]
-         for r in [u * n for u in vs]]
-    act = 1 - sum(1 - x[a][a - 1] for a in range(k))
-    out = []
-    i1 = "I1" in families
-    if i1 or "I4" in families:
-        interior = sum(x[a][b] for a, b in _interior_positions(k))
-    if i1 and (k - 3) * act - interior > floor:
-        out.append(("I1", ()))
-    if "I2" in families and not (i1 and k == 4):
-        row = x[0]
-        support = x[k - 1][1] + sum(row) - row[k - 1] - row[0] - row[1]
-        if act - support > floor:
-            out.append(("I2", (0,)))
-    if k < 5:
-        return out
-    if "I3" in families and not (i1 and k == 5):
-        if 2 * act - sum(x[j][j - 2] for j in range(k)) > floor:
-            out.append(("I3", ()))
-    if "I4" in families:
-        support = interior - x[k - 1][1] - x[0][2]
-        if (k - 4) * act - support > floor:
-            out.append(("I4", (2, 0)))
-    return out
+    x = [vals[f] if (f := t[r + v]) >= 0 else 1 for r in [u * n for u in vs] for v in vs]
+    act = 1 - k + sum(exterior(x))
+    return [(fam, positions) for fam, positions, m, support in plan
+            if m * act - sum(support(x)) > floor]
 
 
 def lift_zero_pad(cut: Cut, sub_to_super: dict[int, int], super_g: Graph) -> Cut:

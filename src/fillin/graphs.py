@@ -298,11 +298,17 @@ def iter_chordless_cycles(g: Graph, fill=()):
 
     Scans vertex triples (v, w, u) in ascending id order where v-w-u is a
     path and {v, u} is a non-edge, and closes each with a shortest v-u path
-    avoiding both w and its neighbourhood, so that the result is chordless
-    by construction; every cycle is still verified before being yielded.
-    One breadth-first search per (v, w) serves every endpoint u: u is never
-    expanded, so the search order does not depend on which u is allowed,
-    and u's parent is the first dequeued vertex adjacent to it.
+    avoiding both w and its neighbourhood.  One breadth-first search per
+    (v, w) serves every endpoint u: u is never expanded, so the search order
+    does not depend on which u is allowed, and u's parent is the first
+    dequeued vertex adjacent to it.
+
+    Every cycle is chordless by construction, so none is re-checked:
+    - no inner vertex of the path lies in N[w], so w has no chord;
+    - a path of a BFS tree from v is induced: a chord would be a shortcut;
+    - u is adjacent to no path vertex but its parent: the parent is the
+      first dequeued vertex adjacent to u, and the other path vertices, its
+      ancestors, were dequeued before it.
     """
     adj = _completed_masks(g, fill)
     n = g.n
@@ -336,8 +342,7 @@ def iter_chordless_cycles(g: Graph, fill=()):
                 if vs in seen:
                     continue
                 seen.add(vs)
-                if _is_chordless(adj, vs):
-                    yield Cycle(vs)
+                yield Cycle(vs)
 
 
 def _bfs_parents(adj, v: int, allowed: int, targets: int) -> dict[int, int]:
@@ -366,21 +371,6 @@ def _bfs_parents(adj, v: int, allowed: int, targets: int) -> dict[int, int]:
             queue.append(b)
             new ^= low
     return parent
-
-
-def _is_chordless(adj, vs: tuple) -> bool:
-    """Each vertex of the cycle is adjacent, among the cycle's vertices,
-    to exactly its two cycle neighbours."""
-    on_cycle = 0
-    for a in vs:
-        on_cycle |= 1 << a
-    prev = vs[-2]
-    cur = vs[-1]
-    for nxt in vs:
-        if adj[cur] & on_cycle != (1 << prev) | (1 << nxt):
-            return False
-        prev, cur = cur, nxt
-    return True
 
 
 def find_chordless_cycle(g: Graph):

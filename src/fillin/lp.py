@@ -359,7 +359,7 @@ def solve_lp(p: LpProblem, basis: Basis | None = None) -> LpResult:
     and is where the dual simplex starts; it falls back to the slack basis
     when that basis is singular or not dual feasible.
 
-    Returns OPTIMAL with a vertex point, its reduced costs and basis;
+    Returns OPTIMAL with a vertex point, its objective and its basis;
     INFEASIBLE with nonnegative row multipliers y certifying the conflict
     (no x in the box has y @ rows @ x >= y @ rhs); or ITERATION_LIMIT after
     the pivot cap.

@@ -20,7 +20,6 @@ class OracleBudgetError(RuntimeError):
 @dataclass
 class EnumerationBudget:
     max_subsets_evaluated: int = 10**7
-    max_cardinality: int | None = None
 
     def __post_init__(self):
         if self.max_subsets_evaluated <= 0:
@@ -48,9 +47,8 @@ def brute_force_mccp(g: Graph, budget: EnumerationBudget | None = None) -> froze
     if budget is None:
         budget = EnumerationBudget()
     mc = g.mc
-    max_card = mc if budget.max_cardinality is None else min(mc, budget.max_cardinality)
     evaluated = 0
-    for size in range(max_card + 1):
+    for size in range(mc + 1):
         for subset in _colex_combinations(mc, size):
             evaluated += 1
             if evaluated > budget.max_subsets_evaluated:
@@ -61,10 +59,7 @@ def brute_force_mccp(g: Graph, budget: EnumerationBudget | None = None) -> froze
                 )
             if is_valid_completion(g, subset):
                 return frozenset(subset)
-    raise OracleBudgetError(
-        f"no chordal completion of size <= {max_card} found",
-        last_cardinality=max_card,
-    )
+    raise AssertionError("unreachable: filling every pair gives a chordal graph")
 
 
 def enumerate_completions(g: Graph, max_dimension: int = 20):

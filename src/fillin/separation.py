@@ -89,17 +89,17 @@ class SeparationReport:
 
 
 def _separate_on_completed(g: Graph, on: list[int], vals: list, families,
-                           max_cuts: int, tol: float) -> SeparationReport:
+                           max_cuts: int) -> SeparationReport:
     """Harvest chordless cycles of g plus the given fill set until the report
     holds max_cuts cuts (or every cycle is scanned), and keep each enabled
     family's cut relative to g that is violated at the point whose
     point_values are vals.
 
     Only the cuts whose screened violation (cuts.screen_cycle) comes within
-    SCREEN_SLACK of tol are built, through cut_i1..cut_i4 with all their
-    checks, and evaluate alone decides which are kept.  The screen's rounding
-    error is far below SCREEN_SLACK, so the report is the one building every
-    cut would give.  Each cycle is chordless in g, so every interior pair is
+    SCREEN_SLACK of VIOLATION_TOL are built, through cut_i1..cut_i4 with all
+    their checks, and evaluate alone decides which are kept.  The screen's
+    rounding error is far below SCREEN_SLACK, so the report is the one
+    building every cut would give.  Each cycle is chordless in g, so every interior pair is
     a fill pair and no builder can refuse it: a CutError is a defect and
     propagates.
     """
@@ -107,20 +107,19 @@ def _separate_on_completed(g: Graph, on: list[int], vals: list, families,
     # is the one called (perfbench/layers.py times the builders that way).
     builders = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
     report = SeparationReport()
-    floor = tol - SCREEN_SLACK
+    floor = VIOLATION_TOL - SCREEN_SLACK
     for cyc in iter_chordless_cycles(g, on):
         report.stats.cycles_examined += 1
         for fam, positions in screen_cycle(g, cyc, vals, families, floor):
             cut = builders[fam](g, cyc, *positions)
             v = evaluate(cut, vals)
-            if v > tol and report.add(cut, float(v)) and len(report) >= max_cuts:
+            if v > VIOLATION_TOL and report.add(cut, float(v)) and len(report) >= max_cuts:
                 return report
     return report
 
 
 def separate_integer(g: Graph, x: Point, families=("I1", "I2", "I3", "I4"),
-                     max_cuts: int = MAX_CUTS_PER_CALL,
-                     tol: float = VIOLATION_TOL) -> SeparationReport:
+                     max_cuts: int = MAX_CUTS_PER_CALL) -> SeparationReport:
     """Lazy cuts at an integer point; empty iff g + E(x) is chordal."""
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
@@ -128,13 +127,12 @@ def separate_integer(g: Graph, x: Point, families=("I1", "I2", "I3", "I4"),
         raise SeparationError("integer separation requires an integral point")
     vals = np.rint(x.values).astype(int).tolist()  # point_values(x) for integral x
     on = [f for f, v in enumerate(vals) if v > 0]
-    return _separate_on_completed(g, on, vals, families, max_cuts, tol)
+    return _separate_on_completed(g, on, vals, families, max_cuts)
 
 
 def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
                        families=("I1", "I2", "I3", "I4"),
-                       max_cuts: int = MAX_CUTS_PER_CALL,
-                       tol: float = VIOLATION_TOL) -> SeparationReport:
+                       max_cuts: int = MAX_CUTS_PER_CALL) -> SeparationReport:
     """Round coordinates >= delta up, separate combinatorially, re-check at x.
 
     May legitimately return an empty report even when x violates some cut of
@@ -145,7 +143,7 @@ def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     on = np.flatnonzero(x.values >= delta).tolist()
-    return _separate_on_completed(g, on, point_values(x), families, max_cuts, tol)
+    return _separate_on_completed(g, on, point_values(x), families, max_cuts)
 
 
 def _extended_values(g: Graph, x: Point) -> np.ndarray:
@@ -158,7 +156,7 @@ def _extended_values(g: Graph, x: Point) -> np.ndarray:
     return xt
 
 
-def separate_i2_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL) -> SeparationReport:
+def separate_i2_exact(g: Graph, x: Point) -> SeparationReport:
     """Exact separation of the (lifted) I2 family over a fractional point.
 
     For every centre c and endpoint pair {p, q}, a violated I2 cut through
@@ -179,13 +177,13 @@ def separate_i2_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL) -> Separat
         # bound[p, q] = 1 - x(p,q) - (1 - 1.5 x(p,c)) - (1 - 1.5 x(c,q))
         h = 1.0 - 1.5 * xt[c]
         bound = 1.0 - xt - h[:, None] - h[None, :]
-        cand = np.triu(bound > tol, 1)
+        cand = np.triu(bound > VIOLATION_TOL, 1)
         cand[c, :] = cand[:, c] = False
         if not cand.any():
             continue
         dist, nxt = _i2_shortest_paths(xt, c)
         report.stats.dijkstra_calls += 1
-        for p, q in zip(*np.nonzero(cand & (bound - dist.T > tol))):
+        for p, q in zip(*np.nonzero(cand & (bound - dist.T > VIOLATION_TOL))):
             path = [int(q)]
             while path[-1] != p:
                 path.append(int(nxt[q, path[-1], p]))
@@ -196,7 +194,7 @@ def separate_i2_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL) -> Separat
             except CutError:
                 continue
             v = evaluate(cut, vals)
-            if v > tol:
+            if v > VIOLATION_TOL:
                 report.add(cut, float(v))
     return report
 
@@ -239,7 +237,7 @@ def _i2_shortest_paths(xt: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     return dist, nxt
 
 
-def separate_i3_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL,
+def separate_i3_exact(g: Graph, x: Point,
                       vertex_cap: int = EXACT_MAX_N) -> SeparationReport:
     """Exact separation of the (lifted) I3 family over a fractional point.
 
@@ -265,11 +263,11 @@ def separate_i3_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL,
     report = SeparationReport()
     for u, v, w, t in permutations(range(n), 4):
         fixed = arcw(u, v, w) + arcw(v, w, t)
-        if fixed >= 2.0 - tol:
+        if fixed >= 2.0 - VIOLATION_TOL:
             continue
         total, zs = _pair_digraph_search(xt, n, (u, v, w, t), fixed, arcw)
         report.stats.dijkstra_calls += 1
-        if zs is None or 2.0 - total <= tol:
+        if zs is None or 2.0 - total <= VIOLATION_TOL:
             continue
         vertices = (u, v, w, t) + tuple(zs)
         if len(set(vertices)) != len(vertices):
@@ -281,7 +279,7 @@ def separate_i3_exact(g: Graph, x: Point, tol: float = VIOLATION_TOL,
         except CutError:
             continue
         v2 = evaluate(cut, vals)
-        if v2 > tol:
+        if v2 > VIOLATION_TOL:
             report.add(cut, float(v2))
     return report
 

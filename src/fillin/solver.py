@@ -87,6 +87,8 @@ class SolverConfig:
             raise ValueError(f"unknown cut families {sorted(unknown)}")
         if "I1" not in self.families_enabled:
             raise ValueError("family I1 must stay enabled: it certifies optimality")
+        if self.exact_i2 and "I2" not in self.families_enabled:
+            raise ValueError("exact_i2 separates family I2, which is not enabled")
 
     def as_dict(self) -> dict:
         return asdict(self)

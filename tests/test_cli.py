@@ -115,6 +115,12 @@ class TestSolve:
         code, _, err = run(capsys, "solve", fig_file, "--cuts", "i2,i3")
         assert code == 1  # dropping i1 voids the optimality guarantee
 
+    def test_exact_i2_needs_family_i2(self, fig_file, capsys):
+        code, out, err = run(capsys, "solve", fig_file, "--cuts", "i1", "--exact-i2")
+        assert code == 1
+        assert out == ""
+        assert "exact_i2" in err and "I2" in err
+
 
 class TestGenerate:
     def test_grid(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 import time
 from dataclasses import fields
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,6 +69,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown"):
             SolverConfig(families_enabled=("I1", "I9"))
 
+    def test_exact_i2_needs_i2(self):
+        # exact I2 separation would pool I2 cuts with the family disabled
+        with pytest.raises(ValueError, match="exact_i2.*I2"):
+            SolverConfig(families_enabled=("I1", "I3"), exact_i2=True)
+        assert SolverConfig(families_enabled=("I1", "I2"), exact_i2=True).exact_i2
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_max_cycles_at_least_one(self, cap):
         # The per-call cap is the constant separation.MAX_CUTS_PER_CALL; the
@@ -83,7 +90,7 @@ class TestConfig:
         assert len(fields(SolverConfig)) == 5
 
     def test_as_dict_reports_every_field(self):
-        cfg = SolverConfig(delta=0.3, families_enabled=("I1", "I3"), exact_i2=True,
+        cfg = SolverConfig(delta=0.3, families_enabled=("I1", "I2"), exact_i2=True,
                            time_limit_s=9.5, node_limit=7)
         assert set(cfg.as_dict()) == {f.name for f in fields(SolverConfig)}
         assert SolverConfig(**cfg.as_dict()) == cfg
@@ -435,6 +442,21 @@ class TestLimitsAndBounds:
         t0 = time.perf_counter()
         res = solve(g, cfg)
         assert time.perf_counter() - t0 < 2.5
+        assert res.lower_bound <= res.upper_bound
+        assert is_valid_completion(g, res.best_fill)
+
+    def test_root_node_stops_within_one_round_of_the_limit(self, monkeypatch):
+        # A fake clock advances one second per LP solve.  grid4_4's root
+        # node takes 17 solves with no limit; under a 5 s limit the check
+        # before each round stops it after the sixth (the first one past
+        # the limit), and the search returns with the root node re-queued.
+        lps = recording_lps(monkeypatch)
+        monkeypatch.setattr(fillin.solver, "time",
+                            SimpleNamespace(perf_counter=lambda: float(len(lps))))
+        g = gen_grid(4, 4)
+        res = solve(g, SolverConfig(time_limit_s=5))
+        assert len(lps) == 6
+        assert (res.status, res.nodes) == (TIME_LIMIT, 1)
         assert res.lower_bound <= res.upper_bound
         assert is_valid_completion(g, res.best_fill)
 
