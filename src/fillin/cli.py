@@ -215,10 +215,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (InstanceError, GraphError, OracleBudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OracleBudgetError, OSError) as exc:  # InstanceError, GraphError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -198,12 +198,12 @@ class Point:
     def __repr__(self):
         return f"Point({self.values.tolist()})"
 
-    def is_integral(self, tol: float = INTEGRALITY_TOL) -> bool:
-        return bool(np.all(np.abs(self.values - np.round(self.values)) <= tol))
+    def is_integral(self) -> bool:
+        return bool(np.all(np.abs(self.values - np.round(self.values)) <= INTEGRALITY_TOL))
 
-    def fill_set(self, tol: float = INTEGRALITY_TOL) -> frozenset[int]:
+    def fill_set(self) -> frozenset[int]:
         """Indices set to one; only meaningful for integral points."""
-        if not self.is_integral(tol):
+        if not self.is_integral():
             raise GraphError("fill_set requires an integral point")
         return frozenset(int(i) for i in np.flatnonzero(self.values > 0.5))
 

@@ -134,7 +134,10 @@ class _DualSimplex:
     lo and hi the bounds, and step the way a nonbasic may move (+1 up from
     its lower bound, -1 down from its upper bound, 0 if basic or fixed).
     S and T list the basic structurals and the tight rows in the order of
-    the columns and rows of A[T, S], whose inverse is Binv."""
+    the columns and rows of A[T, S], whose inverse is Binv.
+
+    The constructor holds the problem only; start installs every basis,
+    the slack basis included as start((), ())."""
 
     def __init__(self, p: LpProblem):
         self.A, self.b = p.rows, p.rhs
@@ -149,17 +152,6 @@ class _DualSimplex:
         self.c[:n] = _costs(n)
         self.iterations = 0
         self.since_factor = 0
-        # the slack basis: every surplus basic, every structural at its
-        # lower bound, where its positive cost keeps it
-        self.S, self.T = [], []
-        self._index()
-        self.Binv = np.zeros((0, 0))
-        self.d = self.c.copy()
-        self.step = np.zeros(n + m)
-        self.step[:n] = self.span[:n] > 0
-        self.z = np.empty(n + m)
-        self.z[:n] = p.lb
-        self.z[n:] = p.rows @ p.lb - p.rhs
 
     def _index(self) -> None:
         self.Sa = np.array(self.S, dtype=int)
@@ -168,8 +160,11 @@ class _DualSimplex:
         self.AT = self.A[self.Ta]
 
     def start(self, cols, rows) -> None:
-        """Install a basis; each nonbasic structural goes to the bound its
-        reduced cost favours.  Raises LpError if A[T, S] is singular or a
+        """Install a basis, replacing all state that depends on the one
+        before; each nonbasic structural goes to the bound its reduced cost
+        favours.  With cols and rows empty this is the slack basis: every
+        surplus basic, every structural at its lower bound, where its
+        positive cost keeps it.  Raises LpError if A[T, S] is singular or a
         tight row's multiplier is negative."""
         n = self.n
         self.S = [int(j) for j in cols]
@@ -178,10 +173,12 @@ class _DualSimplex:
         self.factor(check=True)
         if (self.d[self.nTa] < -REDUCED_COST_TOL).any():
             raise LpError("basis is not dual feasible")
+        self.step = np.zeros(len(self.c))
         self.step[:n] = np.where(self.d[:n] < 0, -1.0, 1.0)
         self.step[self.span <= 0] = 0.0
         self.step[self.Sa] = 0.0
         self.step[self.nTa] = 1.0
+        self.z = np.empty(len(self.c))
         self.primals()
 
     def factor(self, check: bool = False) -> None:
@@ -228,7 +225,7 @@ class _DualSimplex:
             hits = (infeas > FEAS_TOL).nonzero()[0]
             j = int(hits[0]) if hits.size else -1
         else:
-            j = int(infeas.argmax())
+            j = int(infeas.argmax()) if infeas.size else -1  # no rows, no variables
         return (j, float(infeas[j])) if j >= 0 and infeas[j] > FEAS_TOL else (-1, 0.0)
 
     def tableau_row(self, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,8 +353,9 @@ def solve_lp(p: LpProblem, basis: Basis | None = None) -> LpResult:
     """Solve the bounded relaxation; deterministic for identical input.
 
     basis, if given, is a basis of an earlier solve (its rows index p.rows)
-    and is where the dual simplex starts; it falls back to the slack basis
-    when that basis is singular or not dual feasible.
+    and is where the dual simplex starts.  _DualSimplex.start installs it,
+    or the slack basis when there is none or start refuses it (singular or
+    not dual feasible).
 
     Returns OPTIMAL with a vertex point, its objective and its basis;
     INFEASIBLE with nonnegative row multipliers y certifying the conflict
@@ -371,15 +369,12 @@ def solve_lp(p: LpProblem, basis: Basis | None = None) -> LpResult:
         or not all(0 <= i < m for i in basis.rows)
     ):
         raise ValueError(f"basis does not fit a {m} x {nv} problem: {basis}")
-    if nv == 0:
-        return LpResult(OPTIMAL, 0.0, Point(np.zeros(0)), 0, basis=Basis((), ()))
-
+    cols, rows = (basis.cols, basis.rows) if basis is not None else ((), ())
     lp = _DualSimplex(p)
-    if basis is not None and basis.cols:
-        try:
-            lp.start(basis.cols, basis.rows)
-        except LpError:
-            lp = _DualSimplex(p)  # back to the slack basis
+    try:
+        lp.start(cols, rows)
+    except LpError:
+        lp.start((), ())  # back to the slack basis
     max_iters = PIVOTS_PER_DIM * (m + nv)
     stall = 0
     while True:

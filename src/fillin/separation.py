@@ -51,7 +51,7 @@ MAX_CUTS_PER_CALL = 100
 # Screened violations within this much of the tolerance are built and
 # evaluated; the screen's rounding error is many orders of magnitude below.
 SCREEN_SLACK = 1e-9
-EXACT_MAX_N = 25  # largest graph the exact separators run on
+EXACT_MAX_N = 25  # largest graph exact I3 separation runs on
 
 
 class SeparationError(ValueError):

@@ -53,7 +53,6 @@ from .graphs import Graph, Point, is_chordal, is_valid_completion  # noqa: F401
 from .heuristics import chordalize_with_order, mdo_completion, mdo_order, primal_repair
 from .lp import INFEASIBLE, ITERATION_LIMIT, Basis, LpProblem, solve_lp
 from .separation import (
-    EXACT_MAX_N,
     VIOLATION_TOL,
     separate_i2_exact,
     separate_integer,
@@ -371,7 +370,7 @@ def _fractional_cuts(search: _Search, x: Point) -> list:
         cuts.extend(separate_threshold(g, x, d, families=cfg.families_enabled).cuts)
         if cuts:
             break
-    if not cuts and cfg.exact_i2 and g.n <= EXACT_MAX_N:
+    if not cuts and cfg.exact_i2:
         cuts = separate_i2_exact(g, x).cuts
     return cuts
 

@@ -7,8 +7,10 @@ from fillin.lp import (
     ITERATION_LIMIT,
     OPTIMAL,
     Basis,
+    LpError,
     LpProblem,
     LpResult,
+    _DualSimplex,
     solve_lp,
 )
 from helpers import lp_vertex_optimum
@@ -82,6 +84,17 @@ class TestBasics:
     def test_zero_variables(self):
         r = solve_lp(box_problem([], [], 0))
         assert r.status == OPTIMAL and r.objective == 0.0
+
+    def test_zero_variables_unmeetable_row(self):
+        # the row 0 >= 1 holds for no point
+        p = box_problem([[]], [1.0], 0)
+        r = solve_lp(p)
+        assert r.status == INFEASIBLE
+        assert_certifies_infeasibility(p, r)
+
+    def test_zero_variables_met_row(self):
+        r = solve_lp(box_problem([[]], [-1.0], 0))
+        assert r.status == OPTIMAL and r.objective == 0.0 and len(r.point) == 0
 
     @pytest.mark.parametrize("shapes", [
         ((2, 3), (3,), (3,), (3,)),  # rhs length differs from the row count
@@ -162,6 +175,21 @@ class TestAgainstVertexEnumeration:
 class TestWarmBasis:
     """Re-solves from an earlier optimal basis, as the branch-and-cut does
     after a cut round (rows appended) and for a child (a variable fixed)."""
+
+    @pytest.mark.parametrize("basis", [
+        Basis((0,), (1,)),  # A[T, S] = [[0]] is singular
+        Basis((0,), (4,)),  # tight row 4 has multiplier cost_0 / -1 < 0
+    ])
+    def test_refused_basis_restarts_as_the_cold_solve(self, basis):
+        p = box_problem([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1],
+                         [-1, 0, 1, 0]], [1, 1, 1, 1, -1])
+        with pytest.raises(LpError):
+            _DualSimplex(p).start(basis.cols, basis.rows)
+        cold, warm = solve_lp(p), solve_lp(p, basis=basis)
+        assert cold.iterations > 0
+        assert (warm.status, warm.iterations, warm.basis) == (
+            cold.status, cold.iterations, cold.basis)
+        assert (warm.point.values == cold.point.values).all()
 
     def test_nonbasic_starts_at_the_bound_its_reduced_cost_favours(self):
         # x0 basic on the tight row: its multiplier is about 1, so x1's

@@ -221,7 +221,9 @@ class TestThresholdEscalation:
 
 
     def test_exact_i2_only_when_thresholds_find_nothing(self, monkeypatch):
-        g = cycle_graph(5)
+        # C26 is past separation.EXACT_MAX_N, the vertex cap of exact I3,
+        # which does not apply to exact I2; its I1 row is violated only
+        # below x = 23 / 299 on every pair
         exact = []
         sep = fillin.solver.separate_i2_exact
 
@@ -230,11 +232,13 @@ class TestThresholdEscalation:
             return sep(g, x, **kwargs)
 
         monkeypatch.setattr(fillin.solver, "separate_i2_exact", counting)
-        search = _Search(g, SolverConfig(exact_i2=True))
-        assert fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.3)))
-        assert exact == []  # the threshold at 0.5 found I1
-        fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.4)))
-        assert len(exact) == 1
+        for g, low in ((cycle_graph(5), 0.3), (cycle_graph(26), 0.05)):
+            exact.clear()
+            search = _Search(g, SolverConfig(exact_i2=True))
+            assert fillin.solver._fractional_cuts(search, Point(np.full(g.mc, low)))
+            assert exact == []  # the threshold at 0.5 found I1
+            fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.4)))
+            assert len(exact) == 1
 
 
 class TestRootBound:
