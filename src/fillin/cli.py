@@ -9,7 +9,7 @@ import sys
 import time
 
 from . import __version__
-from .graphs import GraphError, Point, edge, is_valid_completion
+from .graphs import GraphError, is_valid_completion
 from .heuristics import mdo_completion
 from .instances import (
     InstanceError,
@@ -24,12 +24,14 @@ from .solver import OPTIMAL, SolverConfig, solve
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
+    defaults = SolverConfig()
     sp.add_argument("--time-limit", type=float, default=None, metavar="S",
                     help="wall-clock limit in seconds")
     sp.add_argument("--node-limit", type=int, default=None, metavar="N")
-    sp.add_argument("--delta", type=float, default=0.5,
-                    help="threshold for rounding fractional points (default 0.5)")
-    sp.add_argument("--cuts", default="i1,i2,i3,i4", metavar="LIST",
+    sp.add_argument("--delta", type=float, default=defaults.delta,
+                    help="threshold for rounding fractional points (default %(default)s)")
+    sp.add_argument("--cuts", default=",".join(defaults.families_enabled).lower(),
+                    metavar="LIST",
                     help="comma-separated cut families to enable (default all)")
     sp.add_argument("--exact-i2", action="store_true",
                     help="run the exact I2 separator at fractional points "
@@ -70,8 +72,7 @@ def cmd_solve(args) -> int:
         "ub": result.upper_bound,
         "fill_edges": sorted([list(g.fill_pair(i)) for i in result.best_fill]),
         "nodes": result.nodes,
-        "cuts": {fam.lower(): result.cuts_by_family.get(fam, 0)
-                 for fam in ("I1", "I2", "I3", "I4")},
+        "cuts": {fam.lower(): k for fam, k in result.cuts_by_family.items()},
         "time_s": round(result.wall_time_s, 3),
         "config": cfg.as_dict(),
         "manifest": manifest,

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphs import Cycle, Graph, GraphError, Point, edge
+from .graphs import Cycle, Graph, Point, edge
 
 FAMILIES = ("I1", "I2", "I3", "I4")
 

@@ -239,10 +239,32 @@ def _completed_masks(g: Graph, fill) -> list[int]:
     return masks
 
 
+def _eliminate(adj, order):
+    """Eliminate along order on a copy of the masks adj.  For each later
+    neighbour a of each eliminated vertex, yield (a, missing), the mask of
+    the later neighbours above a not yet joined to a, if it is not empty;
+    then join them.  The missing pairs are the order's fill."""
+    adj = list(adj)
+    remaining = (1 << len(adj)) - 1
+    for v in order:
+        remaining ^= 1 << v
+        nbrs = adj[v] & remaining
+        later = nbrs
+        while later:
+            low = later & -later
+            later ^= low  # now the later neighbours above a
+            a = low.bit_length() - 1
+            missing = later & ~adj[a]
+            if missing:
+                yield a, missing
+            adj[a] |= nbrs ^ low
+
+
 def _perfect_elimination_order(adj) -> tuple[int, ...] | None:
     """Reverse maximum cardinality search order (ties to the lowest id) of
     the graph with adjacency masks adj, if it is a perfect elimination
-    ordering; None otherwise (the graph is then not chordal)."""
+    ordering, that is, if it has no fill; None otherwise (the graph is then
+    not chordal).  The test stops at the first missing pair."""
     n = len(adj)
     weight = [0] * n  # -1 once visited
     unvisited = (1 << n) - 1
@@ -258,28 +280,7 @@ def _perfect_elimination_order(adj) -> tuple[int, ...] | None:
             weight[low.bit_length() - 1] += 1
             nbrs ^= low
     elim = tuple(reversed(order))
-    pos = [0] * n
-    for i, v in enumerate(elim):
-        pos[v] = i
-    remaining = (1 << n) - 1
-    for v in elim:
-        remaining ^= 1 << v
-        later = adj[v] & remaining
-        if not later:
-            continue
-        # It suffices to check the earliest-eliminated later neighbour
-        # against the rest: clique-ness then follows inductively.
-        w, first = -1, n
-        rest = later
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            if pos[u] < first:
-                w, first = u, pos[u]
-        if later & ~(1 << w) & ~adj[w]:
-            return None
-    return elim
+    return elim if next(_eliminate(adj, elim), None) is None else None
 
 
 def is_chordal(g: Graph):

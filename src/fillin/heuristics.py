@@ -4,7 +4,8 @@ run on adjacency bitmasks (``Graph.adj_mask``)."""
 
 from __future__ import annotations
 
-from .graphs import Graph, Point, _bits, _completed_masks, _perfect_elimination_order
+from .graphs import (Graph, Point, _bits, _completed_masks, _eliminate,
+                     _perfect_elimination_order)
 
 
 def mdo_order(g: Graph, dynamic: bool = False) -> tuple[int, ...]:
@@ -51,19 +52,9 @@ def chordalize_with_order(g: Graph, order) -> frozenset[int]:
 def _elimination_fill(g: Graph, adj, order) -> frozenset[int]:
     """Fill indices of g added by eliminating in order on the graph with
     masks adj, a supergraph of g on its vertices; adj is not modified."""
-    adj = list(adj)
     n, table = g.n, g.fill_table
-    remaining = (1 << n) - 1
-    fill = set()
-    for v in order:
-        remaining ^= 1 << v
-        later = adj[v] & remaining
-        for a in _bits(later):
-            missing = later & ~adj[a] & ~((2 << a) - 1)  # above a, not joined
-            if missing:
-                fill.update(table[a * n + b] for b in _bits(missing))
-            adj[a] |= later ^ (1 << a)
-    return frozenset(fill)
+    return frozenset(table[a * n + b] for a, missing in _eliminate(adj, order)
+                     for b in _bits(missing))
 
 
 def _static_mdo_fill(g: Graph, adj) -> frozenset[int]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, Point, is_chordal, is_valid_completion
+from .graphs import Graph, Point, is_valid_completion
 
 
 class OracleBudgetError(RuntimeError):

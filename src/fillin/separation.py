@@ -28,6 +28,7 @@ from itertools import permutations
 import numpy as np
 
 from .cuts import (
+    FAMILIES,
     Cut,
     CutError,
     cut_i1,
@@ -118,7 +119,7 @@ def _separate_on_completed(g: Graph, on: list[int], vals: list, families,
     return report
 
 
-def separate_integer(g: Graph, x: Point, families=("I1", "I2", "I3", "I4"),
+def separate_integer(g: Graph, x: Point, families=FAMILIES,
                      max_cuts: int = MAX_CUTS_PER_CALL) -> SeparationReport:
     """Lazy cuts at an integer point; empty iff g + E(x) is chordal."""
     if len(x) != g.mc:
@@ -131,7 +132,7 @@ def separate_integer(g: Graph, x: Point, families=("I1", "I2", "I3", "I4"),
 
 
 def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
-                       families=("I1", "I2", "I3", "I4"),
+                       families=FAMILIES,
                        max_cuts: int = MAX_CUTS_PER_CALL) -> SeparationReport:
     """Round coordinates >= delta up, separate combinatorially, re-check at x.
 

@@ -32,7 +32,8 @@ Before any LP the root cuts may prove the incumbent optimal.  Harvested at
 x = 0 from chordless cycles of G, each is a covering row with unit
 coefficients.  On rows with pairwise disjoint supports y = 1 is a feasible
 LP dual, so the sum of their right-hand sides bounds the optimum from below;
-when it reaches the incumbent, no root node is pushed.
+when it reaches a valid incumbent, the solve ends with no node, as it does
+on chordal input.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ class _Search:
             logger.debug("cut %s", cut.to_line())
             # spot-check: no valid cut may reject the current incumbent
             from .cuts import evaluate
-            x = Point(self.incumbent_point())
+            x = Point.from_fill(self.g, self.incumbent)
             if evaluate(cut, x) > 0:
                 logger.error("pooled cut violated by the incumbent: %s", cut.to_line())
         return True
@@ -235,12 +236,6 @@ class _Search:
             lb[j] = ub[j] = val
         return LpProblem(self._matrix[self.active], self._rhs[self.active], lb, ub)
 
-    def incumbent_point(self) -> np.ndarray:
-        x = np.zeros(self.g.mc)
-        for j in self.incumbent:
-            x[j] = 1.0
-        return x
-
 
 def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Solve the minimum chordal completion problem exactly.
@@ -255,18 +250,19 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     deadline = None if cfg.time_limit_s is None else t0 + cfg.time_limit_s
 
     incumbent, root_cuts = root_initialize(g, cfg)
-    if not incumbent:  # g is chordal
-        return SolveResult(OPTIMAL, frozenset(), 0, 0, 0,
-                           {fam: 0 for fam in FAMILIES}, 0,
+    if (_packing_bound(root_cuts) >= len(incumbent)
+            and (not incumbent or is_valid_completion(g, incumbent))):
+        # chordal g (no fill, no cuts), or the root cuts prove the incumbent
+        ub = len(incumbent)
+        counts = {fam: sum(c.family == fam for c in root_cuts) for fam in FAMILIES}
+        return SolveResult(OPTIMAL, incumbent, ub, ub, 0, counts, len(root_cuts),
                            time.perf_counter() - t0)
 
     search = _Search(g, cfg)
     search.offer_incumbent(incumbent)
     for cut in root_cuts:
         search.add_cut(cut)
-
-    if _packing_bound(root_cuts) < search.ub:
-        search.push(0.0, {})
+    search.push(0.0, {})
     status = OPTIMAL
 
     while search.heap:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from fillin.cli import main
+from fillin.cli import _solver_config, build_parser, main
 from fillin.instances import gen_grid, save_instance, serialize_edgelist
+from fillin.solver import SolverConfig
 from helpers import chordal_trap_graph, cycle_graph, complete_graph, fig_graph
 
 
@@ -106,6 +107,10 @@ class TestSolve:
             main(["solve", fig_file, "--all-positions"])
         assert exc.value.code == 2
         assert "--all-positions" in capsys.readouterr().err
+
+    def test_no_flags_give_the_default_config(self):
+        args = build_parser().parse_args(["solve", "x"])
+        assert _solver_config(args) == SolverConfig()
 
     def test_family_flag(self, fig_file, capsys):
         code, out, _ = run(capsys, "solve", fig_file, "--cuts", "i1")

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,36 @@ class TestAgainstVertexEnumeration:
             basis = Basis(tuple(rng.choice(nv, k, replace=False).tolist()),
                           tuple(rng.choice(m, k, replace=False).tolist()))
             assert_same_solution(solve_lp(p, basis=basis), r_cold)
+
+
+class TestBlandsRule:
+    def test_every_pivot_under_blands_rule(self, monkeypatch):
+        # stall counts from 0, so at STALL_LIMIT -1 every pivot takes Bland's rule
+        monkeypatch.setattr(fillin.lp, "STALL_LIMIT", -1)
+        calls = Counter()
+        leaving = _DualSimplex.leaving
+
+        def counting(self, bland):
+            calls[bland] += 1
+            return leaving(self, bland)
+
+        monkeypatch.setattr(_DualSimplex, "leaving", counting)
+        rng = np.random.default_rng(17)
+        checked = infeasible = 0
+        for _ in range(150):
+            p = random_problem(rng, with_fixings=True)
+            expected = lp_vertex_optimum(p.rows, p.rhs, p.lb, p.ub)
+            r = solve_lp(p)
+            if expected is None:
+                assert r.status == INFEASIBLE
+                assert_certifies_infeasibility(p, r)
+                infeasible += 1
+            else:
+                assert r.status == OPTIMAL
+                assert r.objective == pytest.approx(expected, abs=1e-7)
+                checked += 1
+        assert checked >= 60 and infeasible >= 3
+        assert calls[True] > 0 and calls[False] == 0
 
 
 class TestWarmBasis:

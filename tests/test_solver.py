@@ -1,5 +1,7 @@
+import logging
 import random
 import time
+from collections import Counter
 from dataclasses import fields
 from itertools import combinations
 from types import SimpleNamespace
@@ -13,7 +15,7 @@ import fillin.graphs
 import fillin.heuristics
 import fillin.lp
 import fillin.solver
-from fillin.cuts import Cut, evaluate
+from fillin.cuts import FAMILIES, Cut, evaluate
 from fillin.graphs import Graph, Point, is_valid_completion, new_graph
 from fillin.heuristics import chordalize_with_order, mdo_completion, mdo_order
 from fillin.instances import gen_grid, gen_queen
@@ -270,6 +272,24 @@ class TestRootPackingBound:
         assert (res.status, res.lower_bound, res.upper_bound, res.nodes) == (OPTIMAL, opt, opt, 0)
         assert is_valid_completion(g, res.best_fill) and len(res.best_fill) == opt
         assert lps == []
+        # the counts are the harvest's, as the pool would have counted them
+        harvest = root_initialize(g)[1]
+        assert res.total_cuts == len({c.key() for c in harvest}) == len(harvest)
+        by_family = Counter(c.family for c in harvest)
+        assert res.cuts_by_family == {fam: by_family[fam] for fam in FAMILIES}
+
+    def test_an_invalid_incumbent_is_not_proved(self, monkeypatch):
+        # the three long diagonals of C6 leave the chordless 4-cycle
+        # 0-1-4-3, yet they meet the packing bound 3 of the root cuts
+        g = cycle_graph(6)
+        bad = frozenset(g.fill_index(u, u + 3) for u in range(3))
+        assert not is_valid_completion(g, bad)
+        cuts = root_initialize(g)[1]
+        assert _packing_bound(cuts) == len(bad)
+        monkeypatch.setattr(fillin.solver, "root_initialize", lambda g, cfg: (bad, cuts))
+        res = solve(g)
+        assert (res.status, res.lower_bound, res.upper_bound) == (OPTIMAL, 3, 3)
+        assert is_valid_completion(g, res.best_fill)
 
     def test_a_short_packing_still_runs_the_search(self, monkeypatch):
         # grid3_4: packing 7 against the incumbent 9
@@ -492,6 +512,14 @@ class TestReporting:
         for g in graphs:
             res = solve(g)
             assert res.upper_bound <= len(mdo_completion(g))
+
+    def test_debug_logs_each_pooled_cut_and_spot_checks_it(self, caplog):
+        # every pooled cut is checked against the incumbent; none rejects it
+        caplog.set_level(logging.DEBUG, logger="fillin.solver")
+        res = solve(gen_grid(3, 4))
+        cut_lines = [r for r in caplog.records if r.getMessage().startswith("cut ")]
+        assert len(cut_lines) == res.total_cuts > 0
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
     def test_wall_time_recorded(self):
         res = solve(cycle_graph(5))
