@@ -49,7 +49,6 @@ from .instances import (
 )
 from .lp import LpProblem, LpResult, solve_lp
 from .oracle import (
-    EnumerationBudget,
     OracleBudgetError,
     affine_rank,
     brute_force_mccp,
@@ -68,7 +67,7 @@ from .separation import (
 from .solver import SolveResult, SolverConfig, root_initialize, solve
 
 __all__ = [
-    "Cut", "CutError", "Cycle", "EnumerationBudget", "FamilyInapplicableError",
+    "Cut", "CutError", "Cycle", "FamilyInapplicableError",
     "Graph", "GraphError", "InstanceError", "LpProblem", "LpResult",
     "OracleBudgetError", "Point", "SeparationCapabilityError", "SeparationError",
     "SeparationReport", "SolveResult", "SolverConfig", "affine_rank",

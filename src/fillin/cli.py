@@ -19,7 +19,7 @@ from .instances import (
     load_instance,
     save_instance,
 )
-from .oracle import EnumerationBudget, OracleBudgetError, brute_force_mccp
+from .oracle import OracleBudgetError, brute_force_mccp
 from .solver import OPTIMAL, SolverConfig, solve
 
 
@@ -147,8 +147,7 @@ def cmd_heuristic(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = load_instance(args.instance)
-    budget = EnumerationBudget(max_subsets_evaluated=args.budget)
-    fill = brute_force_mccp(g, budget)
+    fill = brute_force_mccp(g, args.budget)
     print(f"optimum {len(fill)}")
     for i in sorted(fill):
         u, v = g.fill_pair(i)

@@ -199,7 +199,7 @@ class Point:
         return f"Point({self.values.tolist()})"
 
     def is_integral(self) -> bool:
-        return bool(np.all(np.abs(self.values - np.round(self.values)) <= INTEGRALITY_TOL))
+        return bool((np.abs(self.values - np.rint(self.values)) <= INTEGRALITY_TOL).all())
 
     def fill_set(self) -> frozenset[int]:
         """Indices set to one; only meaningful for integral points."""

@@ -115,16 +115,13 @@ def parse_dimacs(text: str) -> Graph:
         if fields[0] == "p":
             if len(fields) != 4 or fields[1] not in ("edge", "edges", "col"):
                 raise InstanceError(f"line {lineno}: malformed problem line {line!r}")
-            n, declared_m = int(fields[2]), int(fields[3])
+            n, declared_m = _ints(fields[2:], lineno, line)
         elif fields[0] == "e":
             if n is None:
                 raise InstanceError(f"line {lineno}: edge before problem line")
             if len(fields) != 3:
                 raise InstanceError(f"line {lineno}: malformed edge line {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise InstanceError(f"line {lineno}: non-integer vertex in {line!r}") from None
+            u, v = _ints(fields[1:], lineno, line)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InstanceError(f"line {lineno}: vertex out of range in {line!r}")
             if u == v:
@@ -156,22 +153,33 @@ def serialize_dimacs(g: Graph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(fields, lineno: int, line: str) -> list[int]:
+    """The fields as ints; InstanceError naming the file's line otherwise."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise InstanceError(f"line {lineno}: non-integer field in {line!r}") from None
+
+
 def parse_edgelist(text: str) -> Graph:
-    """Parse the internal edge-list format: `n m` then one `u v` per line, 0-based."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
+    """Parse the internal edge-list format: `n m` then one `u v` per line,
+    0-based; malformed input raises InstanceError with the line number."""
+    lines = [(lineno, ln) for lineno, ln in
+             enumerate((raw.strip() for raw in text.splitlines()), start=1)
              if ln and not ln.startswith("#")]
     if not lines:
         raise InstanceError("empty edge-list file")
-    header = lines[0].split()
+    (lineno, line), *edge_lines = lines
+    header = line.split()
     if len(header) != 2:
-        raise InstanceError(f"line 1: expected header `n m`, got {lines[0]!r}")
-    n, m = int(header[0]), int(header[1])
+        raise InstanceError(f"line {lineno}: expected header `n m`, got {line!r}")
+    n, m = _ints(header, lineno, line)
     edges = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in edge_lines:
         fields = line.split()
         if len(fields) != 2:
             raise InstanceError(f"line {lineno}: expected `u v`, got {line!r}")
-        edges.append((int(fields[0]), int(fields[1])))
+        edges.append(tuple(_ints(fields, lineno, line)))
     if len(edges) != m:
         raise InstanceError(f"header declares {m} edges, file lists {len(edges)}")
     return new_graph(n, edges)

@@ -4,8 +4,6 @@ computation used to verify facet claims numerically."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph, Point, is_valid_completion
 
 
@@ -15,15 +13,6 @@ class OracleBudgetError(RuntimeError):
     def __init__(self, message: str, last_cardinality: int | None = None):
         super().__init__(message)
         self.last_cardinality = last_cardinality
-
-
-@dataclass
-class EnumerationBudget:
-    max_subsets_evaluated: int = 10**7
-
-    def __post_init__(self):
-        if self.max_subsets_evaluated <= 0:
-            raise ValueError("max_subsets_evaluated must be positive")
 
 
 def _colex_combinations(n: int, k: int):
@@ -36,24 +25,24 @@ def _colex_combinations(n: int, k: int):
             yield rest + (top,)
 
 
-def brute_force_mccp(g: Graph, budget: EnumerationBudget | None = None) -> frozenset[int]:
+def brute_force_mccp(g: Graph, max_subsets: int = 10**7) -> frozenset[int]:
     """Smallest fill set making g chordal, by increasing-cardinality search.
 
     Subsets of each cardinality are scanned in colex order, so the returned
     witness is a canonical representative of the optimum.  Raises
     OracleBudgetError (reporting the largest fully checked cardinality) if
-    the subset count exceeds the budget.
+    more than max_subsets subsets would be checked.
     """
-    if budget is None:
-        budget = EnumerationBudget()
+    if max_subsets <= 0:
+        raise ValueError("max_subsets must be positive")
     mc = g.mc
     evaluated = 0
     for size in range(mc + 1):
         for subset in _colex_combinations(mc, size):
             evaluated += 1
-            if evaluated > budget.max_subsets_evaluated:
+            if evaluated > max_subsets:
                 raise OracleBudgetError(
-                    f"budget of {budget.max_subsets_evaluated} subsets exceeded; "
+                    f"budget of {max_subsets} subsets exceeded; "
                     f"all completions of size <= {size - 1} were checked",
                     last_cardinality=size - 1,
                 )
@@ -88,11 +77,14 @@ def affine_rank(points) -> int:
 
     Point coordinates are rounded to integers (inputs are 0/1 vectors), the
     first point is subtracted from the rest, and the rank of the difference
-    matrix is found by fraction-free Gaussian elimination.
+    matrix is found by fraction-free Gaussian elimination.  The points must
+    share one dimension.
     """
     pts = [p.values if isinstance(p, Point) else p for p in points]
     if not pts:
         raise ValueError("affine_rank needs at least one point")
+    if len({len(p) for p in pts}) != 1:
+        raise ValueError("affine_rank needs points of one dimension")
     base = [int(round(v)) for v in pts[0]]
     rows = []
     for p in pts[1:]:

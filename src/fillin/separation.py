@@ -2,21 +2,20 @@
 
 Three mechanisms:
 
-* integer separation -- at an integer point, chordless cycles of the
-  completed graph yield one violated cut per enabled family, scanned until
-  MAX_CUTS_PER_CALL distinct violated inequalities are held;
-* threshold separation -- a fractional point is rounded by a threshold, the
-  integer machinery runs on the rounded graph, and every candidate is then
-  re-checked against the true fractional point (heuristic: may miss cuts);
+* threshold separation -- a point is rounded by a threshold, chordless
+  cycles of the rounded graph yield one cut per enabled family, and each is
+  checked at the true point (heuristic: may miss cuts);
+* integer separation -- threshold separation of an integral point, which
+  rounding returns unchanged: the lazy cuts, none iff g + E(x) is chordal;
 * exact separation for families I2 and I3 -- shortest-path searches over
   auxiliary weighted graphs whose path weights reproduce the inequality
   slack exactly, so a violated cut is found whenever one exists (for I2,
   one batched Floyd-Warshall per centre vertex).
 
-Every emitted cut is re-evaluated at the exact queried point and kept only
-if strictly violated.  A report holds each inequality once, by Cut.key() as
-the pool does; integer and threshold separation do not even build the copies
-where families coincide on short cycles (see cuts.screen_cycle).
+Every separator hands each cut it builds to SeparationReport.add, the one
+keep rule: kept iff strictly violated at the exact queried point and new by
+Cut.key(), the pool's identity.  Threshold separation does not even build
+the copies where families coincide on short cycles (see cuts.screen_cycle).
 """
 
 from __future__ import annotations
@@ -76,75 +75,69 @@ class SeparationReport:
     stats: SeparationStats = field(default_factory=SeparationStats)
     _seen: set = field(default_factory=set, repr=False, compare=False)
 
-    def add(self, cut: Cut, violation: float) -> bool:
+    def add(self, cut: Cut, vals: list) -> bool:
+        """Keep cut iff it is strictly violated at the point whose
+        point_values are vals and its key is new; return whether it was
+        kept.  Evaluating first runs evaluate once per built cut."""
+        v = evaluate(cut, vals)
+        if v <= VIOLATION_TOL:
+            return False
         key = cut.key()
         if key in self._seen:
             return False
         self._seen.add(key)
         self.cuts.append(cut)
-        self.violations.append(violation)
+        self.violations.append(float(v))
         return True
 
     def __len__(self):
         return len(self.cuts)
 
 
-def _separate_on_completed(g: Graph, on: list[int], vals: list, families,
-                           max_cuts: int) -> SeparationReport:
-    """Harvest chordless cycles of g plus the given fill set until the report
-    holds max_cuts cuts (or every cycle is scanned), and keep each enabled
-    family's cut relative to g that is violated at the point whose
-    point_values are vals.
+def separate_integer(g: Graph, x: Point, families=FAMILIES) -> SeparationReport:
+    """Lazy cuts at an integer point; empty iff g + E(x) is chordal.
 
-    Only the cuts whose screened violation (cuts.screen_cycle) comes within
-    SCREEN_SLACK of VIOLATION_TOL are built, through cut_i1..cut_i4 with all
-    their checks, and evaluate alone decides which are kept.  The screen's
-    rounding error is far below SCREEN_SLACK, so the report is the one
-    building every cut would give.  Each cycle is chordless in g, so every interior pair is
-    a fill pair and no builder can refuse it: a CutError is a defect and
-    propagates.
+    Threshold separation of x: rounding an integral point at any threshold
+    in (0, 1) returns the point itself.
     """
-    # Looked up per call, so a builder patched under its name in this module
-    # is the one called (perfbench/layers.py times the builders that way).
-    builders = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
-    report = SeparationReport()
-    floor = VIOLATION_TOL - SCREEN_SLACK
-    for cyc in iter_chordless_cycles(g, on):
-        report.stats.cycles_examined += 1
-        for fam, positions in screen_cycle(g, cyc, vals, families, floor):
-            cut = builders[fam](g, cyc, *positions)
-            v = evaluate(cut, vals)
-            if v > VIOLATION_TOL and report.add(cut, float(v)) and len(report) >= max_cuts:
-                return report
-    return report
-
-
-def separate_integer(g: Graph, x: Point, families=FAMILIES,
-                     max_cuts: int = MAX_CUTS_PER_CALL) -> SeparationReport:
-    """Lazy cuts at an integer point; empty iff g + E(x) is chordal."""
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     if not x.is_integral():
         raise SeparationError("integer separation requires an integral point")
-    vals = np.rint(x.values).astype(int).tolist()  # point_values(x) for integral x
-    on = [f for f, v in enumerate(vals) if v > 0]
-    return _separate_on_completed(g, on, vals, families, max_cuts)
+    return separate_threshold(g, x, 0.5, families)
 
 
 def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
-                       families=FAMILIES,
-                       max_cuts: int = MAX_CUTS_PER_CALL) -> SeparationReport:
+                       families=FAMILIES) -> SeparationReport:
     """Round coordinates >= delta up, separate combinatorially, re-check at x.
 
-    May legitimately return an empty report even when x violates some cut of
-    the full families.
+    Scans chordless cycles of g plus the rounded fill until the report
+    holds MAX_CUTS_PER_CALL cuts or every cycle is scanned.  Only the cuts
+    whose screened violation (cuts.screen_cycle) comes within SCREEN_SLACK
+    of VIOLATION_TOL are built, with all their checks, and offered to the
+    report; the screen's rounding error is far below SCREEN_SLACK, so the
+    report is the one building every cut would give.  Each cycle is
+    chordless in g, so no builder can refuse it: a CutError is a defect and
+    propagates.  May legitimately return an empty report even when a
+    fractional x violates some cut of the full families.
     """
     if not 0.0 < delta < 1.0:
         raise SeparationError(f"threshold must lie strictly inside (0, 1), got {delta}")
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
-    on = np.flatnonzero(x.values >= delta).tolist()
-    return _separate_on_completed(g, on, point_values(x), families, max_cuts)
+    # Looked up per call, so a builder patched under its name in this module
+    # is the one called (perfbench/layers.py times the builders that way).
+    builders = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
+    vals = point_values(x)
+    report = SeparationReport()
+    floor = VIOLATION_TOL - SCREEN_SLACK
+    for cyc in iter_chordless_cycles(g, np.flatnonzero(x.values >= delta).tolist()):
+        report.stats.cycles_examined += 1
+        for fam, positions in screen_cycle(g, cyc, vals, families, floor):
+            if (report.add(builders[fam](g, cyc, *positions), vals)
+                    and len(report) >= MAX_CUTS_PER_CALL):
+                return report
+    return report
 
 
 def _extended_values(g: Graph, x: Point) -> np.ndarray:
@@ -194,9 +187,7 @@ def separate_i2_exact(g: Graph, x: Point) -> SeparationReport:
                 cut = cut_i2(g, cyc, 0)
             except CutError:
                 continue
-            v = evaluate(cut, vals)
-            if v > VIOLATION_TOL:
-                report.add(cut, float(v))
+            report.add(cut, vals)
     return report
 
 
@@ -238,8 +229,7 @@ def _i2_shortest_paths(xt: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     return dist, nxt
 
 
-def separate_i3_exact(g: Graph, x: Point,
-                      vertex_cap: int = EXACT_MAX_N) -> SeparationReport:
+def separate_i3_exact(g: Graph, x: Point) -> SeparationReport:
     """Exact separation of the (lifted) I3 family over a fractional point.
 
     Works on the pair digraph whose nodes are ordered vertex pairs and whose
@@ -247,9 +237,9 @@ def separate_i3_exact(g: Graph, x: Point,
     the corresponding cycle: one shortest-path query per ordered 4-tuple
     (u, v, w, t), closed back to u through pairs avoiding the 4-tuple.
     """
-    if g.n > vertex_cap:
+    if g.n > EXACT_MAX_N:
         raise SeparationCapabilityError(
-            f"exact I3 separation capped at {vertex_cap} vertices (graph has "
+            f"exact I3 separation capped at {EXACT_MAX_N} vertices (graph has "
             f"{g.n}); use threshold separation instead"
         )
     if len(x) != g.mc:
@@ -279,9 +269,7 @@ def separate_i3_exact(g: Graph, x: Point,
             cut = cut_i3(g, cyc)
         except CutError:
             continue
-        v2 = evaluate(cut, vals)
-        if v2 > VIOLATION_TOL:
-            report.add(cut, float(v2))
+        report.add(cut, vals)
     return report
 
 

@@ -13,7 +13,8 @@ completion, offered as the incumbent, and the node is done; otherwise the
 point's repair (primal_repair) is offered.  At a fractional point they come
 from threshold separation at delta, then at the two nearby thresholds while
 nothing is found, then from exact I2 if enabled and still nothing is found.
-A separation call scans chordless cycles until it holds
+Integer separation is threshold separation of the integral point, so every
+call but exact I2 scans chordless cycles until it holds
 separation.MAX_CUTS_PER_CALL violated cuts or runs out of cycles.
 
 Best-bound node selection; branching fixes the most fractional variable to
@@ -46,7 +47,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cuts import FAMILIES, Cut
+from .cuts import FAMILIES, Cut, evaluate
 # is_chordal is not called here (mdo_completion tests the input), but it stays
 # importable as fillin.solver.is_chordal: perfbench/layers.py traces the graphs
 # layer through that name and reports the layer absent without it.
@@ -166,12 +167,10 @@ class _Search:
             self._matrix[idx, f] = a
         self._rhs[idx] = cut.rhs
         self.active.append(idx)
-        if cut.family in self.counts:
-            self.counts[cut.family] += 1
+        self.counts[cut.family] += 1
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("cut %s", cut.to_line())
             # spot-check: no valid cut may reject the current incumbent
-            from .cuts import evaluate
             x = Point.from_fill(self.g, self.incumbent)
             if evaluate(cut, x) > 0:
                 logger.error("pooled cut violated by the incumbent: %s", cut.to_line())
@@ -333,12 +332,11 @@ def _process_node(search: _Search, fixings: dict, bound: float,
             return
         x = res.point
         if x.is_integral():
-            xi = Point(np.rint(x.values))
-            cuts = separate_integer(g, xi, families=cfg.families_enabled).cuts
+            cuts = separate_integer(g, x, families=cfg.families_enabled).cuts
             if not cuts:
-                search.offer_incumbent(xi.fill_set())
+                search.offer_incumbent(x.fill_set())
                 return
-            search.offer_incumbent(primal_repair(g, xi))
+            search.offer_incumbent(primal_repair(g, x))
         else:
             cuts = _fractional_cuts(search, x)
         added = sum(search.add_cut(c) for c in cuts)

@@ -221,3 +221,11 @@ class TestHeuristicAndOracle:
         code, _, err = run(capsys, "oracle", str(inst), "--budget", "10")
         assert code == 1
         assert "budget" in err
+
+    def test_oracle_budget_must_be_positive(self, tmp_path, capsys):
+        inst = tmp_path / "c8.el"
+        save_instance(cycle_graph(8), str(inst))
+        code, out, err = run(capsys, "oracle", str(inst), "--budget", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "positive" in err

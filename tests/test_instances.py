@@ -141,6 +141,15 @@ class TestDimacs:
         with pytest.raises(InstanceError, match="missing problem line"):
             parse_dimacs("c nothing here\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("c x\np edge three 1\ne 1 2\n", 2),
+        ("p edge 3 1.5\ne 1 2\n", 1),
+        ("p edge 3 1\ne 1 b\n", 2),
+    ])
+    def test_non_integer_field_names_its_line(self, text, line):
+        with pytest.raises(InstanceError, match=f"line {line}: non-integer"):
+            parse_dimacs(text)
+
     def test_empty_edge_graph_rejected_as_disconnected(self):
         with pytest.raises(Exception, match="disconnected"):
             parse_dimacs("p edge 3 0\n")
@@ -164,6 +173,22 @@ class TestEdgeList:
     def test_malformed(self):
         with pytest.raises(InstanceError, match="header"):
             parse_edgelist("3\n0 1\n")
+
+    def test_errors_name_the_file_line(self):
+        # comments and blank lines count: the bad edge is on line 5
+        with pytest.raises(InstanceError, match="line 5:"):
+            parse_edgelist("# c\n\n3 2\n0 1\n1 2 3\n")
+        with pytest.raises(InstanceError, match="line 2: expected header"):
+            parse_edgelist("# c\n3\n0 1\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("3 two\n0 1\n1 2\n", 1),
+        ("# c\n3 2\n0 1\n1 x\n", 4),
+        ("3 2\n0 1\n1 2.0\n", 3),
+    ])
+    def test_non_integer_field_names_its_line(self, text, line):
+        with pytest.raises(InstanceError, match=f"line {line}: non-integer"):
+            parse_edgelist(text)
 
     def test_load_save_by_extension(self, tmp_path):
         g = gen_grid(2, 3)

@@ -5,7 +5,6 @@ from fillin.graphs import Point, apply_completion, is_chordal, is_valid_completi
 from fillin.heuristics import mdo_completion
 from fillin.instances import gen_grid, gen_queen
 from fillin.oracle import (
-    EnumerationBudget,
     OracleBudgetError,
     affine_rank,
     brute_force_mccp,
@@ -62,9 +61,14 @@ class TestBruteForce:
     def test_budget_error_reports_progress(self):
         g = cycle_graph(8)  # optimum 5, mc = 20
         with pytest.raises(OracleBudgetError) as err:
-            brute_force_mccp(g, EnumerationBudget(max_subsets_evaluated=30))
+            brute_force_mccp(g, max_subsets=30)
         assert err.value.last_cardinality is not None
         assert err.value.last_cardinality < 5
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_must_be_positive(self, budget):
+        with pytest.raises(ValueError, match="positive"):
+            brute_force_mccp(cycle_graph(4), max_subsets=budget)
 
     def test_witness_is_canonical_and_minimal(self):
         g = cycle_graph(6)
@@ -124,6 +128,11 @@ class TestEnumerateCompletions:
 class TestAffineRank:
     def test_single_point_is_zero(self):
         assert affine_rank([Point(np.array([1.0, 0.0]))]) == 0
+
+    def test_points_of_unequal_dimension_rejected(self):
+        # zip would drop the third coordinate of the first point unread
+        with pytest.raises(ValueError, match="dimension"):
+            affine_rank([[0, 0, 1], [1, 1], [0, 1, 1]])
 
     def test_x_c4_is_full_dimensional(self):
         g = cycle_graph(4)

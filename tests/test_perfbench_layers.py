@@ -1,10 +1,15 @@
 """The traced benchmark run patches layers by name (perfbench/layers.py);
 a name that no longer exists silently marks its layer absent, so every
-name it targets must exist in the module it is looked up in."""
+name it targets must exist in the module it is looked up in.  A name the
+solver stops calling reads zero instead, so one small solve must reach
+every span."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import fillin.solver
+from fillin.instances import gen_grid
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -23,3 +28,15 @@ def test_every_traced_name_exists():
                if not hasattr(importlib.import_module(modname), name)]
     assert missing == []
 
+
+def test_every_traced_layer_is_reached():
+    tracer = load_layers().Tracer()
+    with tracer:
+        res = tracer.solve(fillin.solver.solve, gen_grid(3, 5),
+                           fillin.solver.SolverConfig(exact_i2=True))
+    assert res.status == "OPTIMAL" and res.upper_bound == 13
+    assert tracer.absent == set()
+    spans = ["solver", "lp", "sep.integer", "sep.threshold", "sep.exact_i2",
+             "graphs.cycles", "graphs.chordal", "cuts.build", "cuts.evaluate", "heur"]
+    assert [s for s in spans if tracer.calls[s] == 0] == []
+    assert tracer.calls["sep.integer"] >= 2  # the root and at least one node

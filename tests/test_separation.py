@@ -59,9 +59,10 @@ class TestIntegerSeparation:
         assert [c.family for c in rep.cuts] == ["I2"]
         assert rep.cuts[0].key() == cut_i1(g, Cycle((0, 1, 2, 3))).key()
 
-    def test_fig_graph_at_zero_single_cycle(self):
+    def test_fig_graph_at_zero_single_cycle(self, monkeypatch):
         g = fig_graph()
-        rep = separate_integer(g, Point.zeros(g), max_cuts=1)
+        monkeypatch.setattr(fillin.separation, "MAX_CUTS_PER_CALL", 1)
+        rep = separate_integer(g, Point.zeros(g))
         cycles = {c.cycle.vertices for c in rep.cuts}
         assert len(cycles) == 1
         assert cycles <= {(0, 1, 2, 3), (1, 2, 3, 4), (0, 1, 4, 3)}
@@ -169,7 +170,8 @@ class TestThresholdSeparation:
 
 class TestAgainstCompletedGraphReference:
     """Separation on adjacency masks gives exactly the report of building
-    the completed Graph and searching it pair by pair."""
+    the completed Graph and searching it pair by pair.  An option max_cuts
+    is the reference's cap and, set as MAX_CUTS_PER_CALL, separation's."""
 
     OPTIONS = [
         {},
@@ -178,18 +180,26 @@ class TestAgainstCompletedGraphReference:
         {"families": ("I1", "I2", "I4"), "max_cuts": 50},
     ]
 
+    @staticmethod
+    def separation_options(monkeypatch, opts):
+        if "max_cuts" in opts:
+            monkeypatch.setattr(fillin.separation, "MAX_CUTS_PER_CALL", opts["max_cuts"])
+        return {k: v for k, v in opts.items() if k != "max_cuts"}
+
     @pytest.mark.parametrize("opts", OPTIONS)
-    def test_integer(self, opts):
+    def test_integer(self, monkeypatch, opts):
+        sep_opts = self.separation_options(monkeypatch, opts)
         rng = np.random.default_rng(53)
         for _ in range(40):
             g = random_connected_graph(rng, int(rng.integers(4, 13)),
                                        float(rng.uniform(0.15, 0.5)))
             x = Point((rng.random(g.mc) < rng.uniform(0, 0.4)).astype(float))
             ref = reference_separate(g, x, x.fill_set(), **opts)
-            assert_same_report(separate_integer(g, x, **opts), ref)
+            assert_same_report(separate_integer(g, x, **sep_opts), ref)
 
     @pytest.mark.parametrize("opts", OPTIONS)
-    def test_threshold(self, opts):
+    def test_threshold(self, monkeypatch, opts):
+        sep_opts = self.separation_options(monkeypatch, opts)
         rng = np.random.default_rng(59)
         for _ in range(40):
             g = random_connected_graph(rng, int(rng.integers(4, 13)),
@@ -198,7 +208,7 @@ class TestAgainstCompletedGraphReference:
             delta = float(rng.choice([0.25, 0.5, 0.75]))
             on = np.flatnonzero(x.values >= delta)
             ref = reference_separate(g, x, on, **opts)
-            assert_same_report(separate_threshold(g, x, delta, **opts), ref)
+            assert_same_report(separate_threshold(g, x, delta, **sep_opts), ref)
 
     def test_threshold_builds_no_graph(self, monkeypatch):
         rng = np.random.default_rng(61)
@@ -218,9 +228,11 @@ class TestAgainstCompletedGraphReference:
 
 
 class TestStopRule:
-    def test_stops_once_the_cap_is_held(self):
+    def test_stops_once_the_cap_is_held(self, monkeypatch):
         g = myciel4()
-        full = separate_integer(g, Point.zeros(g), max_cuts=10**6)
+        with monkeypatch.context() as m:
+            m.setattr(fillin.separation, "MAX_CUTS_PER_CALL", 10**6)
+            full = separate_integer(g, Point.zeros(g))
         assert len(full) > MAX_CUTS_PER_CALL
         rep = separate_integer(g, Point.zeros(g))
         assert len(rep) == MAX_CUTS_PER_CALL
@@ -269,12 +281,26 @@ class TestReport:
         i1, i3 = cut_i1(g, c), cut_i3(g, c)
         assert i1.key() == i3.key()
         rep = SeparationReport()
-        assert rep.add(i1, 2.0)
-        assert not rep.add(i3, 2.0)
-        assert not rep.add(cut_i1(g, c), 2.0)
-        assert not rep.add(cut_i3(g, Cycle((1, 2, 3, 4, 0))), 2.0)
+        zero = [0] * g.mc
+        assert rep.add(i1, zero)
+        assert not rep.add(i3, zero)
+        assert not rep.add(cut_i1(g, c), zero)
+        assert not rep.add(cut_i3(g, Cycle((1, 2, 3, 4, 0))), zero)
         assert [cut.family for cut in rep.cuts] == ["I1"]
         assert rep.violations == [2.0]
+
+    def test_keeps_only_strictly_violated_cuts(self):
+        # I1 on C5: its five chords sum to at least 2
+        g = cycle_graph(5)
+        i1 = cut_i1(g, Cycle((0, 1, 2, 3, 4)))
+        rep = SeparationReport()
+        assert not rep.add(i1, [1] * g.mc)
+        assert not rep.add(i1, [0.4] * g.mc)  # tight
+        assert not rep.add(i1, [0.4 - 1e-7] * g.mc)  # violated within the tolerance
+        assert rep.cuts == []
+        # a refused cut is not held, so its key stays free
+        assert rep.add(i1, [0.3] * g.mc)
+        assert rep.violations == [pytest.approx(0.5)]
 
 
 class TestOneIdentity:
@@ -300,12 +326,14 @@ class TestOneIdentity:
         assert min(cuts.values()) >= 10
 
     @pytest.mark.parametrize("m", [1, 5, 10, 20, 26])
-    def test_cap_counts_distinct_inequalities(self, m):
+    def test_cap_counts_distinct_inequalities(self, monkeypatch, m):
         # grid3_6 at x = 0 has 26 distinct violated cuts, 10 of them on the
         # 4-cycles where I1 and I2 coincide
         g = gen_grid(3, 6)
-        assert len(separate_integer(g, Point.zeros(g), max_cuts=10**6)) == 26
-        rep = separate_integer(g, Point.zeros(g), max_cuts=m)
+        monkeypatch.setattr(fillin.separation, "MAX_CUTS_PER_CALL", 10**6)
+        assert len(separate_integer(g, Point.zeros(g))) == 26
+        monkeypatch.setattr(fillin.separation, "MAX_CUTS_PER_CALL", m)
+        rep = separate_integer(g, Point.zeros(g))
         assert len({c.key() for c in rep.cuts}) == len(rep) == m
 
 
@@ -404,10 +432,11 @@ class TestExactI3:
         rep = separate_i3_exact(g, Point(np.array([0.5])))
         assert rep.cuts == []
 
-    def test_vertex_cap(self):
+    def test_vertex_cap(self, monkeypatch):
         g = cycle_graph(8)
+        monkeypatch.setattr(fillin.separation, "EXACT_MAX_N", 7)
         with pytest.raises(SeparationCapabilityError, match="threshold"):
-            separate_i3_exact(g, Point.zeros(g), vertex_cap=7)
+            separate_i3_exact(g, Point.zeros(g))
 
     @pytest.mark.parametrize("k", [5, 6, 7])
     def test_agreement_with_exhaustive_enumeration(self, k):
