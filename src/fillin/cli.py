@@ -112,7 +112,12 @@ def _read_completion(path: str, g) -> frozenset[int]:
             fields = line.split()
             if len(fields) != 2:
                 raise InstanceError(f"{path}:{lineno}: expected `u v`, got {line!r}")
-            u, v = int(fields[0]), int(fields[1])
+            try:
+                u, v = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise InstanceError(
+                    f"{path}:{lineno}: non-integer field in {line!r}"
+                ) from None
             if g.has_edge(u, v):
                 raise InstanceError(
                     f"{path}:{lineno}: ({u}, {v}) is already an edge of the graph"

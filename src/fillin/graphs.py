@@ -310,11 +310,16 @@ def iter_chordless_cycles(g: Graph, fill=()):
     - u is adjacent to no path vertex but its parent: the parent is the
       first dequeued vertex adjacent to u, and the other path vertices, its
       ancestors, were dequeued before it.
+
+    Duplicates are dropped by vertex set, before the cycle is built: a
+    chordless cycle is the only cycle on its vertex set, which induces
+    exactly that cycle, so two cycles share a vertex set iff they are the
+    same cycle.
     """
     adj = _completed_masks(g, fill)
     n = g.n
     full = (1 << n) - 1
-    seen: set[tuple[int, ...]] = set()
+    seen: set[int] = set()  # vertex sets of the cycles yielded
     for v in range(n):
         above_v = full ^ ((2 << v) - 1)
         ws = adj[v]
@@ -334,16 +339,17 @@ def iter_chordless_cycles(g: Graph, fill=()):
                 if u not in parent:
                     continue
                 path = [w, u]
+                vset = (1 << u) | (1 << v) | (1 << w)
                 a = parent[u]
                 while a != v:
                     path.append(a)
+                    vset |= 1 << a
                     a = parent[a]
-                path.append(v)
-                vs = _canonical(tuple(path))
-                if vs in seen:
+                if vset in seen:
                     continue
-                seen.add(vs)
-                yield Cycle(vs)
+                seen.add(vset)
+                path.append(v)
+                yield Cycle(_canonical(tuple(path)))
 
 
 def _bfs_parents(adj, v: int, allowed: int, targets: int) -> dict[int, int]:

@@ -115,6 +115,8 @@ def parse_dimacs(text: str) -> Graph:
         if fields[0] == "p":
             if len(fields) != 4 or fields[1] not in ("edge", "edges", "col"):
                 raise InstanceError(f"line {lineno}: malformed problem line {line!r}")
+            if n is not None:
+                raise InstanceError(f"line {lineno}: second problem line {line!r}")
             n, declared_m = _ints(fields[2:], lineno, line)
         elif fields[0] == "e":
             if n is None:

@@ -16,6 +16,9 @@ Every separator hands each cut it builds to SeparationReport.add, the one
 keep rule: kept iff strictly violated at the exact queried point and new by
 Cut.key(), the pool's identity.  Threshold separation does not even build
 the copies where families coincide on short cycles (see cuts.screen_cycle).
+Its scan is one generator, iter_threshold_cuts, which yields each cut as it
+is kept: separate_threshold drains it, and the solver's root harvest stops
+it once the cuts prove the incumbent.
 """
 
 from __future__ import annotations
@@ -111,15 +114,29 @@ def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
                        families=FAMILIES) -> SeparationReport:
     """Round coordinates >= delta up, separate combinatorially, re-check at x.
 
-    Scans chordless cycles of g plus the rounded fill until the report
-    holds MAX_CUTS_PER_CALL cuts or every cycle is scanned.  Only the cuts
-    whose screened violation (cuts.screen_cycle) comes within SCREEN_SLACK
-    of VIOLATION_TOL are built, with all their checks, and offered to the
-    report; the screen's rounding error is far below SCREEN_SLACK, so the
-    report is the one building every cut would give.  Each cycle is
-    chordless in g, so no builder can refuse it: a CutError is a defect and
-    propagates.  May legitimately return an empty report even when a
-    fractional x violates some cut of the full families.
+    The report of iter_threshold_cuts run to its end.  May legitimately
+    return an empty report even when a fractional x violates some cut of
+    the full families.
+    """
+    report = SeparationReport()
+    for _ in iter_threshold_cuts(g, x, delta, families, report):
+        pass
+    return report
+
+
+def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
+                        report: SeparationReport):
+    """Threshold separation as a generator: yield each cut as report.add
+    keeps it, so a caller can stop the scan once it has the cuts it needs.
+
+    Scans chordless cycles of g plus the fill rounded up at delta until the
+    report holds MAX_CUTS_PER_CALL cuts or every cycle is scanned.  Only the
+    cuts whose screened violation (cuts.screen_cycle) comes within
+    SCREEN_SLACK of VIOLATION_TOL are built, with all their checks, and
+    offered to the report; the screen's rounding error is far below
+    SCREEN_SLACK, so the report is the one building every cut would give.
+    Each cycle is chordless in g, so no builder can refuse it: a CutError is
+    a defect and propagates.
     """
     if not 0.0 < delta < 1.0:
         raise SeparationError(f"threshold must lie strictly inside (0, 1), got {delta}")
@@ -129,15 +146,15 @@ def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
     # is the one called (perfbench/layers.py times the builders that way).
     builders = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
     vals = point_values(x)
-    report = SeparationReport()
     floor = VIOLATION_TOL - SCREEN_SLACK
     for cyc in iter_chordless_cycles(g, np.flatnonzero(x.values >= delta).tolist()):
         report.stats.cycles_examined += 1
         for fam, positions in screen_cycle(g, cyc, vals, families, floor):
-            if (report.add(builders[fam](g, cyc, *positions), vals)
-                    and len(report) >= MAX_CUTS_PER_CALL):
-                return report
-    return report
+            cut = builders[fam](g, cyc, *positions)
+            if report.add(cut, vals):
+                yield cut
+                if len(report) >= MAX_CUTS_PER_CALL:
+                    return
 
 
 def _extended_values(g: Graph, x: Point) -> np.ndarray:

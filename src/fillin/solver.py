@@ -34,7 +34,10 @@ x = 0 from chordless cycles of G, each is a covering row with unit
 coefficients.  On rows with pairwise disjoint supports y = 1 is a feasible
 LP dual, so the sum of their right-hand sides bounds the optimum from below;
 when it reaches a valid incumbent, the solve ends with no node, as it does
-on chordal input.
+on chordal input.  The incumbent comes first, and the harvest stops at the
+first cut after which this packing bound reaches it: a root that closes
+builds only the cuts that close it, and one that does not gets the whole
+harvest.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ from .heuristics import chordalize_with_order, mdo_completion, mdo_order, primal
 from .lp import INFEASIBLE, ITERATION_LIMIT, Basis, LpProblem, solve_lp
 from .separation import (
     VIOLATION_TOL,
+    SeparationReport,
+    iter_threshold_cuts,
     separate_i2_exact,
     separate_integer,
     separate_threshold,
@@ -90,6 +95,11 @@ class SolverConfig:
             raise ValueError("family I1 must stay enabled: it certifies optimality")
         if self.exact_i2 and "I2" not in self.families_enabled:
             raise ValueError("exact_i2 separates family I2, which is not enabled")
+        if self.time_limit_s is not None and not self.time_limit_s >= 0:
+            raise ValueError(f"time_limit_s must be >= 0, got {self.time_limit_s}")
+        if self.node_limit is not None and (
+                type(self.node_limit) is not int or self.node_limit < 0):
+            raise ValueError(f"node_limit must be an int >= 0, got {self.node_limit!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -111,7 +121,13 @@ def root_initialize(g: Graph, cfg: SolverConfig | None = None):
     """Initial incumbent and initial cut pool (lazy cuts harvested from the
     chordless cycles of the bare graph); no fill and no cuts when g is
     chordal.  The incumbent is the smaller of the static and the dynamic
-    minimum-degree completions, the static one on a tie."""
+    minimum-degree completions, the static one on a tie.
+
+    The harvest is integer separation at x = 0, stopped at the first cut
+    after which the packing bound of the cuts so far reaches the incumbent's
+    size: those cuts prove it optimal, and solve needs no more.  A harvest
+    that never gets there is the whole report.
+    """
     if cfg is None:
         cfg = SolverConfig()
     incumbent = mdo_completion(g)
@@ -119,7 +135,11 @@ def root_initialize(g: Graph, cfg: SolverConfig | None = None):
         return incumbent, []  # g is chordal
     incumbent = min(incumbent, chordalize_with_order(g, mdo_order(g, dynamic=True)),
                     key=len)
-    report = separate_integer(g, Point.zeros(g), families=cfg.families_enabled)
+    report = SeparationReport()
+    harvest = iter_threshold_cuts(g, Point.zeros(g), 0.5, cfg.families_enabled, report)
+    for bound in _packing_bounds(harvest):
+        if bound >= len(incumbent):
+            break
     return incumbent, list(report.cuts)
 
 
@@ -295,16 +315,23 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     )
 
 
-def _packing_bound(cuts: list[Cut]) -> int:
-    """Sum of rhs over the unit-coefficient cuts packed greedily, in list
-    order, with pairwise disjoint supports: a lower bound on the optimum."""
+def _packing_bounds(cuts):
+    """Yield, after each cut, the sum of rhs over the unit-coefficient cuts
+    so far packed greedily, in order, with pairwise disjoint supports: each
+    a lower bound on the optimum."""
     used: set[int] = set()
     bound = 0
     for cut in cuts:
         if used.isdisjoint(cut.coeffs) and all(a == 1 for a in cut.coeffs.values()):
             used.update(cut.coeffs)
             bound += cut.rhs
-    return bound
+        yield bound
+
+
+def _packing_bound(cuts: list[Cut]) -> int:
+    """The greedy packing bound of all the cuts: the last, hence the
+    largest, of _packing_bounds."""
+    return max(_packing_bounds(cuts), default=0)
 
 
 def _process_node(search: _Search, fixings: dict, bound: float,

@@ -120,6 +120,15 @@ class TestSolve:
         code, _, err = run(capsys, "solve", fig_file, "--cuts", "i2,i3")
         assert code == 1  # dropping i1 voids the optimality guarantee
 
+    @pytest.mark.parametrize("flag, value", [("--time-limit", "nan"),
+                                             ("--time-limit", "-1"),
+                                             ("--node-limit", "-3")])
+    def test_a_limit_it_would_ignore_is_an_input_error(self, fig_file, capsys,
+                                                       flag, value):
+        code, out, err = run(capsys, "solve", fig_file, f"{flag}={value}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+
     def test_exact_i2_needs_family_i2(self, fig_file, capsys):
         code, out, err = run(capsys, "solve", fig_file, "--cuts", "i1", "--exact-i2")
         assert code == 1
@@ -193,6 +202,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", fig_file, str(comp))
         assert code == 1
         assert "already an edge" in err
+
+    @pytest.mark.parametrize("text, line", [("0 x\n", 1), ("# c\n1 3\n2 1.5\n", 3)])
+    def test_non_integer_field_names_file_and_line(self, fig_file, tmp_path, capsys,
+                                                    text, line):
+        comp = tmp_path / "bad.txt"
+        comp.write_text(text)
+        code, out, err = run(capsys, "check", fig_file, str(comp))
+        assert (code, out) == (1, "")
+        assert f"error: {comp}:{line}: non-integer field" in err
 
 
 class TestHeuristicAndOracle:

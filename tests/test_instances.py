@@ -150,6 +150,15 @@ class TestDimacs:
         with pytest.raises(InstanceError, match=f"line {line}: non-integer"):
             parse_dimacs(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ("p edge 2 1\ne 1 2\np edge 1 0\n", 3),  # shrinks past a checked edge
+        ("p edge 3 2\ne 1 2\np edge 5 2\ne 4 5\n", 3),  # grows to admit one
+        ("c x\np edge 3 2\np edge 3 2\ne 1 2\ne 2 3\n", 3),
+    ])
+    def test_second_problem_line_names_its_line(self, text, line):
+        with pytest.raises(InstanceError, match=f"line {line}: second problem line"):
+            parse_dimacs(text)
+
     def test_empty_edge_graph_rejected_as_disconnected(self):
         with pytest.raises(Exception, match="disconnected"):
             parse_dimacs("p edge 3 0\n")

@@ -20,6 +20,7 @@ from fillin.graphs import Graph, Point, is_valid_completion, new_graph
 from fillin.heuristics import chordalize_with_order, mdo_completion, mdo_order
 from fillin.instances import gen_grid, gen_queen
 from fillin.oracle import brute_force_mccp, feasible_points
+from fillin.separation import separate_integer
 from fillin.solver import (
     FEASIBLE,
     OPTIMAL,
@@ -90,6 +91,19 @@ class TestConfig:
         with pytest.raises(TypeError, match="emit_all_positions"):
             SolverConfig(emit_all_positions=True)
         assert len(fields(SolverConfig)) == 5
+
+    @pytest.mark.parametrize("limit", [float("nan"), -0.5, float("-inf")])
+    def test_time_limit_is_a_number_at_least_zero(self, limit):
+        # a NaN limit compares false with every time, so it never fired
+        with pytest.raises(ValueError, match="time_limit_s"):
+            SolverConfig(time_limit_s=limit)
+        assert SolverConfig(time_limit_s=0).time_limit_s == 0
+
+    @pytest.mark.parametrize("limit", [-3, 2.5, "4", True])
+    def test_node_limit_is_an_int_at_least_zero(self, limit):
+        with pytest.raises(ValueError, match="node_limit"):
+            SolverConfig(node_limit=limit)
+        assert SolverConfig(node_limit=0).node_limit == 0
 
     def test_as_dict_reports_every_field(self):
         cfg = SolverConfig(delta=0.3, families_enabled=("I1", "I2"), exact_i2=True,
@@ -319,6 +333,64 @@ class TestRootPackingBound:
         # 2 x_4 >= 2 says only x_4 >= 1: counting its rhs would claim 2
         assert _packing_bound([Cut(g, {4: 2}, 2, "I1")]) == 0
         assert _packing_bound([Cut(g, {4: 1, 5: -1}, 1, "I2")]) == 0
+
+
+def full_harvest(g: Graph, families=FAMILIES) -> list:
+    """Every root cut: integer separation at x = 0."""
+    return separate_integer(g, Point.zeros(g), families=families).cuts
+
+
+class TestLazyRootHarvest:
+    """The root harvest stops at the first cut after which the packing
+    bound reaches the incumbent; only a root that closes is cut short."""
+
+    @staticmethod
+    def graphs(seed: int, count: int) -> list:
+        rng = np.random.default_rng(seed)
+        return [random_connected_graph(rng, int(rng.integers(5, 13)),
+                                       float(rng.uniform(0.15, 0.5)))
+                for _ in range(count)]
+
+    def test_harvest_is_the_shortest_closing_prefix(self):
+        short = whole = 0
+        for g in self.graphs(149, 60):
+            incumbent, harvest = root_initialize(g)
+            full = full_harvest(g) if incumbent else []
+            k = next((k for k in range(1, len(full) + 1)
+                      if _packing_bound(full[:k]) >= len(incumbent)), len(full))
+            assert [c.key() for c in harvest] == [c.key() for c in full[:k]]
+            assert [c.family for c in harvest] == [c.family for c in full[:k]]
+            short += k < len(full)
+            whole += k == len(full)
+        assert short and whole  # both ends of the stop are exercised
+
+    def test_search_is_the_one_the_full_harvest_gives(self, monkeypatch):
+        graphs = self.graphs(151, 40)
+        lazy = [solve(g) for g in graphs]
+        root = fillin.solver.root_initialize
+        monkeypatch.setattr(fillin.solver, "root_initialize", lambda g, cfg: (
+            root(g, cfg)[0], full_harvest(g, cfg.families_enabled)))
+        closed = 0
+        for g, a in zip(graphs, lazy):
+            b = solve(g)
+            assert ((a.status, a.lower_bound, a.upper_bound, a.nodes, a.best_fill)
+                    == (b.status, b.lower_bound, b.upper_bound, b.nodes, b.best_fill))
+            if a.nodes:
+                assert (a.cuts_by_family, a.total_cuts) == (b.cuts_by_family, b.total_cuts)
+            else:
+                assert a.total_cuts <= b.total_cuts
+                closed += a.total_cuts < b.total_cuts
+        assert closed and any(a.nodes for a in lazy)
+
+    def test_grid3_3_closes_on_its_first_cut(self, monkeypatch):
+        g = gen_grid(3, 3)
+        assert len(full_harvest(g)) == 8
+        incumbent, harvest = root_initialize(g)
+        assert len(harvest) == 1 and _packing_bound(harvest) == len(incumbent) == 5
+        lps = recording_lps(monkeypatch)
+        res = solve(g)
+        assert (res.status, res.lower_bound, res.nodes, res.total_cuts) == (OPTIMAL, 5, 0, 1)
+        assert lps == []
 
 
 class TestPastBruteForce:
