@@ -165,7 +165,9 @@ def _ints(fields, lineno: int, line: str) -> list[int]:
 
 def parse_edgelist(text: str) -> Graph:
     """Parse the internal edge-list format: `n m` then one `u v` per line,
-    0-based; malformed input raises InstanceError with the line number."""
+    0-based.  As in parse_dimacs, duplicate edges (including reversed
+    duplicates) are tolerated with a warning; malformed input raises
+    InstanceError with the line number."""
     lines = [(lineno, ln) for lineno, ln in
              enumerate((raw.strip() for raw in text.splitlines()), start=1)
              if ln and not ln.startswith("#")]
@@ -176,15 +178,22 @@ def parse_edgelist(text: str) -> Graph:
     if len(header) != 2:
         raise InstanceError(f"line {lineno}: expected header `n m`, got {line!r}")
     n, m = _ints(header, lineno, line)
-    edges = []
+    edges: set[tuple[int, int]] = set()
     for lineno, line in edge_lines:
         fields = line.split()
         if len(fields) != 2:
             raise InstanceError(f"line {lineno}: expected `u v`, got {line!r}")
-        edges.append(tuple(_ints(fields, lineno, line)))
+        u, v = _ints(fields, lineno, line)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InstanceError(f"line {lineno}: vertex out of range in {line!r}")
+        if u == v:
+            raise InstanceError(f"line {lineno}: self-loop in {line!r}")
+        edges.add(edge(u, v))
+    if len(edge_lines) != m:
+        raise InstanceError(f"header declares {m} edges, file lists {len(edge_lines)}")
     if len(edges) != m:
-        raise InstanceError(f"header declares {m} edges, file lists {len(edges)}")
-    return new_graph(n, edges)
+        warnings.warn(f"{m - len(edges)} duplicate edge line(s) ignored", stacklevel=2)
+    return new_graph(n, sorted(edges))
 
 
 def serialize_edgelist(g: Graph) -> str:

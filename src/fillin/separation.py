@@ -10,7 +10,7 @@ Three mechanisms:
 * exact separation for families I2 and I3 -- shortest-path searches over
   auxiliary weighted graphs whose path weights reproduce the inequality
   slack exactly, so a violated cut is found whenever one exists (for I2,
-  one batched Floyd-Warshall per centre vertex).
+  one Floyd-Warshall pass per call over every centre vertex at once).
 
 Every separator hands each cut it builds to SeparationReport.add, the one
 keep rule: kept iff strictly violated at the exact queried point and new by
@@ -68,7 +68,7 @@ class SeparationCapabilityError(RuntimeError):
 @dataclass
 class SeparationStats:
     cycles_examined: int = 0
-    dijkstra_calls: int = 0
+    dijkstra_calls: int = 0  # exact separation: centres (I2) or 4-tuples (I3) searched
 
 
 @dataclass
@@ -174,30 +174,31 @@ def separate_i2_exact(g: Graph, x: Point) -> SeparationReport:
     (p, c, q) exists iff the shortest q-p path of two or more hops in a
     complete auxiliary graph on the vertices other than c is shorter than an
     affine function of x at the triple; the path reconstructs the cycle.
-    The paths of one centre come from one batch (see _i2_shortest_paths),
-    run only when some triple at that centre can be violated at all;
-    stats.dijkstra_calls counts these batches.
+    All triples are screened at once, and the paths of every centre with a
+    triple that can be violated at all come from one Floyd-Warshall pass
+    per call (see _i2_shortest_paths); stats.dijkstra_calls counts these
+    centres.  That pass lets a walk return to q, but no walk that does is
+    ever violated, so every violated triple's walk is the simple path it
+    would be with q removed, and no fallback search is needed.
     """
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     xt = _extended_values(g, x)
     vals = point_values(x)
     report = SeparationReport()
-    n = g.n
-    for c in range(n):
-        # bound[p, q] = 1 - x(p,q) - (1 - 1.5 x(p,c)) - (1 - 1.5 x(c,q))
-        h = 1.0 - 1.5 * xt[c]
-        bound = 1.0 - xt - h[:, None] - h[None, :]
-        cand = np.triu(bound > VIOLATION_TOL, 1)
-        cand[c, :] = cand[:, c] = False
-        if not cand.any():
-            continue
-        dist, nxt = _i2_shortest_paths(xt, c)
-        report.stats.dijkstra_calls += 1
-        for p, q in zip(*np.nonzero(cand & (bound - dist.T > VIOLATION_TOL))):
-            path = [int(q)]
+    idx = np.arange(g.n)
+    # bound[c, p, q] = 1 - x(p,q) - (1 - 1.5 x(p,c)) - (1 - 1.5 x(c,q))
+    h = 1.0 - 1.5 * xt
+    bound = 1.0 - xt - h[:, :, None] - h[:, None, :]
+    cand = np.triu(bound > VIOLATION_TOL, 1)
+    cand[idx, idx, :] = cand[idx, :, idx] = False
+    centres = np.flatnonzero(cand.any(axis=(1, 2)))
+    report.stats.dijkstra_calls += len(centres)
+    for c, dist, first, nxt in _i2_shortest_paths(xt, centres):
+        for p, q in zip(*np.nonzero(cand[c] & (bound[c] - dist.T > VIOLATION_TOL))):
+            path = [int(q), int(first[q, p])]
             while path[-1] != p:
-                path.append(int(nxt[q, path[-1], p]))
+                path.append(int(nxt[path[-1], p]))
             cyc = Cycle((c,) + tuple(path))
             report.stats.cycles_examined += 1
             try:
@@ -208,42 +209,53 @@ def separate_i2_exact(g: Graph, x: Point) -> SeparationReport:
     return report
 
 
-def _i2_shortest_paths(xt: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cheapest q-p paths of two or more hops avoiding the centre c, for all
-    endpoints at once, in the complete graph with edge weights
-    w(a,b) = 1 - x(a,b) + (x(c,a) + x(c,b))/2 >= 0.
+def _i2_shortest_paths(xt: np.ndarray, centres: np.ndarray):
+    """Cheapest q-p walks of two or more hops avoiding the centre c, for
+    every centre in centres and all endpoints, in the complete graph with
+    edge weights w_c(a,b) = 1 - x(a,b) + (x(c,a) + x(c,b))/2 >= 0.
 
-    D[q] holds all-pairs shortest paths of the graph minus {c, q}, from one
-    Floyd-Warshall over the n x n x n array of all q together; then
-    dist[q, p] = min over a != p of w(q, a) + D[q, a, p], which never takes
-    the direct q-p edge and never returns to q.  Returns dist (inf on the
-    diagonal) and nxt, where nxt[q, a, p] is the vertex after a on the q-p
-    path (nxt[q, q, p] its first hop).
+    One Floyd-Warshall over the (centres, n, n) array gives D[c], the
+    all-pairs shortest paths of the graph minus c, and nxt[c, a, p], the
+    vertex after a on the a-p path.  Then, one centre at a time so that no
+    array exceeds n x n x n, dist[q, p] = min over a not in {p, q} of
+    w_c(q, a) + D[c, a, p], with first[q, p] its argmin: the first hop never
+    takes the direct q-p edge.  Yields (c, dist, first, nxt[c]) per centre.
+
+    D may pass through q, so such a walk could in principle return to q; it
+    never does on a violated triple.  Every edge at q weighs at least
+    x(c,q)/2, so a walk that leaves q and returns weighs at least x(c,q)
+    plus the weight of its last q-p part.  Against the triple's bound
+    1 - x(p,q) - (1 - 1.5 x(p,c)) - (1 - 1.5 x(c,q)), bound - weight <=
+    x(c,p) - 1 - x(p,q) - sum(1 - x_e) <= 0 over the edges e of that part,
+    whether it is the direct edge or a longer path.  So on every violated
+    triple dist is the shortest path of the graph minus {c, q}, and the walk
+    is a simple path; Cycle's distinct-vertex check stays as the guard.
     """
+    if not len(centres):
+        return
     n = len(xt)
     idx = np.arange(n)
-    w = 1.0 - xt + 0.5 * (xt[c][:, None] + xt[c][None, :])
-    D = np.broadcast_to(w, (n, n, n)).copy()
+    xc = xt[centres]
+    w = 1.0 - xt + 0.5 * (xc[:, :, None] + xc[:, None, :])
+    k = np.arange(len(centres))
+    w[k, centres, :] = w[k, :, centres] = np.inf
+    D = w.copy()
     D[:, idx, idx] = 0.0
-    D[:, c, :] = D[:, :, c] = np.inf
-    D[idx, idx, :] = np.inf
-    D[idx, :, idx] = np.inf
-    nxt = np.broadcast_to(idx, (n, n, n)).copy()
+    nxt = np.broadcast_to(idx, D.shape).copy()
     via = np.empty_like(D)
     better = np.empty(D.shape, dtype=bool)
     for v in range(n):
-        if v == c:
-            continue
         np.add(D[:, :, v, None], D[:, None, v, :], out=via)
         np.less(via, D, out=better)
         np.copyto(D, via, where=better)
         np.copyto(nxt, nxt[:, :, v, None], where=better)
-    total = w[:, :, None] + D  # total[q, a, p]: first hop q -> a, then D
-    total[:, idx, idx] = np.inf  # a == p would be the direct q-p edge
-    first = total.argmin(axis=1)
-    dist = np.take_along_axis(total, first[:, None, :], axis=1)[:, 0, :]
-    nxt[idx, idx, :] = first
-    return dist, nxt
+    for j, c in enumerate(centres):
+        total = w[j][:, :, None] + D[j]  # total[q, a, p]: first hop q -> a, then D
+        total[:, idx, idx] = np.inf  # a == p would be the direct q-p edge
+        total[idx, idx, :] = np.inf  # a == q
+        first = total.argmin(axis=1)
+        dist = np.take_along_axis(total, first[:, None, :], axis=1)[:, 0, :]
+        yield int(c), dist, first, nxt[j]
 
 
 def separate_i3_exact(g: Graph, x: Point) -> SeparationReport:

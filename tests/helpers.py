@@ -3,9 +3,10 @@ independent brute-force oracles (cycle/parameter enumeration for the cut
 families, vertex enumeration for LPs, per-triple Dijkstra for exact I2
 separation), plus the pair-based chordless-cycle search, cut builders,
 threshold/integer separation and set-based heuristics that the
-adjacency-mask versions replaced, the loop form of the LP active-set
-refresh, and an exact minimum fill-in by dynamic programming that reaches
-past brute force."""
+adjacency-mask versions replaced, the per-centre exact I2 batches that one
+all-centres pass replaced, the loop form of the LP active-set refresh, and
+an exact minimum fill-in by dynamic programming that reaches past brute
+force."""
 
 from __future__ import annotations
 
@@ -16,7 +17,15 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from fillin.cuts import Cut, CutError, FamilyInapplicableError, cut_i2, cut_i3, evaluate
+from fillin.cuts import (
+    Cut,
+    CutError,
+    FamilyInapplicableError,
+    cut_i2,
+    cut_i3,
+    evaluate,
+    point_values,
+)
 from fillin.graphs import (
     Cycle,
     Graph,
@@ -27,7 +36,12 @@ from fillin.graphs import (
     new_graph,
 )
 from fillin.instances import parse_dimacs
-from fillin.separation import MAX_CUTS_PER_CALL, SeparationReport
+from fillin.separation import (
+    MAX_CUTS_PER_CALL,
+    VIOLATION_TOL,
+    SeparationReport,
+    _extended_values,
+)
 
 # The running 5-vertex example: three chordless 4-cycles, optimum fill 1.
 FIG_EDGES = [(0, 1), (0, 3), (1, 2), (2, 3), (1, 4), (3, 4)]
@@ -205,6 +219,55 @@ def dijkstra_avoiding(xt: np.ndarray, n: int, src: int, dst: int,
                 pred[b] = a
                 heapq.heappush(heap, (nd, b))
     return float("inf"), None
+
+
+def per_centre_separate_i2(g: Graph, x: Point) -> SeparationReport:
+    """Exact I2 separation as it ran before its centres shared one
+    Floyd-Warshall: per centre c, one n x n x n batch over G - {c, q} for
+    every endpoint q.  Kept as the reference for the reports."""
+    xt = _extended_values(g, x)
+    vals = point_values(x)
+    report = SeparationReport()
+    n = g.n
+    idx = np.arange(n)
+    for c in range(n):
+        h = 1.0 - 1.5 * xt[c]
+        bound = 1.0 - xt - h[:, None] - h[None, :]
+        cand = np.triu(bound > VIOLATION_TOL, 1)
+        cand[c, :] = cand[:, c] = False
+        if not cand.any():
+            continue
+        report.stats.dijkstra_calls += 1
+        w = 1.0 - xt + 0.5 * (xt[c][:, None] + xt[c][None, :])
+        D = np.broadcast_to(w, (n, n, n)).copy()  # D[q]: graph minus {c, q}
+        D[:, idx, idx] = 0.0
+        D[:, c, :] = D[:, :, c] = np.inf
+        D[idx, idx, :] = np.inf
+        D[idx, :, idx] = np.inf
+        nxt = np.broadcast_to(idx, (n, n, n)).copy()
+        for v in range(n):
+            if v == c:
+                continue
+            via = D[:, :, v, None] + D[:, None, v, :]
+            better = via < D
+            np.copyto(D, via, where=better)
+            np.copyto(nxt, nxt[:, :, v, None], where=better)
+        total = w[:, :, None] + D
+        total[:, idx, idx] = np.inf
+        first = total.argmin(axis=1)
+        dist = np.take_along_axis(total, first[:, None, :], axis=1)[:, 0, :]
+        nxt[idx, idx, :] = first
+        for p, q in zip(*np.nonzero(cand & (bound - dist.T > VIOLATION_TOL))):
+            path = [int(q)]
+            while path[-1] != p:
+                path.append(int(nxt[q, path[-1], p]))
+            report.stats.cycles_examined += 1
+            try:
+                cut = cut_i2(g, Cycle((c,) + tuple(path)), 0)
+            except CutError:
+                continue
+            report.add(cut, vals)
+    return report
 
 
 def _reference_path(g: Graph, v: int, u: int, allowed_mask: int):

@@ -199,6 +199,21 @@ class TestEdgeList:
         with pytest.raises(InstanceError, match=f"line {line}: non-integer"):
             parse_edgelist(text)
 
+    @pytest.mark.parametrize("text, error", [
+        ("3 2\n0 1\n1 5\n", "line 3: vertex out of range"),
+        ("# c\n3 2\n-1 2\n1 2\n", "line 3: vertex out of range"),
+        ("3 2\n0 1\n1 3\n", "line 3: vertex out of range"),
+        ("3 2\n0 1\n1 1\n", "line 3: self-loop"),
+    ])
+    def test_bad_edge_names_its_line(self, text, error):
+        with pytest.raises(InstanceError, match=error):
+            parse_edgelist(text)
+
+    def test_duplicate_edges_warn(self):
+        with pytest.warns(UserWarning, match="1 duplicate edge line"):
+            g = parse_edgelist("3 3\n0 1\n1 0\n1 2\n")
+        assert (g.n, g.m) == (3, 2)
+
     def test_load_save_by_extension(self, tmp_path):
         g = gen_grid(2, 3)
         el = tmp_path / "g.el"

@@ -1,5 +1,10 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fillin.separation
 
@@ -35,9 +40,27 @@ from helpers import (
     exhaustive_i3_violation,
     fig_graph,
     myciel4,
+    per_centre_separate_i2,
     random_connected_graph,
     reference_separate,
 )
+
+
+@st.composite
+def graphs_and_points(draw, nmin, nmax):
+    """A connected graph on nmin-nmax vertices, a cycle through the first k
+    of them with the rest hung on as a random tree plus up to n - 3 extra
+    edges, and a point whose values come from a coarse grid or uniformly."""
+    n = draw(st.integers(nmin, nmax))
+    k = draw(st.integers(4, n))
+    edges = {(v - 1, v) for v in range(1, k)} | {(0, k - 1)}
+    edges |= {(draw(st.integers(0, v - 1)), v) for v in range(k, n)}
+    edges |= draw(st.sets(st.sampled_from(list(combinations(range(n), 2))),
+                          max_size=n - 3))
+    g = new_graph(n, sorted(edges))
+    assume(g.mc > 0)
+    value = st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 1.0]) | st.floats(0.0, 1.0)
+    return g, Point(np.array(draw(st.lists(value, min_size=g.mc, max_size=g.mc))))
 
 
 def assert_same_report(rep, ref):
@@ -373,10 +396,63 @@ class TestExactI2:
             exhaustive = exhaustive_i2_violation(g, x)
             assert bool(found.cuts) == (exhaustive is not None)
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(graphs_and_points(5, 6))
+    def test_property_agreement_with_exhaustive_enumeration(self, case):
+        g, x = case
+        found = separate_i2_exact(g, x)
+        assert bool(found.cuts) == (exhaustive_i2_violation(g, x) is not None)
+        for cut, v in zip(found.cuts, found.violations):
+            assert v == evaluate(cut, x)
+
+    def test_peak_allocation_stays_cubic(self):
+        # every centre is searched, yet no array holds more than n^3 entries:
+        # one n^4 array of floats would take 6.5 MB here
+        g = gen_grid(5, 6)
+        n = g.n
+        tracemalloc.start()
+        try:
+            rep = separate_i2_exact(g, Point(np.full(g.mc, 0.3)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.stats.dijkstra_calls == n == 30
+        assert peak < 16 * n ** 3 * 8
+
+
+def i2_walk(first, nxt, q, p):
+    """The q-p walk _i2_shortest_paths encodes: first hop, then nxt."""
+    walk = [q, int(first[q, p])]
+    while walk[-1] != p:
+        walk.append(int(nxt[walk[-1], p]))
+    return walk
+
+
+def i2_weight(xt, c, walk):
+    return sum(1.0 - xt[a, b] + 0.5 * (xt[c, a] + xt[c, b]) for a, b in zip(walk, walk[1:]))
+
+
+def i2_bound(xt, c, p, q):
+    return 1.0 - xt[p, q] - (1.0 - 1.5 * xt[p, c]) - (1.0 - 1.5 * xt[c, q])
+
+
+def random_i2_point(rng, g):
+    """Uniform values, or values on a coarse grid; some zeros and ones, so
+    the auxiliary graph has zero-weight edges and ties."""
+    if rng.random() < 0.5:
+        x = rng.choice([0.0, 1 / 3, 0.5, 2 / 3, 1.0], size=g.mc)
+    else:
+        x = rng.random(g.mc)
+        x[rng.random(g.mc) < 0.3] = 0.0
+        x[rng.random(g.mc) < 0.1] = 1.0
+    return Point(x)
+
 
 class TestBatchedExactI2:
-    """The batched shortest paths against the per-triple Dijkstra they
-    replace: same distances, same violated triples, valid paths."""
+    """The all-centres shortest paths against the per-triple Dijkstra they
+    replace.  Off the violated triples a walk may return to q, so dist may
+    be lower there, and nothing reads it; on every triple violated under
+    either computation the two agree and the walk is a simple path."""
 
     def test_matches_per_triple_dijkstra(self):
         rng = np.random.default_rng(83)
@@ -388,31 +464,82 @@ class TestBatchedExactI2:
             x[rng.random(g.mc) < 0.1] = 1.0
             xt = _extended_values(g, Point(x))
             batched, reference = set(), set()
-            for c in range(n):
-                dist, nxt = _i2_shortest_paths(xt, c)
+            for c, dist, first, nxt in _i2_shortest_paths(xt, np.arange(n)):
                 for p in range(n):
                     for q in range(p + 1, n):
                         if c in (p, q):
                             continue
                         ref, _ = dijkstra_avoiding(xt, n, src=q, dst=p, forbidden=c,
                                                    banned_pair=(p, q))
-                        assert dist[q, p] == pytest.approx(ref, rel=0, abs=1e-9)
-                        path = [q]
-                        while path[-1] != p:
-                            path.append(int(nxt[q, path[-1], p]))
-                        assert len(path) >= 3 and len(set(path)) == len(path)
-                        assert c not in path
-                        weight = sum(1.0 - xt[a, b] + 0.5 * (xt[c, a] + xt[c, b])
-                                     for a, b in zip(path, path[1:]))
-                        assert weight == pytest.approx(dist[q, p], rel=0, abs=1e-9)
-                        bound = 1.0 - xt[p, q] - (1.0 - 1.5 * xt[p, c]) \
-                            - (1.0 - 1.5 * xt[c, q])
+                        bound = i2_bound(xt, c, p, q)
                         if bound - dist[q, p] > VIOLATION_TOL:
                             batched.add((c, p, q))
                         if bound - ref > VIOLATION_TOL:
                             reference.add((c, p, q))
+                        if (c, p, q) not in batched | reference:
+                            continue
+                        assert dist[q, p] == pytest.approx(ref, rel=0, abs=1e-9)
+                        walk = i2_walk(first, nxt, q, p)
+                        assert len(walk) >= 3 and len(set(walk)) == len(walk)
+                        assert c not in walk
+                        assert i2_weight(xt, c, walk) == pytest.approx(ref, rel=0, abs=1e-9)
             assert batched == reference
             assert separate_i2_exact(g, Point(x)).stats.cycles_examined == len(batched)
+
+    def test_every_walk_has_two_or_more_hops(self):
+        # on every pair, violated or not: dist is the weight of the encoded
+        # walk, which avoids c, never takes the direct q-p edge and is no
+        # heavier than the shortest such path avoiding q as well
+        rng = np.random.default_rng(89)
+        for _ in range(6):
+            n = int(rng.integers(6, 12))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.2, 0.5)))
+            xt = _extended_values(g, random_i2_point(rng, g))
+            for c, dist, first, nxt in _i2_shortest_paths(xt, np.arange(n)):
+                for p in range(n):
+                    for q in range(n):
+                        if len({c, p, q}) < 3:
+                            continue
+                        walk = i2_walk(first, nxt, q, p)
+                        assert len(walk) >= 3 and walk[1] not in (p, q)
+                        assert c not in walk
+                        assert i2_weight(xt, c, walk) == pytest.approx(dist[q, p], rel=0,
+                                                                       abs=1e-9)
+                        ref, _ = dijkstra_avoiding(xt, n, src=q, dst=p, forbidden=c,
+                                                   banned_pair=(p, q))
+                        assert dist[q, p] <= ref + 1e-9
+
+    def test_no_candidate_walk_revisits_q(self):
+        # the docstring's argument: a walk that returns to q is never
+        # violated, so no fallback search is needed
+        rng = np.random.default_rng(97)
+        candidates = 0
+        for _ in range(150):
+            n = int(rng.integers(6, 14))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.15, 0.5)))
+            xt = _extended_values(g, random_i2_point(rng, g))
+            for c, dist, first, nxt in _i2_shortest_paths(xt, np.arange(n)):
+                for p in range(n):
+                    for q in range(p + 1, n):
+                        if c in (p, q) or i2_bound(xt, c, p, q) - dist[q, p] <= VIOLATION_TOL:
+                            continue
+                        candidates += 1
+                        walk = i2_walk(first, nxt, q, p)
+                        assert q not in walk[1:] and len(set(walk)) == len(walk)
+        assert candidates > 5000
+
+    def test_same_report_as_per_centre_batches(self):
+        rng = np.random.default_rng(101)
+        kept = 0
+        for _ in range(60):
+            n = int(rng.integers(6, 15))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.15, 0.5)))
+            x = random_i2_point(rng, g)
+            rep, ref = separate_i2_exact(g, x), per_centre_separate_i2(g, x)
+            assert_same_report(rep, ref)
+            assert rep.stats.dijkstra_calls == ref.stats.dijkstra_calls
+            kept += len(rep)
+        assert kept > 100
 
 
 class TestExactI3:
