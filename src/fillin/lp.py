@@ -39,12 +39,27 @@ sum(x) - eps.x <= sum(x*) - eps.x* <= z*, hence
 
 The objective overestimates the LP bound by less than solver.BOUND_TOL =
 1e-6, which the solver subtracts before rounding a bound up, so every node
-bound stays valid.  Tolerances, the pivot cap and the refactorization
-interval are the fixed module constants below.
+bound stays valid.
+
+A solve may stop early at a cutoff.  Every basis the dual simplex visits is
+dual feasible for the perturbed costs c, so c.z at its basic point z (out
+of bounds until the last pivot) is the objective of a feasible dual
+solution.  By weak duality c.z <= min c.x over the LP's feasible points,
+and min c.x <= z* = min sum(x) because every c_j < 1 and x >= 0.  This dual
+bound does not decrease from pivot to pivot.  Once a pivot lifts it above
+the cutoff, the LP optimum lies above it too, and the solve returns CUTOFF
+with c.z as its objective and no point or basis; an infeasible LP may end
+this way as well.  The solver passes the largest bound that cannot prune
+its node, so a pruned LP no longer runs to its optimum.
+
+Tolerances, the pivot cap, the refactorization interval and the pivots
+between deadline checks are the fixed module constants below.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,6 +70,7 @@ from .graphs import Point
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 ITERATION_LIMIT = "ITERATION_LIMIT"
+CUTOFF = "CUTOFF"
 
 
 class LpError(RuntimeError):
@@ -68,6 +84,7 @@ PIVOTS_PER_DIM = 50  # pivot cap: PIVOTS_PER_DIM * (rows + vars)
 STALL_LIMIT = 100  # degenerate pivots in a row before Bland's rule
 REFACTOR_EVERY = 100  # pivots between fresh inversions of A[T, S]
 PERTURBATION = 1e-9  # cost perturbation scale, see the module docstring
+CLOCK_EVERY = 32  # pivots between deadline checks
 
 
 @dataclass
@@ -152,12 +169,20 @@ class _DualSimplex:
         self.c[:n] = _costs(n)
         self.iterations = 0
         self.since_factor = 0
+        # Sa, Ta, nTa and AT are the leading rows of these buffers (a basis
+        # has at most min(m, n) members); a basis change edits them in place
+        k = min(m, n)
+        self._Sa = np.empty(k, dtype=int)
+        self._Ta = np.empty(k, dtype=int)
+        self._nTa = np.empty(k, dtype=int)
+        self._AT = np.empty((k, n))
+        self._below = np.empty(n + m)  # leaving's work arrays
+        self._above = np.empty(n + m)
 
-    def _index(self) -> None:
-        self.Sa = np.array(self.S, dtype=int)
-        self.Ta = np.array(self.T, dtype=int)
-        self.nTa = self.n + self.Ta
-        self.AT = self.A[self.Ta]
+    def _views(self) -> None:
+        k = len(self.S)
+        self.Sa, self.Ta = self._Sa[:k], self._Ta[:k]
+        self.nTa, self.AT = self._nTa[:k], self._AT[:k]
 
     def start(self, cols, rows) -> None:
         """Install a basis, replacing all state that depends on the one
@@ -169,7 +194,14 @@ class _DualSimplex:
         n = self.n
         self.S = [int(j) for j in cols]
         self.T = [int(i) for i in rows]
-        self._index()
+        k = len(self.S)
+        if k > len(self._Sa):
+            raise LpError("singular basis")  # it repeats a column or a row
+        self._Sa[:k] = self.S
+        self._Ta[:k] = self.T
+        self._views()
+        self.nTa[:] = n + self.Ta
+        self.AT[:] = self.A[self.Ta]
         self.factor(check=True)
         if (self.d[self.nTa] < -REDUCED_COST_TOL).any():
             raise LpError("basis is not dual feasible")
@@ -220,7 +252,8 @@ class _DualSimplex:
     def leaving(self, bland: bool) -> tuple[int, float]:
         """The basic variable to leave and its violation: the most violated
         one (the first violated one under Bland's rule), or (-1, 0)."""
-        infeas = np.maximum(self.lo - self.z, self.z - self.hi)
+        infeas = np.subtract(self.lo, self.z, out=self._below)
+        np.maximum(infeas, np.subtract(self.z, self.hi, out=self._above), out=infeas)
         if bland:
             hits = (infeas > FEAS_TOL).nonzero()[0]
             j = int(hits[0]) if hits.size else -1
@@ -266,6 +299,12 @@ class _DualSimplex:
         if bland:
             theta = float(ratios.min())
             return int(cand[(ratios <= theta + 1e-12).nonzero()[0][0]]), theta, None
+        # the first candidate in (ratio, -tc, index) order usually closes the
+        # violation alone; only when it does not are all of them sorted
+        ties = (ratios == ratios.min()).nonzero()[0]
+        first = int(ties[tc[ties].argmax()])
+        if tc[first] * self.span[cand[first]] >= violation - FEAS_TOL:
+            return int(cand[first]), float(ratios[first]), None
         order = np.lexsort((-tc, ratios))
         reach = np.cumsum(tc[order] * self.span[cand[order]])
         k = int(reach.searchsorted(violation - FEAS_TOL))
@@ -320,7 +359,11 @@ class _DualSimplex:
             Binv -= colt[:, None] * Binv[pos]
             self.Binv = Binv[np.arange(len(S)) != pos][:, np.arange(len(T)) != t]
             del S[pos], T[t]
-            self._index()
+            k = len(S)
+            self._Sa[pos:k] = self._Sa[pos + 1:k + 1]
+            for buf in (self._Ta, self._nTa, self._AT):
+                buf[t:k] = buf[t + 1:k + 1]
+            self._views()
         elif q < n:
             # A[T, S] grows by column q and row j - n
             sigma = g[q]
@@ -333,7 +376,9 @@ class _DualSimplex:
             self.Binv = grown
             S.append(q)
             T.append(j - n)
-            self._index()
+            self._Sa[k], self._Ta[k], self._nTa[k] = q, j - n, j
+            self._AT[k] = A[j - n]
+            self._views()
         else:
             # row t of A[T, S] becomes row j - n
             colt = Binv[:, t] / gT[t]
@@ -349,7 +394,8 @@ class _DualSimplex:
             self.refresh()
 
 
-def solve_lp(p: LpProblem, basis: Basis | None = None) -> LpResult:
+def solve_lp(p: LpProblem, basis: Basis | None = None, cutoff: float = math.inf,
+             deadline: float | None = None) -> LpResult:
     """Solve the bounded relaxation; deterministic for identical input.
 
     basis, if given, is a basis of an earlier solve (its rows index p.rows)
@@ -359,8 +405,13 @@ def solve_lp(p: LpProblem, basis: Basis | None = None) -> LpResult:
 
     Returns OPTIMAL with a vertex point, its objective and its basis;
     INFEASIBLE with nonnegative row multipliers y certifying the conflict
-    (no x in the box has y @ rows @ x >= y @ rhs); or ITERATION_LIMIT after
-    the pivot cap.
+    (no x in the box has y @ rows @ x >= y @ rhs); CUTOFF as soon as a pivot
+    lifts the dual bound above cutoff, with that bound as its objective and
+    no point or basis (see the module docstring); or ITERATION_LIMIT after
+    the pivot cap, or when the clock, read before the first pivot and every
+    CLOCK_EVERY pivots after it, is past deadline (a time.perf_counter()
+    value).  With the default cutoff and no
+    deadline the pivots are the same as without them.
     """
     m, nv = p.rows.shape
     if basis is not None and (
@@ -387,7 +438,9 @@ def solve_lp(p: LpProblem, basis: Basis | None = None) -> LpResult:
             if not lp.refresh():
                 raise LpError("simplex returned an infeasible point")
             continue
-        if lp.iterations >= max_iters:
+        if lp.iterations >= max_iters or (
+                deadline is not None and not lp.iterations % CLOCK_EVERY
+                and time.perf_counter() > deadline):
             return LpResult(ITERATION_LIMIT, float("nan"), None, lp.iterations)
         g, gT = lp.tableau_row(j)
         sgn = 1.0 if lp.z[j] < lp.lo[j] else -1.0
@@ -403,6 +456,10 @@ def solve_lp(p: LpProblem, basis: Basis | None = None) -> LpResult:
             lp.flip(passed)
         stall = stall + 1 if theta < 1e-12 else 0
         lp.pivot(j, q, g, gT, sgn)
+        if cutoff < math.inf:
+            dual_bound = float(lp.c[:nv] @ lp.z[:nv])
+            if dual_bound > cutoff:
+                return LpResult(CUTOFF, dual_bound, None, lp.iterations)
 
     return LpResult(
         OPTIMAL, float(x.sum()), Point(x), lp.iterations,

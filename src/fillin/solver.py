@@ -22,6 +22,17 @@ Best-bound node selection; branching fixes the most fractional variable to
 and never shrinks.  Objective values are sums of binaries, hence every node
 bound is rounded up to an integer.
 
+Each LP gets the incumbent's cutoff ub - 1 + BOUND_TOL: the largest LP bound
+that still rounds up below ub.  An LP whose dual bound passes it stops
+there (lp.CUTOFF) and the node is pruned at once, as an infeasible one is:
+it no longer refreshes the active set or re-solves, and no longer ages the
+idle rows, before it is dropped.
+
+Under a time limit the LP stops too once the deadline passes, and its node
+goes back on the heap.  A node re-queues at the largest LP objective it has
+solved, and the root is pushed at the packing bound of the root cuts, so
+the lower bound a limited solve reports keeps what its LPs proved.
+
 The LP basis is kept, not rebuilt: each cut round of a node re-solves from
 the basis of the round before, and each child starts from its parent's
 final basis.  A stored basis names its basic variables and the pool ids of
@@ -56,7 +67,7 @@ from .cuts import FAMILIES, Cut, evaluate
 # layer through that name and reports the layer absent without it.
 from .graphs import Graph, Point, is_chordal, is_valid_completion  # noqa: F401
 from .heuristics import chordalize_with_order, mdo_completion, mdo_order, primal_repair
-from .lp import INFEASIBLE, ITERATION_LIMIT, Basis, LpProblem, solve_lp
+from .lp import CUTOFF, INFEASIBLE, ITERATION_LIMIT, Basis, LpProblem, solve_lp
 from .separation import (
     VIOLATION_TOL,
     SeparationReport,
@@ -281,7 +292,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     search.offer_incumbent(incumbent)
     for cut in root_cuts:
         search.add_cut(cut)
-    search.push(0.0, {})
+    search.push(_packing_bound(root_cuts), {})
     status = OPTIMAL
 
     while search.heap:
@@ -343,13 +354,18 @@ def _process_node(search: _Search, fixings: dict, bound: float,
             search.push(bound, fixings, basis)  # cuts are global; nothing is lost
             return
         lp_basis = search.activate(basis)  # before build_lp: rows must be in
-        res = solve_lp(search.build_lp(fixings), basis=lp_basis)
-        if res.status == INFEASIBLE:
-            return
+        res = solve_lp(search.build_lp(fixings), basis=lp_basis,
+                       cutoff=search.ub - 1 + BOUND_TOL, deadline=deadline)
+        if res.status in (INFEASIBLE, CUTOFF):
+            return  # CUTOFF: ceil(objective - BOUND_TOL) >= ub, as a pruned bound
         if res.status == ITERATION_LIMIT:
+            if deadline is not None and time.perf_counter() > deadline:
+                search.push(bound, fixings, basis)
+                return
             logger.warning("LP iteration limit at node; branching on parent bound")
             _branch(search, None, fixings, bound, None)
             return
+        bound = max(bound, res.objective)  # what solve reports if the node re-queues
         basis = search.pool_basis(res.basis)
         # pull violated pooled rows back into the LP before separating anew
         if search.refresh_active(res.point.values):

@@ -1,7 +1,8 @@
 """Shared test fixtures: small graph builders, seeded random suites, and
 independent brute-force oracles (cycle/parameter enumeration for the cut
 families, vertex enumeration for LPs, per-triple Dijkstra for exact I2
-separation), plus the pair-based chordless-cycle search, cut builders,
+separation), the dual simplex ratio test that sorts every candidate,
+plus the pair-based chordless-cycle search, cut builders,
 threshold/integer separation and set-based heuristics that the
 adjacency-mask versions replaced, the per-centre exact I2 batches that one
 all-centres pass replaced, the loop form of the LP active-set refresh, and
@@ -36,6 +37,7 @@ from fillin.graphs import (
     new_graph,
 )
 from fillin.instances import parse_dimacs
+from fillin.lp import FEAS_TOL, PIVOT_TOL
 from fillin.separation import (
     MAX_CUTS_PER_CALL,
     VIOLATION_TOL,
@@ -182,6 +184,29 @@ def lp_vertex_optimum(rows, rhs, lb, ub):
             if best is None or val < best:
                 best = val
     return best
+
+
+def reference_entering(lp, g: np.ndarray, sgn: float, violation: float, bland: bool):
+    """_DualSimplex.entering as it was before its shortcut: every candidate
+    sorted by (ratio, -tc, index), then the first whose cumulative reach
+    closes the violation.  lp supplies the arrays step, d and span."""
+    t = g * lp.step
+    if sgn < 0:
+        np.negative(t, out=t)
+    cand = (t > PIVOT_TOL).nonzero()[0]
+    if not cand.size:
+        return -1, 0.0, None
+    tc = t[cand]
+    ratios = lp.d[cand] * lp.step[cand] / tc
+    if bland:
+        theta = float(ratios.min())
+        return int(cand[(ratios <= theta + 1e-12).nonzero()[0][0]]), theta, None
+    order = np.lexsort((-tc, ratios))
+    reach = np.cumsum(tc[order] * lp.span[cand[order]])
+    k = int(reach.searchsorted(violation - FEAS_TOL))
+    if k == len(reach):
+        return -1, 0.0, None
+    return int(cand[order[k]]), float(ratios[order[k]]), cand[order[:k]]
 
 
 def dijkstra_avoiding(xt: np.ndarray, n: int, src: int, dst: int,

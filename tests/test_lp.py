@@ -1,10 +1,15 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fillin.lp
 from fillin.lp import (
+    CLOCK_EVERY,
+    CUTOFF,
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
@@ -15,7 +20,7 @@ from fillin.lp import (
     _DualSimplex,
     solve_lp,
 )
-from helpers import lp_vertex_optimum
+from helpers import lp_vertex_optimum, reference_entering
 
 
 def box_problem(rows, rhs, num_vars=None):
@@ -174,6 +179,101 @@ class TestAgainstVertexEnumeration:
             assert_same_solution(solve_lp(p, basis=basis), r_cold)
 
 
+class TestCutoff:
+    """A cutoff stops a solve once its dual bound passes it; it never
+    changes an LP that ends below it."""
+
+    def test_bound_is_valid_against_vertex_enumeration(self):
+        rng = np.random.default_rng(41)
+        cut_off = optimal = 0
+        for _ in range(150):
+            p = random_problem(rng, with_fixings=True)
+            expected = lp_vertex_optimum(p.rows, p.rhs, p.lb, p.ub)
+            plain = solve_lp(p)
+            top = 3.0 if expected is None else expected
+            for cutoff in (-0.5, 0.25 * top, 0.5 * top, top - 0.5, top - 1e-3, top + 0.5):
+                r = solve_lp(p, cutoff=cutoff)
+                if r.status == CUTOFF:
+                    assert r.objective > cutoff
+                    assert r.point is None and r.basis is None
+                    assert 0 < r.iterations <= plain.iterations
+                    if expected is not None:
+                        assert expected >= r.objective - 1e-9
+                    cut_off += 1
+                    continue
+                assert (r.status, r.iterations) == (plain.status, plain.iterations)
+                if r.status == OPTIMAL:
+                    assert r.objective == plain.objective
+                    assert (r.point.values == plain.point.values).all()
+                    assert r.basis == plain.basis
+                    optimal += 1
+        assert cut_off >= 100 and optimal >= 100
+
+    def test_a_cutoff_at_or_above_the_optimum_never_fires(self):
+        rng = np.random.default_rng(43)
+        checked = 0
+        for _ in range(80):
+            p = random_problem(rng)
+            plain = solve_lp(p)
+            if plain.status != OPTIMAL:
+                continue
+            r = solve_lp(p, cutoff=plain.objective)
+            assert (r.status, r.iterations) == (OPTIMAL, plain.iterations)
+            assert (r.point.values == plain.point.values).all()
+            checked += 1
+        assert checked >= 40
+
+
+class TestDeadline:
+    def test_clock_is_read_every_clock_every_pivots(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        p = LpProblem((rng.random((120, 60)) < 0.08).astype(float), np.ones(120),
+                      np.zeros(60), np.ones(60))
+        plain = solve_lp(p)
+        assert plain.status == OPTIMAL and plain.iterations > 2 * CLOCK_EVERY
+        reads = []
+
+        def perf_counter():
+            reads.append(len(reads))
+            return float(len(reads))
+
+        monkeypatch.setattr(fillin.lp, "time", SimpleNamespace(perf_counter=perf_counter))
+        # reads 1 and 2 are within the deadline, read 3 (at pivot 64) is past it
+        r = solve_lp(p, deadline=2.5)
+        assert (r.status, r.iterations, len(reads)) == (ITERATION_LIMIT, 2 * CLOCK_EVERY, 3)
+        reads.clear()
+        r = solve_lp(p, deadline=1e9)
+        assert (r.status, r.iterations) == (OPTIMAL, plain.iterations)
+        assert len(reads) == 1 + plain.iterations // CLOCK_EVERY
+
+
+class TestRatioTest:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_entering_equals_the_sorting_ratio_test(self, data):
+        # few distinct values, so that ratios and pivot sizes tie often
+        n = data.draw(st.integers(1, 12))
+
+        def vec(values):
+            return np.array(data.draw(st.lists(st.sampled_from(values), min_size=n,
+                                               max_size=n)), dtype=float)
+
+        lp = SimpleNamespace(step=vec([-1.0, 0.0, 1.0]), d=vec([0.0, 0.5, 1.0, 2.0, -1e-10]),
+                             span=vec([0.0, 0.5, 1.0, np.inf]))
+        g = vec([-2.0, -1.0, -0.5, 0.0, 1e-10, 0.5, 1.0, 2.0, 4.0])
+        sgn = data.draw(st.sampled_from([-1.0, 1.0]))
+        violation = data.draw(st.sampled_from([1e-10, 0.25, 0.5, 1.0, 1.5, 3.0, 10.0]))
+        bland = data.draw(st.booleans())
+        got = _DualSimplex.entering(lp, g.copy(), sgn, violation, bland)
+        want = reference_entering(lp, g.copy(), sgn, violation, bland)
+
+        def passed(res):
+            return [] if res[2] is None else res[2].tolist()
+
+        assert got[:2] == want[:2]
+        assert passed(got) == passed(want)
+
+
 class TestBlandsRule:
     def test_every_pivot_under_blands_rule(self, monkeypatch):
         # stall counts from 0, so at STALL_LIMIT -1 every pivot takes Bland's rule
@@ -211,6 +311,7 @@ class TestWarmBasis:
     @pytest.mark.parametrize("basis", [
         Basis((0,), (1,)),  # A[T, S] = [[0]] is singular
         Basis((0,), (4,)),  # tight row 4 has multiplier cost_0 / -1 < 0
+        Basis((0, 1, 2, 3, 0), (0, 1, 2, 3, 4)),  # 5 > 4 columns: one repeats
     ])
     def test_refused_basis_restarts_as_the_cold_solve(self, basis):
         p = box_problem([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1],

@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 import time
 from collections import Counter
@@ -22,6 +23,7 @@ from fillin.instances import gen_grid, gen_queen
 from fillin.oracle import brute_force_mccp, feasible_points
 from fillin.separation import separate_integer
 from fillin.solver import (
+    BOUND_TOL,
     FEASIBLE,
     OPTIMAL,
     TIME_LIMIT,
@@ -50,8 +52,8 @@ def recording_lps(monkeypatch) -> list:
     lps = []
     solve_lp = fillin.solver.solve_lp
 
-    def recording(problem, basis=None):
-        res = solve_lp(problem, basis=basis)
+    def recording(problem, basis=None, **kwargs):
+        res = solve_lp(problem, basis=basis, **kwargs)
         lps.append((problem, res))
         return res
 
@@ -471,9 +473,9 @@ class TestWarmBasis:
         cold = []
         solve_lp = fillin.solver.solve_lp
 
-        def counting(problem, basis=None):
+        def counting(problem, basis=None, **kwargs):
             cold.append(basis is None)
-            return solve_lp(problem, basis=basis)
+            return solve_lp(problem, basis=basis, **kwargs)
 
         monkeypatch.setattr(fillin.solver, "solve_lp", counting)
         a = solve(g)
@@ -546,15 +548,56 @@ class TestLimitsAndBounds:
         # node takes 17 solves with no limit; under a 5 s limit the check
         # before each round stops it after the sixth (the first one past
         # the limit), and the search returns with the root node re-queued.
+        # The LP reads the same clock, which stands still inside a solve.
         lps = recording_lps(monkeypatch)
-        monkeypatch.setattr(fillin.solver, "time",
-                            SimpleNamespace(perf_counter=lambda: float(len(lps))))
+        fake_time = SimpleNamespace(perf_counter=lambda: float(len(lps)))
+        monkeypatch.setattr(fillin.solver, "time", fake_time)
+        monkeypatch.setattr(fillin.lp, "time", fake_time)
         g = gen_grid(4, 4)
         res = solve(g, SolverConfig(time_limit_s=5))
         assert len(lps) == 6
         assert (res.status, res.nodes) == (TIME_LIMIT, 1)
         assert res.lower_bound <= res.upper_bound
         assert is_valid_completion(g, res.best_fill)
+
+    def test_lower_bound_keeps_the_last_lp_objective(self, monkeypatch):
+        # the same fake clock: the root re-queues at the bound its LPs
+        # proved, not at the bound it was pushed with
+        lps = recording_lps(monkeypatch)
+        fake_time = SimpleNamespace(perf_counter=lambda: float(len(lps)))
+        monkeypatch.setattr(fillin.solver, "time", fake_time)
+        monkeypatch.setattr(fillin.lp, "time", fake_time)
+        g = gen_grid(4, 4)
+        res = solve(g, SolverConfig(time_limit_s=5))
+        last = [r.objective for _, r in lps if r.status == fillin.lp.OPTIMAL][-1]
+        assert res.status == TIME_LIMIT
+        assert res.upper_bound > res.lower_bound >= math.ceil(last - BOUND_TOL) > 0
+
+    def test_root_is_pushed_at_its_packing_bound(self, monkeypatch):
+        # with a limit of 0 the root is popped never: lb is its push bound
+        g = gen_grid(4, 4)
+        res = solve(g, SolverConfig(time_limit_s=0))
+        assert (res.status, res.nodes) == (TIME_LIMIT, 0)
+        assert res.lower_bound == _packing_bound(root_initialize(g)[1]) > 0
+
+    def test_an_lp_past_the_deadline_requeues_its_node(self, monkeypatch):
+        # the LP's clock runs half a second ahead of the solver's: the sixth
+        # root LP starts inside the limit and stops at its first clock read,
+        # and the node goes back on the heap instead of branching
+        lps = recording_lps(monkeypatch)
+        monkeypatch.setattr(fillin.solver, "time",
+                            SimpleNamespace(perf_counter=lambda: float(len(lps))))
+        monkeypatch.setattr(fillin.lp, "time",
+                            SimpleNamespace(perf_counter=lambda: len(lps) + 0.5))
+        branched = []
+        monkeypatch.setattr(fillin.solver, "_branch", lambda *args: branched.append(args))
+        g = gen_grid(4, 4)
+        res = solve(g, SolverConfig(time_limit_s=5.2))
+        assert len(lps) == 6 and branched == []
+        assert (lps[-1][1].status, lps[-1][1].iterations) == (fillin.lp.ITERATION_LIMIT, 0)
+        assert (res.status, res.nodes) == (TIME_LIMIT, 1)
+        last = [r.objective for _, r in lps if r.status == fillin.lp.OPTIMAL][-1]
+        assert res.lower_bound >= math.ceil(last - BOUND_TOL)
 
     def test_optimal_iff_bounds_meet(self):
         for cfg in (SolverConfig(), SolverConfig(node_limit=2)):
@@ -756,6 +799,12 @@ class TestLpRows:
             lps.clear()
             assert solve(g).status == OPTIMAL
             for p, res in lps:
+                if res.status == fillin.lp.CUTOFF:
+                    # most LPs stop at the cutoff: their optimum lies above
+                    # its bound, at a point that must satisfy the rows too
+                    bound, res = res.objective, fillin.lp.solve_lp(p)
+                    if res.status == fillin.lp.OPTIMAL:
+                        assert res.objective >= bound - 1e-9
                 if res.status != fillin.lp.OPTIMAL:
                     continue
                 x = res.point.values
