@@ -61,6 +61,16 @@ def recording_lps(monkeypatch) -> list:
     return lps
 
 
+def fake_clock(monkeypatch, lps: list, lp_lead: float = 0.0) -> None:
+    """Point the solver's and the LP's clocks at one that reads the number of
+    LPs solved so far, so it stands still inside a solve; the LP's clock
+    runs lp_lead seconds ahead."""
+    monkeypatch.setattr(fillin.solver, "time",
+                        SimpleNamespace(perf_counter=lambda: float(len(lps))))
+    monkeypatch.setattr(fillin.lp, "time",
+                        SimpleNamespace(perf_counter=lambda: len(lps) + lp_lead))
+
+
 class TestConfig:
     def test_delta_range(self):
         with pytest.raises(ValueError, match="delta"):
@@ -548,11 +558,9 @@ class TestLimitsAndBounds:
         # node takes 17 solves with no limit; under a 5 s limit the check
         # before each round stops it after the sixth (the first one past
         # the limit), and the search returns with the root node re-queued.
-        # The LP reads the same clock, which stands still inside a solve.
+        # The LP reads the same clock.
         lps = recording_lps(monkeypatch)
-        fake_time = SimpleNamespace(perf_counter=lambda: float(len(lps)))
-        monkeypatch.setattr(fillin.solver, "time", fake_time)
-        monkeypatch.setattr(fillin.lp, "time", fake_time)
+        fake_clock(monkeypatch, lps)
         g = gen_grid(4, 4)
         res = solve(g, SolverConfig(time_limit_s=5))
         assert len(lps) == 6
@@ -564,16 +572,14 @@ class TestLimitsAndBounds:
         # the same fake clock: the root re-queues at the bound its LPs
         # proved, not at the bound it was pushed with
         lps = recording_lps(monkeypatch)
-        fake_time = SimpleNamespace(perf_counter=lambda: float(len(lps)))
-        monkeypatch.setattr(fillin.solver, "time", fake_time)
-        monkeypatch.setattr(fillin.lp, "time", fake_time)
+        fake_clock(monkeypatch, lps)
         g = gen_grid(4, 4)
         res = solve(g, SolverConfig(time_limit_s=5))
         last = [r.objective for _, r in lps if r.status == fillin.lp.OPTIMAL][-1]
         assert res.status == TIME_LIMIT
         assert res.upper_bound > res.lower_bound >= math.ceil(last - BOUND_TOL) > 0
 
-    def test_root_is_pushed_at_its_packing_bound(self, monkeypatch):
+    def test_root_is_pushed_at_its_packing_bound(self):
         # with a limit of 0 the root is popped never: lb is its push bound
         g = gen_grid(4, 4)
         res = solve(g, SolverConfig(time_limit_s=0))
@@ -585,10 +591,7 @@ class TestLimitsAndBounds:
         # root LP starts inside the limit and stops at its first clock read,
         # and the node goes back on the heap instead of branching
         lps = recording_lps(monkeypatch)
-        monkeypatch.setattr(fillin.solver, "time",
-                            SimpleNamespace(perf_counter=lambda: float(len(lps))))
-        monkeypatch.setattr(fillin.lp, "time",
-                            SimpleNamespace(perf_counter=lambda: len(lps) + 0.5))
+        fake_clock(monkeypatch, lps, lp_lead=0.5)
         branched = []
         monkeypatch.setattr(fillin.solver, "_branch", lambda *args: branched.append(args))
         g = gen_grid(4, 4)
