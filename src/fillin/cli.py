@@ -7,6 +7,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .graphs import GraphError, is_valid_completion
@@ -28,8 +29,6 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--time-limit", type=float, default=None, metavar="S",
                     help="wall-clock limit in seconds")
     sp.add_argument("--node-limit", type=int, default=None, metavar="N")
-    sp.add_argument("--delta", type=float, default=defaults.delta,
-                    help="threshold for rounding fractional points (default %(default)s)")
     sp.add_argument("--cuts", default=",".join(defaults.families_enabled).lower(),
                     metavar="LIST",
                     help="comma-separated cut families to enable (default all)")
@@ -43,7 +42,6 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
 def _solver_config(args) -> SolverConfig:
     families = tuple(f.strip().upper() for f in args.cuts.split(",") if f.strip())
     return SolverConfig(
-        delta=args.delta,
         families_enabled=families,
         exact_i2=args.exact_i2,
         time_limit_s=args.time_limit,
@@ -54,10 +52,11 @@ def _solver_config(args) -> SolverConfig:
 def cmd_solve(args) -> int:
     g = load_instance(args.instance)
     cfg = _solver_config(args)
+    config = asdict(cfg)
     manifest = {
         "command": "solve",
         "instance": args.instance,
-        "config": cfg.as_dict(),
+        "config": config,
         "version": __version__,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -74,7 +73,7 @@ def cmd_solve(args) -> int:
         "nodes": result.nodes,
         "cuts": {fam.lower(): k for fam, k in result.cuts_by_family.items()},
         "time_s": round(result.wall_time_s, 3),
-        "config": cfg.as_dict(),
+        "config": config,
         "manifest": manifest,
     }
     text = json.dumps(payload, indent=2)

@@ -330,11 +330,7 @@ def lift_conditional(cut: Cut, missing_pairs) -> Cut:
     for p in missing:
         if p not in cut.graph.edges:
             raise CutError(f"pair {p} is not an edge of the cut's graph")
-    sparser = Graph(
-        cut.graph.n,
-        [e for e in cut.graph.edges if e not in set(missing)],
-        require_connected=False,
-    )
+    sparser = Graph(cut.graph.n, cut.graph.edges - set(missing), require_connected=False)
     b = cut.rhs
     coeffs = {}
     for f, a in cut.coeffs.items():

@@ -24,6 +24,7 @@ it once the cuts prove the incumbent.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -167,7 +168,7 @@ def _extended_values(g: Graph, x: Point) -> np.ndarray:
     return xt
 
 
-def separate_i2_exact(g: Graph, x: Point) -> SeparationReport:
+def separate_i2_exact(g: Graph, x: Point, deadline=None) -> SeparationReport:
     """Exact separation of the (lifted) I2 family over a fractional point.
 
     For every centre c and endpoint pair {p, q}, a violated I2 cut through
@@ -179,7 +180,9 @@ def separate_i2_exact(g: Graph, x: Point) -> SeparationReport:
     per call (see _i2_shortest_paths); stats.dijkstra_calls counts these
     centres.  That pass lets a walk return to q, but no walk that does is
     ever violated, so every violated triple's walk is the simple path it
-    would be with q removed, and no fallback search is needed.
+    would be with q removed, and no fallback search is needed.  Past the
+    deadline (a time.perf_counter() reading), checked before each centre's
+    paths are scanned, the call returns the cuts found so far.
     """
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
@@ -195,6 +198,8 @@ def separate_i2_exact(g: Graph, x: Point) -> SeparationReport:
     centres = np.flatnonzero(cand.any(axis=(1, 2)))
     report.stats.dijkstra_calls += len(centres)
     for c, dist, first, nxt in _i2_shortest_paths(xt, centres):
+        if deadline is not None and time.perf_counter() > deadline:
+            break
         for p, q in zip(*np.nonzero(cand[c] & (bound[c] - dist.T > VIOLATION_TOL))):
             path = [int(q), int(first[q, p])]
             while path[-1] != p:

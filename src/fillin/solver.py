@@ -11,8 +11,8 @@ rounds.  The cuts picked depend on the point.  At an integer point they
 come from integer separation: if there are none the point is a chordal
 completion, offered as the incumbent, and the node is done; otherwise the
 point's repair (primal_repair) is offered.  At a fractional point they come
-from threshold separation at delta, then at the two nearby thresholds while
-nothing is found, then from exact I2 if enabled and still nothing is found.
+from threshold separation at each of THRESHOLDS in turn while nothing is
+found, then from exact I2 if enabled and still nothing is found.
 Integer separation is threshold separation of the integral point, so every
 call but exact I2 scans chordless cycles until it holds
 separation.MAX_CUTS_PER_CALL violated cuts or runs out of cycles.
@@ -57,7 +57,7 @@ import heapq
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,11 +85,11 @@ TIME_LIMIT = "TIME_LIMIT"
 
 MAX_ROUNDS_PER_NODE = 50  # separation rounds at one node before it branches
 BOUND_TOL = 1e-6  # LP-bound slack before rounding up; lp.py keeps its error below
+THRESHOLDS = (0.5, 0.25, 0.75)  # a fractional point's roundings, in order
 
 
 @dataclass
 class SolverConfig:
-    delta: float = 0.5
     families_enabled: tuple[str, ...] = FAMILIES
     exact_i2: bool = False
     time_limit_s: float | None = None
@@ -97,8 +97,6 @@ class SolverConfig:
 
     def __post_init__(self):
         self.families_enabled = tuple(self.families_enabled)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         unknown = set(self.families_enabled) - set(FAMILIES)
         if unknown:
             raise ValueError(f"unknown cut families {sorted(unknown)}")
@@ -111,9 +109,6 @@ class SolverConfig:
         if self.node_limit is not None and (
                 type(self.node_limit) is not int or self.node_limit < 0):
             raise ValueError(f"node_limit must be an int >= 0, got {self.node_limit!r}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -280,7 +275,8 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     deadline = None if cfg.time_limit_s is None else t0 + cfg.time_limit_s
 
     incumbent, root_cuts = root_initialize(g, cfg)
-    if (_packing_bound(root_cuts) >= len(incumbent)
+    root_bound = _packing_bound(root_cuts)
+    if (root_bound >= len(incumbent)
             and (not incumbent or is_valid_completion(g, incumbent))):
         # chordal g (no fill, no cuts), or the root cuts prove the incumbent
         ub = len(incumbent)
@@ -292,7 +288,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     search.offer_incumbent(incumbent)
     for cut in root_cuts:
         search.add_cut(cut)
-    search.push(_packing_bound(root_cuts), {})
+    search.push(root_bound, {})
     status = OPTIMAL
 
     while search.heap:
@@ -381,7 +377,7 @@ def _process_node(search: _Search, fixings: dict, bound: float,
                 return
             search.offer_incumbent(primal_repair(g, x))
         else:
-            cuts = _fractional_cuts(search, x)
+            cuts = _fractional_cuts(search, x, deadline)
         added = sum(search.add_cut(c) for c in cuts)
         rounds += 1
         if added == 0 or rounds >= MAX_ROUNDS_PER_NODE:
@@ -389,26 +385,24 @@ def _process_node(search: _Search, fixings: dict, bound: float,
             return
 
 
-def _fractional_cuts(search: _Search, x: Point) -> list:
-    """Threshold separation at the configured delta, escalating to two
-    nearby thresholds whenever the first finds nothing.  A threshold that
-    rounds x to a set already tried is skipped: its report would be the
-    same.  Exact I2 separation, if enabled, runs only when every threshold
-    came back empty."""
+def _fractional_cuts(search: _Search, x: Point, deadline=None) -> list:
+    """Threshold separation at each of THRESHOLDS in turn, until one finds
+    a cut.  A threshold that rounds x to a set already tried is skipped: its
+    report would be the same.  Exact I2 separation, if enabled, runs only
+    when every threshold came back empty, and stops at the deadline."""
     g, cfg = search.g, search.cfg
-    deltas = (cfg.delta, 0.5 * cfg.delta, 0.5 * (1.0 + cfg.delta))
     cuts = []
     tried = set()
-    for d in deltas:
+    for d in THRESHOLDS:
         rounded = (x.values >= d).tobytes()
         if rounded in tried:
             continue
         tried.add(rounded)
-        cuts.extend(separate_threshold(g, x, d, families=cfg.families_enabled).cuts)
+        cuts = separate_threshold(g, x, d, families=cfg.families_enabled).cuts
         if cuts:
             break
     if not cuts and cfg.exact_i2:
-        cuts = separate_i2_exact(g, x).cuts
+        cuts = separate_i2_exact(g, x, deadline=deadline).cuts
     return cuts
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -31,7 +32,6 @@ class TestSolve:
         assert payload["fill_edges"] == [[1, 3]]
         assert payload["n"] == 5 and payload["m"] == 6 and payload["mc"] == 4
         assert set(payload["cuts"]) == {"i1", "i2", "i3", "i4"}
-        assert payload["config"]["delta"] == 0.5
 
     def test_chordal_instance_instant(self, tmp_path, capsys):
         path = tmp_path / "k5.el"
@@ -107,6 +107,23 @@ class TestSolve:
             main(["solve", fig_file, "--all-positions"])
         assert exc.value.code == 2
         assert "--all-positions" in capsys.readouterr().err
+
+    def test_delta_flag_is_gone(self, fig_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", fig_file, "--delta", "0.5"])
+        assert exc.value.code == 2
+        assert "--delta" in capsys.readouterr().err
+
+    def test_json_config_rebuilds_the_config_run(self, fig_file, capsys):
+        code, out, _ = run(capsys, "solve", fig_file, "--cuts", "i1,i2", "--exact-i2",
+                           "--time-limit", "9.5", "--node-limit", "7")
+        assert code == 0
+        payload = json.loads(out)
+        config = payload["config"]
+        assert set(config) == {f.name for f in fields(SolverConfig)}
+        assert payload["manifest"]["config"] == config
+        assert SolverConfig(**config) == SolverConfig(
+            families_enabled=("I1", "I2"), exact_i2=True, time_limit_s=9.5, node_limit=7)
 
     def test_no_flags_give_the_default_config(self):
         args = build_parser().parse_args(["solve", "x"])

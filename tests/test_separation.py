@@ -1,5 +1,7 @@
+import time
 import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -373,6 +375,34 @@ class TestExactI2:
         g = cycle_graph(5)
         x = Point.from_fill(g, [g.fill_index(0, 2), g.fill_index(0, 3)])
         assert separate_i2_exact(g, x).cuts == []
+
+    def test_a_past_deadline_returns_before_any_centre(self):
+        g = gen_grid(3, 4)
+        x = Point(np.full(g.mc, 0.3))
+        full = separate_i2_exact(g, x)
+        assert full.cuts
+        assert separate_i2_exact(g, x, deadline=time.perf_counter() - 1.0).cuts == []
+        later = separate_i2_exact(g, x, deadline=time.perf_counter() + 60.0)
+        assert [c.key() for c in later.cuts] == [c.key() for c in full.cuts]
+
+    def test_the_clock_is_read_before_each_centre(self, monkeypatch):
+        # the k-th clock read returns k, so a deadline of k + 0.5 lets exactly
+        # k centres through; each stop keeps the cuts found so far
+        g = gen_grid(3, 4)
+        x = Point(np.full(g.mc, 0.3))
+        rep = separate_i2_exact(g, x)
+        full, centres = [c.key() for c in rep.cuts], rep.stats.dijkstra_calls
+        reads = []
+        monkeypatch.setattr(fillin.separation, "time", SimpleNamespace(
+            perf_counter=lambda: reads.append(None) or len(reads)))
+        sizes = []
+        for k in range(centres + 1):
+            reads.clear()
+            keys = [c.key() for c in separate_i2_exact(g, x, deadline=k + 0.5).cuts]
+            assert len(reads) == min(k + 1, centres)
+            assert keys == full[:len(keys)]
+            sizes.append(len(keys))
+        assert sizes[0] == 0 and sizes[-1] == len(full) and sizes == sorted(sizes)
 
     @pytest.mark.parametrize("k", [5, 6, 7])
     def test_agreement_with_exhaustive_enumeration(self, k):

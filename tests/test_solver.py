@@ -72,10 +72,6 @@ def fake_clock(monkeypatch, lps: list, lp_lead: float = 0.0) -> None:
 
 
 class TestConfig:
-    def test_delta_range(self):
-        with pytest.raises(ValueError, match="delta"):
-            SolverConfig(delta=1.0)
-
     def test_i1_required(self):
         with pytest.raises(ValueError, match="I1"):
             SolverConfig(families_enabled=("I2", "I3"))
@@ -96,13 +92,20 @@ class TestConfig:
         # field is gone, so every value is refused as an unknown keyword.
         with pytest.raises(TypeError, match="max_cycles_per_call"):
             SolverConfig(max_cycles_per_call=cap)
-        assert len(fields(SolverConfig)) == 5
+        assert len(fields(SolverConfig)) == 4
 
     def test_emit_all_positions_is_gone(self):
         # I2 and I4 are separated at one position per cycle, always
         with pytest.raises(TypeError, match="emit_all_positions"):
             SolverConfig(emit_all_positions=True)
-        assert len(fields(SolverConfig)) == 5
+        assert len(fields(SolverConfig)) == 4
+
+    def test_delta_is_gone(self):
+        # fractional points are rounded at the fixed solver.THRESHOLDS
+        with pytest.raises(TypeError, match="delta"):
+            SolverConfig(delta=0.5)
+        assert [f.name for f in fields(SolverConfig)] == [
+            "families_enabled", "exact_i2", "time_limit_s", "node_limit"]
 
     @pytest.mark.parametrize("limit", [float("nan"), -0.5, float("-inf")])
     def test_time_limit_is_a_number_at_least_zero(self, limit):
@@ -116,13 +119,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="node_limit"):
             SolverConfig(node_limit=limit)
         assert SolverConfig(node_limit=0).node_limit == 0
-
-    def test_as_dict_reports_every_field(self):
-        cfg = SolverConfig(delta=0.3, families_enabled=("I1", "I2"), exact_i2=True,
-                           time_limit_s=9.5, node_limit=7)
-        assert set(cfg.as_dict()) == {f.name for f in fields(SolverConfig)}
-        assert SolverConfig(**cfg.as_dict()) == cfg
-        assert cfg != SolverConfig()
 
 
 class TestRootInitialize:
@@ -247,6 +243,25 @@ class TestThresholdEscalation:
         cuts = fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.3)))
         assert deltas == [0.5] and {c.family for c in cuts} >= {"I1"}
 
+    def test_reaches_the_last_threshold(self, monkeypatch):
+        # C5 at 0.6 on the fill pairs (0,2) and (0,3), 0 elsewhere: 0.5 rounds
+        # to a fan, which is chordal; 0.25 rounds to the same set and is
+        # skipped; 0.75 rounds to the bare cycle, whose I1 and I4 rows the
+        # point violates
+        g = cycle_graph(5)
+        deltas = []
+        sep = fillin.solver.separate_threshold
+
+        def recording(g, x, delta, **kwargs):
+            deltas.append(delta)
+            return sep(g, x, delta, **kwargs)
+
+        monkeypatch.setattr(fillin.solver, "separate_threshold", recording)
+        x = np.zeros(g.mc)
+        x[[g.fill_index(0, 2), g.fill_index(0, 3)]] = 0.6
+        cuts = fillin.solver._fractional_cuts(_Search(g, SolverConfig()), Point(x))
+        assert deltas == [0.5, 0.75] == [fillin.solver.THRESHOLDS[i] for i in (0, 2)]
+        assert sorted((c.family, c.rhs) for c in cuts) == [("I1", 2), ("I4", 1)]
 
     def test_exact_i2_only_when_thresholds_find_nothing(self, monkeypatch):
         # C26 is past separation.EXACT_MAX_N, the vertex cap of exact I3,
@@ -601,6 +616,24 @@ class TestLimitsAndBounds:
         assert (res.status, res.nodes) == (TIME_LIMIT, 1)
         last = [r.objective for _, r in lps if r.status == fillin.lp.OPTIMAL][-1]
         assert res.lower_bound >= math.ceil(last - BOUND_TOL)
+
+    def test_exact_i2_gets_the_solve_deadline(self, monkeypatch):
+        deadlines = []
+        sep = fillin.solver.separate_i2_exact
+
+        def recording(g, x, deadline=None):
+            deadlines.append(deadline)
+            return sep(g, x, deadline=deadline)
+
+        monkeypatch.setattr(fillin.solver, "separate_i2_exact", recording)
+        g = gen_queen(3, 4)
+        t0 = time.perf_counter()
+        assert solve(g, SolverConfig(exact_i2=True, time_limit_s=60)).status == OPTIMAL
+        t1 = time.perf_counter()
+        assert deadlines and all(t0 + 60 <= d <= t1 + 60 for d in deadlines)
+        deadlines.clear()
+        assert solve(g, SolverConfig(exact_i2=True)).status == OPTIMAL
+        assert deadlines and set(deadlines) == {None}
 
     def test_optimal_iff_bounds_meet(self):
         for cfg in (SolverConfig(), SolverConfig(node_limit=2)):
