@@ -39,7 +39,9 @@ from .instances import (
     InstanceError,
     gen_caveman,
     gen_grid,
+    gen_mycielski,
     gen_queen,
+    load_completion,
     load_instance,
     parse_dimacs,
     parse_edgelist,
@@ -74,8 +76,9 @@ __all__ = [
     "apply_completion", "brute_force_mccp", "chordalize_with_order", "cut_i1",
     "cut_i2", "cut_i3", "cut_i4", "edge", "enumerate_completions", "evaluate",
     "feasible_points", "find_chordless_cycle", "gen_caveman", "gen_grid",
-    "gen_queen", "is_chordal", "is_valid_completion", "iter_chordless_cycles",
-    "lift_chord", "lift_conditional", "lift_zero_pad", "load_instance",
+    "gen_mycielski", "gen_queen", "is_chordal", "is_valid_completion",
+    "iter_chordless_cycles", "lift_chord", "lift_conditional", "lift_zero_pad",
+    "load_completion", "load_instance",
     "mdo_completion", "mdo_order", "new_graph", "parse_dimacs", "parse_edgelist",
     "primal_repair", "root_initialize", "save_instance", "separate_i2_exact",
     "separate_i3_exact", "separate_integer", "separate_threshold",

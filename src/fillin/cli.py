@@ -10,13 +10,13 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .graphs import GraphError, is_valid_completion
+from .graphs import is_valid_completion
 from .heuristics import mdo_completion
 from .instances import (
-    InstanceError,
     gen_caveman,
     gen_grid,
     gen_queen,
+    load_completion,
     load_instance,
     save_instance,
 )
@@ -95,44 +95,15 @@ def cmd_generate(args) -> int:
         g = gen_caveman(args.p1, args.p2, args.gamma, seed=args.seed)
         default_name = f"caveman{args.p1}_{args.p2}_{args.gamma}_s{args.seed}.el"
     path = args.out or default_name
-    save_instance(g, path, fmt=args.format)
+    save_instance(g, path)
     print(f"{g.n} {g.m}")
     print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
-def _read_completion(path: str, g) -> frozenset[int]:
-    fill = set()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise InstanceError(f"{path}:{lineno}: expected `u v`, got {line!r}")
-            try:
-                u, v = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise InstanceError(
-                    f"{path}:{lineno}: non-integer field in {line!r}"
-                ) from None
-            if g.has_edge(u, v):
-                raise InstanceError(
-                    f"{path}:{lineno}: ({u}, {v}) is already an edge of the graph"
-                )
-            try:
-                fill.add(g.fill_index(u, v))
-            except GraphError:
-                raise InstanceError(
-                    f"{path}:{lineno}: ({u}, {v}) is not a fill edge"
-                ) from None
-    return frozenset(fill)
-
-
 def cmd_check(args) -> int:
     g = load_instance(args.instance)
-    fill = _read_completion(args.completion, g)
+    fill = load_completion(args.completion, g)
     ok = is_valid_completion(g, fill)
     verdict = "valid" if ok else "invalid"
     print(f"{verdict} chordal completion of size {len(fill)}")
@@ -159,6 +130,9 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+OUT_HELP = "output file; a .col name gets DIMACS, any other an edge list"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fillin",
@@ -170,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="solve an instance to optimality")
-    sp.add_argument("instance", help="path to a .col (DIMACS) or edge-list file")
+    sp.add_argument("instance", help="a .col (DIMACS) file, or an edge list by any other name")
     _add_solver_flags(sp)
     sp.set_defaults(func=cmd_solve)
 
@@ -180,15 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
         fp = gen_sub.add_parser(fam, help=helptext)
         fp.add_argument("p1", type=int, help="rows")
         fp.add_argument("p2", type=int, help="columns")
-        fp.add_argument("--out", default=None)
-        fp.add_argument("--format", choices=["el", "col"], default=None)
+        fp.add_argument("--out", default=None, help=OUT_HELP)
         fp.set_defaults(func=cmd_generate, family=fam)
     fp = gen_sub.add_parser("caveman", help="relaxed caveman graph")
     fp.add_argument("p1", type=int, help="clique size")
     fp.add_argument("p2", type=int, help="number of cliques")
     fp.add_argument("gamma", type=float, help="rewiring probability in (0, 1)")
-    fp.add_argument("--out", default=None)
-    fp.add_argument("--format", choices=["el", "col"], default=None)
+    fp.add_argument("--out", default=None, help=OUT_HELP)
     fp.add_argument("--seed", type=int, default=0)
     fp.set_defaults(func=cmd_generate, family="caveman")
 

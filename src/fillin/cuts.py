@@ -84,16 +84,6 @@ class Cut:
         parts += [f"{f}:{a}" for f, a in self.coeffs.items()]
         return " ".join(parts)
 
-    @staticmethod
-    def from_line(graph: Graph, line: str) -> "Cut":
-        fields = line.split()
-        family, rhs, k = fields[0], int(fields[1]), int(fields[2])
-        coeffs = {}
-        for item in fields[3:3 + k]:
-            f, a = item.split(":")
-            coeffs[int(f)] = int(a)
-        return Cut(graph, coeffs, rhs, family)
-
 
 def point_values(x: Point) -> list:
     """The coordinates of x as Python numbers for evaluate: ints when x is

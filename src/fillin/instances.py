@@ -1,5 +1,7 @@
-"""Benchmark instance generation (grid, queen, relaxed caveman) and file
-formats: DIMACS .col and a plain 0-based edge list."""
+"""Benchmark instance generation (grid, queen, relaxed caveman, Mycielski)
+and the only text readers: DIMACS .col and plain 0-based edge-list graphs,
+and completion files.  A graph file's name picks its format, for reading
+and writing alike; every error names the file and line at fault."""
 
 from __future__ import annotations
 
@@ -97,6 +99,60 @@ def gen_caveman(alpha: int, beta: int, gamma: float, seed: int = 0,
     )
 
 
+def gen_mycielski(k: int) -> Graph:
+    """The DIMACS Mycielski graph myciel<k>: C5 for k = 2, then the Mycielski
+    transform M applied k - 2 times (myciel3 = M(C5), with 11 vertices).
+
+    M(G) adds a twin u_i of each vertex v_i, joined to the neighbours of v_i,
+    and one apex joined to every twin.  Vertices are numbered v, then u,
+    then the apex.
+    """
+    if k < 2:
+        raise InstanceError(f"mycielski needs k >= 2, got {k}")
+    n, edges = 5, [(i, (i + 1) % 5) for i in range(5)]
+    for _ in range(k - 2):
+        edges = (edges + [(u, v + n) for u, v in edges] + [(u + n, v) for u, v in edges]
+                 + [(n + i, 2 * n) for i in range(n)])
+        n = 2 * n + 1
+    return new_graph(n, [edge(u, v) for u, v in edges])
+
+
+def _lines(text: str, comment: str):
+    """(line number, fields) of each line that is neither blank nor a
+    comment (first field starting with `comment`)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and not fields[0].startswith(comment):
+            yield lineno, fields
+
+
+def _bad(lineno: int, what: str, fields) -> InstanceError:
+    """The error for a line: `line N: <what> '<its fields>'`."""
+    return InstanceError(f"line {lineno}: {what} {' '.join(fields)!r}")
+
+
+def _ints(fields, lineno: int) -> list[int]:
+    """The fields as ints; InstanceError naming the line otherwise."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise _bad(lineno, "non-integer field in", fields) from None
+
+
+def _pair(fields, n: int, base: int, lineno: int) -> tuple[int, int]:
+    """The vertex pair `u v` of a line, numbered from base, as 0-based
+    vertices of an n-vertex graph; InstanceError naming the line unless it
+    is two integers naming distinct vertices of the graph."""
+    if len(fields) != 2:
+        raise _bad(lineno, "expected a pair `u v`, got", fields)
+    u, v = _ints(fields, lineno)
+    if not (base <= u < n + base and base <= v < n + base):
+        raise _bad(lineno, "vertex out of range in", fields)
+    if u == v:
+        raise _bad(lineno, "self-loop in", fields)
+    return u - base, v - base
+
+
 def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS .col graph (1-based `e u v` lines after one p-line).
 
@@ -107,33 +163,21 @@ def parse_dimacs(text: str) -> Graph:
     declared_m = None
     edges: set[tuple[int, int]] = set()
     dupes = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for lineno, fields in _lines(text, "c"):
         if fields[0] == "p":
             if len(fields) != 4 or fields[1] not in ("edge", "edges", "col"):
-                raise InstanceError(f"line {lineno}: malformed problem line {line!r}")
+                raise _bad(lineno, "malformed problem line", fields)
             if n is not None:
-                raise InstanceError(f"line {lineno}: second problem line {line!r}")
-            n, declared_m = _ints(fields[2:], lineno, line)
+                raise _bad(lineno, "second problem line", fields)
+            n, declared_m = _ints(fields[2:], lineno)
         elif fields[0] == "e":
             if n is None:
                 raise InstanceError(f"line {lineno}: edge before problem line")
-            if len(fields) != 3:
-                raise InstanceError(f"line {lineno}: malformed edge line {line!r}")
-            u, v = _ints(fields[1:], lineno, line)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise InstanceError(f"line {lineno}: vertex out of range in {line!r}")
-            if u == v:
-                raise InstanceError(f"line {lineno}: self-loop in {line!r}")
-            e = edge(u - 1, v - 1)
-            if e in edges:
-                dupes += 1
+            e = edge(*_pair(fields[1:], n, 1, lineno))
+            dupes += e in edges
             edges.add(e)
         else:
-            raise InstanceError(f"line {lineno}: unrecognized line {line!r}")
+            raise _bad(lineno, "unrecognized line", fields)
     if n is None:
         raise InstanceError("missing problem line `p edge N M`")
     if dupes:
@@ -155,40 +199,19 @@ def serialize_dimacs(g: Graph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ints(fields, lineno: int, line: str) -> list[int]:
-    """The fields as ints; InstanceError naming the file's line otherwise."""
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise InstanceError(f"line {lineno}: non-integer field in {line!r}") from None
-
-
 def parse_edgelist(text: str) -> Graph:
     """Parse the internal edge-list format: `n m` then one `u v` per line,
     0-based.  As in parse_dimacs, duplicate edges (including reversed
     duplicates) are tolerated with a warning; malformed input raises
     InstanceError with the line number."""
-    lines = [(lineno, ln) for lineno, ln in
-             enumerate((raw.strip() for raw in text.splitlines()), start=1)
-             if ln and not ln.startswith("#")]
+    lines = list(_lines(text, "#"))
     if not lines:
         raise InstanceError("empty edge-list file")
-    (lineno, line), *edge_lines = lines
-    header = line.split()
+    (lineno, header), *edge_lines = lines
     if len(header) != 2:
-        raise InstanceError(f"line {lineno}: expected header `n m`, got {line!r}")
-    n, m = _ints(header, lineno, line)
-    edges: set[tuple[int, int]] = set()
-    for lineno, line in edge_lines:
-        fields = line.split()
-        if len(fields) != 2:
-            raise InstanceError(f"line {lineno}: expected `u v`, got {line!r}")
-        u, v = _ints(fields, lineno, line)
-        if not (0 <= u < n and 0 <= v < n):
-            raise InstanceError(f"line {lineno}: vertex out of range in {line!r}")
-        if u == v:
-            raise InstanceError(f"line {lineno}: self-loop in {line!r}")
-        edges.add(edge(u, v))
+        raise _bad(lineno, "expected header `n m`, got", header)
+    n, m = _ints(header, lineno)
+    edges = {edge(*_pair(fields, n, 0, lineno)) for lineno, fields in edge_lines}
     if len(edge_lines) != m:
         raise InstanceError(f"header declares {m} edges, file lists {len(edge_lines)}")
     if len(edges) != m:
@@ -202,25 +225,46 @@ def serialize_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_instance(path: str) -> Graph:
-    """Read a graph file, choosing the format from the extension (.col =
-    DIMACS, anything else = edge list)."""
+def _parse_completion(text: str, g: Graph) -> frozenset[int]:
+    """The fill indices of a completion: one 0-based fill pair `u v` per line."""
+    fill = set()
+    for lineno, fields in _lines(text, "#"):
+        u, v = _pair(fields, g.n, 0, lineno)
+        if g.has_edge(u, v):
+            raise InstanceError(
+                f"line {lineno}: ({u}, {v}) is already an edge of the graph")
+        fill.add(g.fill_index(u, v))
+    return frozenset(fill)
+
+
+def _is_dimacs(path) -> bool:
+    """The format choice: a .col name is DIMACS, any other an edge list."""
+    return str(path).endswith(".col")
+
+
+def _load(path, parse, *args):
+    """parse(text of path, *args), with the path named in its errors."""
     with open(path) as fh:
         text = fh.read()
-    if str(path).endswith(".col"):
-        return parse_dimacs(text)
-    return parse_edgelist(text)
+    try:
+        return parse(text, *args)
+    except (InstanceError, GraphError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def save_instance(g: Graph, path: str, fmt: str | None = None,
-                  comment: str | None = None) -> None:
-    if fmt is None:
-        fmt = "col" if str(path).endswith(".col") else "el"
-    if fmt == "col":
-        text = serialize_dimacs(g, comment)
-    elif fmt == "el":
-        text = serialize_edgelist(g)
-    else:
-        raise InstanceError(f"unknown format {fmt!r} (use 'col' or 'el')")
+def load_instance(path) -> Graph:
+    """Read a graph file in the format its name picks (see _is_dimacs)."""
+    return _load(path, parse_dimacs if _is_dimacs(path) else parse_edgelist)
+
+
+def load_completion(path, g: Graph) -> frozenset[int]:
+    """Read a completion of g: the fill indices of its `u v` lines (0-based;
+    blank lines and `#` comments skipped)."""
+    return _load(path, _parse_completion, g)
+
+
+def save_instance(g: Graph, path) -> None:
+    """Write g in the format its name picks, as load_instance reads it back."""
+    text = serialize_dimacs(g) if _is_dimacs(path) else serialize_edgelist(g)
     with open(path, "w") as fh:
         fh.write(text)

@@ -29,9 +29,16 @@ it no longer refreshes the active set or re-solves, and no longer ages the
 idle rows, before it is dropped.
 
 Under a time limit the LP stops too once the deadline passes, and its node
-goes back on the heap.  A node re-queues at the largest LP objective it has
+goes back on the heap.  A node re-queues at the objective of the last LP it
 solved, and the root is pushed at the packing bound of the root cuts, so
 the lower bound a limited solve reports keeps what its LPs proved.
+
+A node has one bound: the bound it was pushed with, replaced by the
+objective of each LP it solves.  It prunes, branches and re-queues at it.
+Those objectives do not fall from round to round or from parent to child,
+beyond rounding and the cost perturbation (both far below BOUND_TOL): rows
+are only added, or dropped while slack, and a child keeps its parent's
+tight rows.
 
 The LP basis is kept, not rebuilt: each cut round of a node re-solves from
 the basis of the round before, and each child starts from its parent's
@@ -56,6 +63,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -104,8 +112,12 @@ class SolverConfig:
             raise ValueError("family I1 must stay enabled: it certifies optimality")
         if self.exact_i2 and "I2" not in self.families_enabled:
             raise ValueError("exact_i2 separates family I2, which is not enabled")
-        if self.time_limit_s is not None and not self.time_limit_s >= 0:
-            raise ValueError(f"time_limit_s must be >= 0, got {self.time_limit_s}")
+        if self.time_limit_s is not None and (
+                isinstance(self.time_limit_s, bool)
+                or not isinstance(self.time_limit_s, numbers.Real)
+                or not self.time_limit_s >= 0):
+            raise ValueError(
+                f"time_limit_s must be a number >= 0, got {self.time_limit_s!r}")
         if self.node_limit is not None and (
                 type(self.node_limit) is not int or self.node_limit < 0):
             raise ValueError(f"node_limit must be an int >= 0, got {self.node_limit!r}")
@@ -306,8 +318,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
 
     lb = search.ub
     if status != OPTIMAL and search.heap:
-        lb = min(math.ceil(b - BOUND_TOL) for b, _, _, _ in search.heap)
-        lb = min(lb, search.ub)
+        lb = min(math.ceil(search.heap[0][0] - BOUND_TOL), search.ub)  # the heap minimum
     if lb == search.ub:
         status = OPTIMAL  # open nodes, if any, cannot improve the incumbent
     return SolveResult(
@@ -361,13 +372,12 @@ def _process_node(search: _Search, fixings: dict, bound: float,
             logger.warning("LP iteration limit at node; branching on parent bound")
             _branch(search, None, fixings, bound, None)
             return
-        bound = max(bound, res.objective)  # what solve reports if the node re-queues
+        bound = res.objective  # the node's bound from here on: its last LP's
         basis = search.pool_basis(res.basis)
         # pull violated pooled rows back into the LP before separating anew
         if search.refresh_active(res.point.values):
             continue
-        node_bound = res.objective
-        if math.ceil(node_bound - BOUND_TOL) >= search.ub:
+        if math.ceil(bound - BOUND_TOL) >= search.ub:
             return
         x = res.point
         if x.is_integral():
@@ -381,7 +391,7 @@ def _process_node(search: _Search, fixings: dict, bound: float,
         added = sum(search.add_cut(c) for c in cuts)
         rounds += 1
         if added == 0 or rounds >= MAX_ROUNDS_PER_NODE:
-            _branch(search, x, fixings, node_bound, basis)
+            _branch(search, x, fixings, bound, basis)
             return
 
 

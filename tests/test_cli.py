@@ -4,7 +4,7 @@ from dataclasses import fields
 import pytest
 
 from fillin.cli import _solver_config, build_parser, main
-from fillin.instances import gen_grid, save_instance, serialize_edgelist
+from fillin.instances import gen_grid, load_instance, save_instance
 from fillin.solver import SolverConfig
 from helpers import chordal_trap_graph, cycle_graph, complete_graph, fig_graph
 
@@ -175,11 +175,37 @@ class TestGenerate:
         assert out.strip() == "16 24"
 
     def test_dimacs_format(self, tmp_path, capsys):
+        # the .col name alone picks DIMACS
         out_file = tmp_path / "g.col"
-        code, out, _ = run(capsys, "generate", "grid", "2", "2",
-                           "--out", str(out_file), "--format", "col")
+        code, out, _ = run(capsys, "generate", "grid", "2", "2", "--out", str(out_file))
         assert code == 0
         assert out_file.read_text().startswith("p edge 4 4")
+
+    def test_format_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "grid", "2", "2", "--out", str(tmp_path / "g.el"),
+                  "--format", "col"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, default_name", [
+        (["grid", "3", "4"], "grid3_4.el"),
+        (["queen", "3", "3"], "queen3_3.el"),
+        (["caveman", "3", "3", "0.3", "--seed", "2"], "caveman3_3_0.3_s2.el"),
+    ])
+    def test_every_family_reads_back_under_either_name(self, tmp_path, monkeypatch,
+                                                       capsys, argv, default_name):
+        monkeypatch.chdir(tmp_path)
+        graphs = []
+        for out in ([], ["--out", "x.col"]):
+            assert run(capsys, "generate", *argv, *out)[0] == 0
+            path = tmp_path / (out[1] if out else default_name)
+            graphs.append(load_instance(str(path)))
+            code, out_text, _ = run(capsys, "solve", str(path))
+            assert code == 0 and json.loads(out_text)["status"] == "OPTIMAL"
+        el, col = graphs
+        assert el == col
+        assert (tmp_path / "x.col").read_text().startswith("p edge")
 
     def test_bad_params(self, tmp_path, capsys):
         code, _, err = run(capsys, "generate", "grid", "1", "3",
@@ -227,7 +253,29 @@ class TestCheck:
         comp.write_text(text)
         code, out, err = run(capsys, "check", fig_file, str(comp))
         assert (code, out) == (1, "")
-        assert f"error: {comp}:{line}: non-integer field" in err
+        assert f"error: {comp}: line {line}: non-integer field" in err
+
+    @pytest.mark.parametrize("text, error", [
+        ("7 1\n", "line 1: vertex out of range in '7 1'"),
+        ("# c\n2 2\n", "line 2: self-loop in '2 2'"),
+    ])
+    def test_bad_pair_names_file_and_line(self, fig_file, tmp_path, capsys, text, error):
+        # a pair that is not a fill edge for want of a vertex says so
+        comp = tmp_path / "bad.txt"
+        comp.write_text(text)
+        code, out, err = run(capsys, "check", fig_file, str(comp))
+        assert (code, out) == (1, "")
+        assert err == f"error: {comp}: {error}\n"
+
+    def test_bad_instance_names_its_file(self, tmp_path, capsys):
+        inst = tmp_path / "g.el"
+        inst.write_text("3 2\n0 1\n1 x\n")
+        comp = tmp_path / "c.txt"
+        comp.write_text("0 2\n")
+        for argv in (["check", str(inst), str(comp)], ["solve", str(inst)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: {inst}: line 3: non-integer field in '1 x'\n"
 
 
 class TestHeuristicAndOracle:

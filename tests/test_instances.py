@@ -1,14 +1,18 @@
 import importlib.resources as importlib_resources
+import inspect
+import re
 
-import numpy as np
+import networkx as nx
 import pytest
 
-from fillin.graphs import is_chordal
+from fillin.graphs import GraphError, is_chordal, new_graph
 from fillin.instances import (
     InstanceError,
     gen_caveman,
     gen_grid,
+    gen_mycielski,
     gen_queen,
+    load_completion,
     load_instance,
     parse_dimacs,
     parse_edgelist,
@@ -104,6 +108,26 @@ class TestCaveman:
     def test_retry_budget(self):
         with pytest.raises(InstanceError, match="connected"):
             gen_caveman(4, 4, 0.3, seed=0, max_retries=0)
+
+
+class TestMycielski:
+    @pytest.mark.parametrize("k, n, m", [(2, 5, 5), (3, 11, 20), (4, 23, 71), (5, 47, 236)])
+    def test_sizes(self, k, n, m):
+        g = gen_mycielski(k)
+        assert (g.n, g.m) == (n, m)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_isomorphic_to_the_vendored_file(self, k):
+        def nx_graph(g):
+            h = nx.Graph(sorted(g.edges))
+            h.add_nodes_from(range(g.n))
+            return h
+        vendored = parse_dimacs((DATA / f"myciel{k}.col").read_text())
+        assert nx.is_isomorphic(nx_graph(gen_mycielski(k)), nx_graph(vendored))
+
+    def test_degenerate_k(self):
+        with pytest.raises(InstanceError):
+            gen_mycielski(1)
 
 
 class TestDimacs:
@@ -220,5 +244,62 @@ class TestEdgeList:
         col = tmp_path / "g.col"
         save_instance(g, str(el))
         save_instance(g, str(col))
-        assert load_instance(str(el)).edges == g.edges
-        assert load_instance(str(col)).edges == g.edges
+        assert load_instance(str(el)) == g
+        assert load_instance(str(col)) == g
+        assert col.read_text().startswith("p edge") and el.read_text().startswith("6 7")
+
+    def test_save_takes_no_format_or_comment(self):
+        assert list(inspect.signature(save_instance).parameters) == ["g", "path"]
+
+
+# The same bad pair, as a DIMACS `e` line, an edge-list line and a
+# completion line of a 4-vertex graph, each on line 3 of its file.
+BAD_PAIRS = [
+    ("1 x", "line 3: non-integer field in '1 x'"),
+    ("1 9", "line 3: vertex out of range in '1 9'"),
+    ("-1 2", "line 3: vertex out of range in '-1 2'"),
+    ("2 2", "line 3: self-loop in '2 2'"),
+    ("1 2 3", "line 3: expected a pair `u v`, got '1 2 3'"),
+]
+READERS = {
+    "dimacs": ("g.col", "c x\np edge 4 3\ne {}\ne 1 2\ne 2 3\ne 3 4\n"),
+    "edgelist": ("g.el", "4 3\n0 1\n{}\n1 2\n2 3\n"),
+    "completion": ("c.txt", "# fill\n0 2\n{}\n"),
+}
+
+
+def path4():
+    return new_graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("pair, error", BAD_PAIRS)
+    def test_a_bad_pair_reads_the_same_in_every_format(self, tmp_path, reader, pair, error):
+        name, text = READERS[reader]
+        path = tmp_path / name
+        path.write_text(text.format(pair))
+        with pytest.raises(InstanceError) as exc:
+            if reader == "completion":
+                load_completion(str(path), path4())
+            else:
+                load_instance(str(path))
+        assert str(exc.value) == f"{path}: {error}"
+
+    def test_completion_reads_fill_pairs(self, tmp_path):
+        g = path4()
+        path = tmp_path / "c.txt"
+        path.write_text("# fill\n\n0 2\n3 1\n")
+        assert load_completion(str(path), g) == {g.fill_index(0, 2), g.fill_index(1, 3)}
+
+    def test_graph_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_text("4 1\n0 1\n")
+        with pytest.raises(GraphError, match=f"^{re.escape(str(path))}: .*disconnected"):
+            load_instance(str(path))
+
+    def test_file_level_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "g.col"
+        path.write_text("c nothing here\n")
+        with pytest.raises(InstanceError, match=f"^{re.escape(str(path))}: missing problem line"):
+            load_instance(str(path))

@@ -19,7 +19,7 @@ import fillin.solver
 from fillin.cuts import FAMILIES, Cut, evaluate
 from fillin.graphs import Graph, Point, is_valid_completion, new_graph
 from fillin.heuristics import chordalize_with_order, mdo_completion, mdo_order
-from fillin.instances import gen_grid, gen_queen
+from fillin.instances import gen_grid, gen_mycielski, gen_queen
 from fillin.oracle import brute_force_mccp, feasible_points
 from fillin.separation import separate_integer
 from fillin.solver import (
@@ -107,9 +107,10 @@ class TestConfig:
         assert [f.name for f in fields(SolverConfig)] == [
             "families_enabled", "exact_i2", "time_limit_s", "node_limit"]
 
-    @pytest.mark.parametrize("limit", [float("nan"), -0.5, float("-inf")])
+    @pytest.mark.parametrize("limit", [float("nan"), -0.5, float("-inf"), True, "5"])
     def test_time_limit_is_a_number_at_least_zero(self, limit):
-        # a NaN limit compares false with every time, so it never fired
+        # a NaN limit compares false with every time, so it never fired; a
+        # bool passed for a 1 s limit, and a string failed with a TypeError
         with pytest.raises(ValueError, match="time_limit_s"):
             SolverConfig(time_limit_s=limit)
         assert SolverConfig(time_limit_s=0).time_limit_s == 0
@@ -560,6 +561,10 @@ class TestLimitsAndBounds:
         pytest.param(gen_grid(5, 5), SolverConfig(exact_i2=True, time_limit_s=2),
                      id="grid5_5-exact_i2"),
         pytest.param(gen_queen(5, 5), SolverConfig(time_limit_s=2), id="queen5_5"),
+        # n = 47: one LP takes seconds, and exact I2 runs over 47 centres
+        pytest.param(gen_mycielski(5), SolverConfig(time_limit_s=2), id="myciel5"),
+        pytest.param(gen_mycielski(5), SolverConfig(exact_i2=True, time_limit_s=2),
+                     id="myciel5-exact_i2"),
     ])
     def test_time_limit_holds_on_a_hard_rung(self, g, cfg):
         t0 = time.perf_counter()
@@ -593,6 +598,32 @@ class TestLimitsAndBounds:
         last = [r.objective for _, r in lps if r.status == fillin.lp.OPTIMAL][-1]
         assert res.status == TIME_LIMIT
         assert res.upper_bound > res.lower_bound >= math.ceil(last - BOUND_TOL) > 0
+
+    @pytest.mark.parametrize("name, g, cfg", [
+        ("grid3_6", gen_grid(3, 6), SolverConfig()),
+        ("queen4_4", gen_queen(4, 4), SolverConfig()),
+        ("grid3_6-exact_i2", gen_grid(3, 6), SolverConfig(exact_i2=True)),
+    ])
+    def test_a_node_bound_never_falls(self, monkeypatch, name, g, cfg):
+        # a node replaces its bound by each LP objective: none falls below
+        # the bound the node was pushed with or below the LP before it,
+        # beyond BOUND_TOL, so no node gives up a bound it had proved
+        lps = recording_lps(monkeypatch)
+        falls = []
+        process_node = fillin.solver._process_node
+
+        def checked(search, fixings, bound, basis, deadline):
+            first = len(lps)
+            process_node(search, fixings, bound, basis, deadline)
+            for _, r in lps[first:]:
+                if r.status == fillin.lp.OPTIMAL:
+                    falls.append(bound - r.objective)
+                    bound = r.objective
+
+        monkeypatch.setattr(fillin.solver, "_process_node", checked)
+        assert solve(g, cfg).status == OPTIMAL
+        assert len(falls) > 10
+        assert max(falls) < BOUND_TOL, sorted(falls)[-3:]
 
     def test_root_is_pushed_at_its_packing_bound(self):
         # with a limit of 0 the root is popped never: lb is its push bound
