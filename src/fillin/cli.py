@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -15,6 +16,7 @@ from .heuristics import mdo_completion
 from .instances import (
     gen_caveman,
     gen_grid,
+    gen_mycielski,
     gen_queen,
     load_completion,
     load_instance,
@@ -77,10 +79,10 @@ def cmd_solve(args) -> int:
         "manifest": manifest,
     }
     text = json.dumps(payload, indent=2)
-    print(text)
-    if args.json_out:
+    if args.json_out:  # before stdout, which a closed pipe can cut short
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
     return 0 if result.status == OPTIMAL else 2
 
 
@@ -91,6 +93,9 @@ def cmd_generate(args) -> int:
     elif args.family == "queen":
         g = gen_queen(args.p1, args.p2)
         default_name = f"queen{args.p1}_{args.p2}.el"
+    elif args.family == "mycielski":
+        g = gen_mycielski(args.k)
+        default_name = f"myciel{args.k}.el"
     else:
         g = gen_caveman(args.p1, args.p2, args.gamma, seed=args.seed)
         default_name = f"caveman{args.p1}_{args.p2}_{args.gamma}_s{args.seed}.el"
@@ -163,6 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--out", default=None, help=OUT_HELP)
     fp.add_argument("--seed", type=int, default=0)
     fp.set_defaults(func=cmd_generate, family="caveman")
+    fp = gen_sub.add_parser("mycielski", help="DIMACS Mycielski graph myciel<K>")
+    fp.add_argument("k", type=int, metavar="K",
+                    help="order: 2 gives C5, each step up applies the Mycielski transform")
+    fp.add_argument("--out", default=None, help=OUT_HELP)
+    fp.set_defaults(func=cmd_generate, family="mycielski")
 
     sp = sub.add_parser("check", help="validate a completion file")
     sp.add_argument("instance")
@@ -190,7 +200,17 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): no error line, the exit status
+        # of a process killed by SIGPIPE, and stdout sent to devnull so that
+        # the flush at interpreter exit has nothing left to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OracleBudgetError, OSError) as exc:  # InstanceError, GraphError too
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,8 @@
 """Benchmark instance generation (grid, queen, relaxed caveman, Mycielski)
 and the only text readers: DIMACS .col and plain 0-based edge-list graphs,
 and completion files.  A graph file's name picks its format, for reading
-and writing alike; every error names the file and line at fault."""
+and writing alike; every error names the file and line at fault, and
+every warning the file."""
 
 from __future__ import annotations
 
@@ -243,13 +244,20 @@ def _is_dimacs(path) -> bool:
 
 
 def _load(path, parse, *args):
-    """parse(text of path, *args), with the path named in its errors."""
+    """parse(text of path, *args), with the path named in its errors and
+    warnings.  A warning points at the code that called load_instance or
+    load_completion."""
     with open(path) as fh:
         text = fh.read()
-    try:
-        return parse(text, *args)
-    except (InstanceError, GraphError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text, *args)
+        except (InstanceError, GraphError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+    for w in caught:
+        warnings.warn(f"{path}: {w.message}", w.category, stacklevel=3)
+    return result
 
 
 def load_instance(path) -> Graph:

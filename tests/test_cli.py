@@ -1,10 +1,14 @@
+import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
 from fillin.cli import _solver_config, build_parser, main
-from fillin.instances import gen_grid, load_instance, save_instance
+from fillin.instances import gen_grid, gen_mycielski, load_instance, save_instance
 from fillin.solver import SolverConfig
 from helpers import chordal_trap_graph, cycle_graph, complete_graph, fig_graph
 
@@ -207,6 +211,15 @@ class TestGenerate:
         assert el == col
         assert (tmp_path / "x.col").read_text().startswith("p edge")
 
+    def test_mycielski(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "generate", "mycielski", "4", "--out", "x.col")
+        assert (code, out) == (0, "23 71\n")
+        assert (tmp_path / "x.col").read_text().startswith("p edge 23 71")
+        assert load_instance("x.col") == gen_mycielski(4)
+        assert run(capsys, "generate", "mycielski", "3")[0] == 0
+        assert load_instance("myciel3.el") == gen_mycielski(3)
+
     def test_bad_params(self, tmp_path, capsys):
         code, _, err = run(capsys, "generate", "grid", "1", "3",
                            "--out", str(tmp_path / "x.el"))
@@ -312,3 +325,48 @@ class TestHeuristicAndOracle:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "positive" in err
+
+
+class ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is that of `backing`, an ordinary file."""
+
+    def __init__(self, backing):
+        self.backing = backing
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.backing.fileno()
+
+
+class TestClosedStdout:
+    """`fillin ... | head`: a reader that closes stdout early is no error."""
+
+    @pytest.mark.parametrize("command", ["solve", "heuristic", "generate"])
+    def test_no_error_line_and_exit_141(self, fig_file, tmp_path, monkeypatch, capsys,
+                                        command):
+        argv = {"solve": ["solve", fig_file, "--json-out", str(tmp_path / "r.json")],
+                "heuristic": ["heuristic", fig_file],
+                "generate": ["generate", "grid", "3", "3", "--out", str(tmp_path / "g.el")],
+                }[command]
+        with open(tmp_path / "stdout", "w") as backing:
+            monkeypatch.setattr(sys, "stdout", ClosedStdout(backing))
+            code = main(argv)
+            # further output goes to devnull, so the flush at exit cannot fail
+            assert os.path.samestat(os.fstat(backing.fileno()), os.stat(os.devnull))
+        assert (code, capsys.readouterr().err) == (141, "")
+        # files are written before stdout, so a closed pipe loses none
+        if command == "solve":
+            assert json.loads((tmp_path / "r.json").read_text())["status"] == "OPTIMAL"
+        if command == "generate":
+            assert load_instance(str(tmp_path / "g.el")) == gen_grid(3, 3)
+
+    def test_a_closed_pipe_in_a_real_process(self, fig_file):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen([sys.executable, "-m", "fillin.cli", "solve", fig_file],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader is gone before anything is written
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")

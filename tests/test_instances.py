@@ -303,3 +303,19 @@ class TestFileErrors:
         path.write_text("c nothing here\n")
         with pytest.raises(InstanceError, match=f"^{re.escape(str(path))}: missing problem line"):
             load_instance(str(path))
+
+    @pytest.mark.parametrize("name, text, messages", [
+        ("d.col", "p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n",
+         ["1 duplicate edge line(s) ignored",
+          "problem line declares 3 edges, found 2 after dedupe"]),
+        ("d.el", "3 3\n0 1\n1 0\n1 2\n", ["1 duplicate edge line(s) ignored"]),
+    ], ids=["dimacs", "edgelist"])
+    def test_warnings_name_the_file_and_point_at_the_caller(self, tmp_path, name, text,
+                                                            messages):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.warns(UserWarning, match=f"^{re.escape(str(path))}: ") as caught:
+            g = load_instance(str(path))
+        assert g.m == 2
+        assert [str(w.message) for w in caught] == [f"{path}: {m}" for m in messages]
+        assert {w.filename for w in caught} == {__file__}

@@ -226,8 +226,8 @@ class TestSolveExactness:
 
 class TestThresholdEscalation:
     def test_skips_a_threshold_that_rounds_to_a_tried_set(self, monkeypatch):
-        # C5 at 0.4 everywhere: 0.5 rounds to the bare cycle (no violated
-        # cut), 0.25 to the complete graph; 0.75 rounds like 0.5 and is skipped
+        # C5 at 0.4 everywhere: 0.8 rounds to the bare cycle (no violated
+        # cut), 0.4 to the complete graph; 0.9 rounds like 0.8 and is skipped
         g = cycle_graph(5)
         deltas = []
         sep = fillin.solver.separate_threshold
@@ -239,15 +239,15 @@ class TestThresholdEscalation:
         monkeypatch.setattr(fillin.solver, "separate_threshold", recording)
         search = _Search(g, SolverConfig())
         assert fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.4))) == []
-        assert deltas == [0.5, 0.25]
+        assert deltas == [0.8, 0.4]
         deltas.clear()
         cuts = fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.3)))
-        assert deltas == [0.5] and {c.family for c in cuts} >= {"I1"}
+        assert deltas == [0.8] and {c.family for c in cuts} >= {"I1"}
 
     def test_reaches_the_last_threshold(self, monkeypatch):
-        # C5 at 0.6 on the fill pairs (0,2) and (0,3), 0 elsewhere: 0.5 rounds
-        # to a fan, which is chordal; 0.25 rounds to the same set and is
-        # skipped; 0.75 rounds to the bare cycle, whose I1 and I4 rows the
+        # C5 at 0.85 on the fill pairs (0,2) and (0,3), 0 elsewhere: 0.8
+        # rounds to a fan, which is chordal; 0.4 rounds to the same set and
+        # is skipped; 0.9 rounds to the bare cycle, whose I1 and I4 rows the
         # point violates
         g = cycle_graph(5)
         deltas = []
@@ -259,9 +259,9 @@ class TestThresholdEscalation:
 
         monkeypatch.setattr(fillin.solver, "separate_threshold", recording)
         x = np.zeros(g.mc)
-        x[[g.fill_index(0, 2), g.fill_index(0, 3)]] = 0.6
+        x[[g.fill_index(0, 2), g.fill_index(0, 3)]] = 0.85
         cuts = fillin.solver._fractional_cuts(_Search(g, SolverConfig()), Point(x))
-        assert deltas == [0.5, 0.75] == [fillin.solver.THRESHOLDS[i] for i in (0, 2)]
+        assert deltas == [0.8, 0.9] == [fillin.solver.THRESHOLDS[i] for i in (0, 2)]
         assert sorted((c.family, c.rhs) for c in cuts) == [("I1", 2), ("I4", 1)]
 
     def test_exact_i2_only_when_thresholds_find_nothing(self, monkeypatch):
@@ -280,7 +280,7 @@ class TestThresholdEscalation:
             exact.clear()
             search = _Search(g, SolverConfig(exact_i2=True))
             assert fillin.solver._fractional_cuts(search, Point(np.full(g.mc, low)))
-            assert exact == []  # the threshold at 0.5 found I1
+            assert exact == []  # the threshold at 0.8 found I1
             fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.4)))
             assert len(exact) == 1
 
@@ -293,7 +293,8 @@ class TestRootBound:
         res = solve(myciel4())
         assert (res.status, res.upper_bound, res.nodes) == (OPTIMAL, 46, 1)
 
-    @pytest.mark.parametrize("name, g, floor", [("grid4_5", gen_grid(4, 5), 21),
+    @pytest.mark.parametrize("name, g, floor", [("grid4_4", gen_grid(4, 4), 17),
+                                                ("grid4_5", gen_grid(4, 5), 21),
                                                 ("queen5_5", gen_queen(5, 5), 69)])
     def test_root_lower_bound(self, name, g, floor):
         assert solve(g, SolverConfig(node_limit=1)).lower_bound >= floor
