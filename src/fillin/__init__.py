@@ -28,7 +28,6 @@ from .graphs import (
     Point,
     apply_completion,
     edge,
-    find_chordless_cycle,
     is_chordal,
     is_valid_completion,
     iter_chordless_cycles,
@@ -75,7 +74,7 @@ __all__ = [
     "SeparationReport", "SolveResult", "SolverConfig", "affine_rank",
     "apply_completion", "brute_force_mccp", "chordalize_with_order", "cut_i1",
     "cut_i2", "cut_i3", "cut_i4", "edge", "enumerate_completions", "evaluate",
-    "feasible_points", "find_chordless_cycle", "gen_caveman", "gen_grid",
+    "feasible_points", "gen_caveman", "gen_grid",
     "gen_mycielski", "gen_queen", "is_chordal", "is_valid_completion",
     "iter_chordless_cycles", "lift_chord", "lift_conditional", "lift_zero_pad",
     "load_completion", "load_instance",

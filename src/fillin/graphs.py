@@ -153,19 +153,11 @@ class Cycle:
         k = len(self.vertices)
         return [edge(self.vertices[i], self.vertices[(i + 1) % k]) for i in range(k)]
 
-    def int_pairs(self) -> list[tuple[int, int]]:
-        ext = set(self.ext_pairs())
-        return [p for p in combinations(sorted(self.vertices), 2) if p not in ext]
-
     def dist(self, i: int, j: int) -> int:
         """Cyclic distance between two positions in the sequence."""
         k = len(self.vertices)
         d = abs(i - j) % k
         return min(d, k - d)
-
-    def missing_ext(self, g: Graph) -> list[tuple[int, int]]:
-        """Exterior pairs that are not edges of g (the activation set F)."""
-        return [p for p in self.ext_pairs() if p not in g.edges]
 
     def canonical(self) -> "Cycle":
         """Rotate the smallest vertex to the front, then orient so the second
@@ -378,13 +370,6 @@ def _bfs_parents(adj, v: int, allowed: int, targets: int) -> dict[int, int]:
             queue.append(b)
             new ^= low
     return parent
-
-
-def find_chordless_cycle(g: Graph):
-    """Return one chordless cycle of length >= 4, or None if g is chordal."""
-    for cyc in iter_chordless_cycles(g):
-        return cyc
-    return None
 
 
 def apply_completion(g: Graph, fill) -> Graph:

@@ -13,20 +13,33 @@ factored, and its inverse is kept up to date pivot by pivot, so the work of
 a pivot grows with the number of basic structurals, not with the number of
 rows.
 
-There are no artificial columns and no phase one.  Every cost is positive,
-so the slack basis (S and T empty, every structural at its lower bound) is
-dual feasible.  So is a basis returned by an earlier solve after rows are
-appended (their surplus enters the basis) or bounds are changed (a boxed
-nonbasic whose reduced cost has the wrong sign moves to its other bound).
-A supplied basis that is singular, or whose tight rows carry a negative
-multiplier, is replaced by the slack basis.  Each pivot removes the largest
-primal violation.  Its ratio test takes long steps: a bounded candidate
-that cannot close the violation on its own flips to its other bound and
-the next one is tried.  A violation that every candidate together cannot
-close proves the LP infeasible, and the multipliers of the violated row
-are returned as a nonnegative Farkas certificate.  Bland's rule (short
-steps, smallest indices) takes over after a run of degenerate pivots to
-guarantee termination.
+There are no artificial columns and no phase one.  A solve starts from one
+of three dual-feasible bases:
+
+- the slack basis (S and T empty, every structural at its lower bound),
+  dual feasible because every cost is positive;
+- a packing basis (packing_basis): tight rows with unit coefficients and
+  pairwise disjoint supports, each with its cheapest variable basic, so
+  A[T, S] is the identity and the solve starts at the rows' packing bound;
+- a basis returned by an earlier solve, after rows are appended (their
+  surplus enters the basis) or bounds are changed (a boxed nonbasic whose
+  reduced cost has the wrong sign moves to its other bound).
+
+A start may be given the inverse of its A[T, S] as well, as a solve
+returns it with its basis (LpResult.inverse).  The start copies it, since
+pivots update the inverse in place, once it passes the test a fresh
+inverse must pass, |Binv M - I| <= 1e-9; an inverse that fails it is
+dropped and A[T, S] is inverted afresh.  A supplied basis that is singular,
+or whose tight rows carry a negative multiplier, is replaced by the slack
+basis.
+
+Each pivot removes the largest primal violation.  Its ratio test takes
+long steps: a bounded candidate that cannot close the violation on its own
+flips to its other bound and the next one is tried.  A violation that
+every candidate together cannot close proves the LP infeasible, and the
+multipliers of the violated row are returned as a nonnegative Farkas
+certificate.  Bland's rule (short steps, smallest indices) takes over after
+a run of degenerate pivots to guarantee termination.
 
 Dual degeneracy is broken by a fixed cost perturbation: variable j costs
 1 - eps_j with eps_j in [1e-9, 2e-9] (scaled down on LPs with more than 250
@@ -131,6 +144,7 @@ class LpResult:
     iterations: int
     certificate: np.ndarray | None = None
     basis: Basis | None = None  # at optimality, to warm-start a re-solve
+    inverse: np.ndarray | None = None  # at optimality, the inverse of A[T, S]
 
 
 @lru_cache(maxsize=128)
@@ -142,6 +156,27 @@ def _costs(nv: int) -> np.ndarray:
     c = 1.0 - scale * (1.0 + (np.arange(nv) * 0.6180339887498949) % 1.0)
     c.flags.writeable = False
     return c
+
+
+def packing_basis(rows: np.ndarray, tight) -> Basis:
+    """The basis whose tight rows are `tight` (indices into rows) and whose
+    basic column in each is the row's cheapest variable under the perturbed
+    costs.  On rows with unit coefficients and pairwise disjoint supports
+    A[T, S] is the identity, each multiplier y_i = c_j is positive and every
+    reduced cost is at least zero (c_j is the least cost in its row): the
+    basis is dual feasible, and its dual bound is about the sum of the rows'
+    right-hand sides."""
+    c = _costs(rows.shape[1])
+    cols = []
+    for i in tight:
+        support = np.flatnonzero(rows[i])
+        cols.append(int(support[c[support].argmin()]))
+    return Basis(tuple(cols), tuple(int(i) for i in tight))
+
+
+def _inverts(Binv: np.ndarray, M: np.ndarray) -> bool:
+    """True if Binv @ M is the identity within 1e-9 in every entry."""
+    return not len(M) or bool(np.abs(Binv @ M - np.eye(len(M))).max() <= 1e-9)
 
 
 class _DualSimplex:
@@ -184,13 +219,16 @@ class _DualSimplex:
         self.Sa, self.Ta = self._Sa[:k], self._Ta[:k]
         self.nTa, self.AT = self._nTa[:k], self._AT[:k]
 
-    def start(self, cols, rows) -> None:
+    def start(self, cols, rows, inverse: np.ndarray | None = None) -> None:
         """Install a basis, replacing all state that depends on the one
         before; each nonbasic structural goes to the bound its reduced cost
         favours.  With cols and rows empty this is the slack basis: every
         surplus basic, every structural at its lower bound, where its
-        positive cost keeps it.  Raises LpError if A[T, S] is singular or a
-        tight row's multiplier is negative."""
+        positive cost keeps it.  inverse, if given, is taken for the inverse
+        of A[T, S] (a copy: pivots update it in place) when it passes the
+        test a fresh inverse must pass; otherwise A[T, S] is inverted
+        afresh.  Raises LpError if A[T, S] is singular or a tight row's
+        multiplier is negative."""
         n = self.n
         self.S = [int(j) for j in cols]
         self.T = [int(i) for i in rows]
@@ -202,7 +240,7 @@ class _DualSimplex:
         self._views()
         self.nTa[:] = n + self.Ta
         self.AT[:] = self.A[self.Ta]
-        self.factor(check=True)
+        self.factor(check=True, inverse=inverse)
         if (self.d[self.nTa] < -REDUCED_COST_TOL).any():
             raise LpError("basis is not dual feasible")
         self.step = np.zeros(len(self.c))
@@ -213,15 +251,20 @@ class _DualSimplex:
         self.z = np.empty(len(self.c))
         self.primals()
 
-    def factor(self, check: bool = False) -> None:
-        """Invert A[T, S] afresh and recompute the reduced costs."""
+    def factor(self, check: bool = False, inverse: np.ndarray | None = None) -> None:
+        """Invert A[T, S] afresh, or copy inverse if it inverts A[T, S]
+        within the tolerance that check sets for a fresh inverse, and
+        recompute the reduced costs."""
         M = self.AT[:, self.Sa]
-        try:
-            Binv = np.linalg.inv(M) if len(M) else np.zeros((0, 0))
-        except np.linalg.LinAlgError as exc:
-            raise LpError("singular basis") from exc
-        if check and len(M) and np.abs(Binv @ M - np.eye(len(M))).max() > 1e-9:
-            raise LpError("ill-conditioned basis")
+        if inverse is not None and inverse.shape == M.shape and _inverts(inverse, M):
+            Binv = inverse.copy()
+        else:
+            try:
+                Binv = np.linalg.inv(M) if len(M) else np.zeros((0, 0))
+            except np.linalg.LinAlgError as exc:
+                raise LpError("singular basis") from exc
+            if check and not _inverts(Binv, M):
+                raise LpError("ill-conditioned basis")
         self.Binv = Binv
         self.since_factor = 0
         y = self.c[self.Sa] @ Binv
@@ -395,15 +438,19 @@ class _DualSimplex:
 
 
 def solve_lp(p: LpProblem, basis: Basis | None = None, cutoff: float = math.inf,
-             deadline: float | None = None) -> LpResult:
+             deadline: float | None = None, inverse: np.ndarray | None = None) -> LpResult:
     """Solve the bounded relaxation; deterministic for identical input.
 
-    basis, if given, is a basis of an earlier solve (its rows index p.rows)
-    and is where the dual simplex starts.  _DualSimplex.start installs it,
-    or the slack basis when there is none or start refuses it (singular or
-    not dual feasible).
+    basis, if given, is where the dual simplex starts: a basis an earlier
+    solve returned, or a packing basis (its rows index p.rows).  inverse, if
+    given, is the inverse of the basis's block A[T, S], as an earlier solve
+    returned it with that basis over the same rows; it spares the start an
+    inversion when it passes the start's check.  _DualSimplex.start installs
+    the basis, or the slack basis when there is none or start refuses it
+    (singular or not dual feasible).
 
-    Returns OPTIMAL with a vertex point, its objective and its basis;
+    Returns OPTIMAL with a vertex point, its objective, its basis and the
+    inverse of its A[T, S];
     INFEASIBLE with nonnegative row multipliers y certifying the conflict
     (no x in the box has y @ rows @ x >= y @ rhs); CUTOFF as soon as a pivot
     lifts the dual bound above cutoff, with that bound as its objective and
@@ -423,7 +470,7 @@ def solve_lp(p: LpProblem, basis: Basis | None = None, cutoff: float = math.inf,
     cols, rows = (basis.cols, basis.rows) if basis is not None else ((), ())
     lp = _DualSimplex(p)
     try:
-        lp.start(cols, rows)
+        lp.start(cols, rows, inverse)
     except LpError:
         lp.start((), ())  # back to the slack basis
     max_iters = PIVOTS_PER_DIM * (m + nv)
@@ -463,5 +510,5 @@ def solve_lp(p: LpProblem, basis: Basis | None = None, cutoff: float = math.inf,
 
     return LpResult(
         OPTIMAL, float(x.sum()), Point(x), lp.iterations,
-        basis=Basis(tuple(lp.S), tuple(lp.T)),
+        basis=Basis(tuple(lp.S), tuple(lp.T)), inverse=lp.Binv,
     )

@@ -45,7 +45,16 @@ the basis of the round before, and each child starts from its parent's
 final basis.  A stored basis names its basic variables and the pool ids of
 its tight rows (rows whose surplus is nonbasic); those rows are put back
 into the LP before it is built, and every other row enters with its
-surplus basic, so only the root LP starts from the slack basis.
+surplus basic.  The root LP starts from the packing basis of the root
+cuts (lp.packing_basis), at their packing bound, so no LP starts from the
+slack basis unless the LP refuses the basis it is given.
+
+One inverse is kept with its basis: that of the last LP that ended
+OPTIMAL.  Pool rows never change, so an LP that starts from the same pool
+basis, in the same order, has the same block A[T, S], and it gets that
+inverse to check and reuse instead of inverting the block again.  The root
+packing basis is kept with its inverse, the identity.  Open nodes keep no
+inverse: on queen5_5 that would be about a thousand k x k arrays.
 
 Before any LP the root cuts may prove the incumbent optimal.  Harvested at
 x = 0 from chordless cycles of G, each is a covering row with unit
@@ -75,7 +84,15 @@ from .cuts import FAMILIES, Cut, evaluate
 # layer through that name and reports the layer absent without it.
 from .graphs import Graph, Point, is_chordal, is_valid_completion  # noqa: F401
 from .heuristics import chordalize_with_order, mdo_completion, mdo_order, primal_repair
-from .lp import CUTOFF, INFEASIBLE, ITERATION_LIMIT, Basis, LpProblem, solve_lp
+from .lp import (
+    CUTOFF,
+    INFEASIBLE,
+    ITERATION_LIMIT,
+    Basis,
+    LpProblem,
+    packing_basis,
+    solve_lp,
+)
 from .separation import (
     VIOLATION_TOL,
     SeparationReport,
@@ -161,7 +178,9 @@ def root_initialize(g: Graph, cfg: SolverConfig | None = None):
                     key=len)
     report = SeparationReport()
     harvest = iter_threshold_cuts(g, Point.zeros(g), 0.5, cfg.families_enabled, report)
-    for bound in _packing_bounds(harvest):
+    bound = 0
+    for _, cut in _packing(harvest):
+        bound += cut.rhs
         if bound >= len(incumbent):
             break
     return incumbent, list(report.cuts)
@@ -195,6 +214,7 @@ class _Search:
         self.nodes = 0
         self.counter = 0
         self.heap: list = []  # (bound, counter, fixings, pool basis or None)
+        self.kept: tuple = (None, None)  # the last OPTIMAL LP's pool basis, its inverse
 
     def add_cut(self, cut: Cut) -> bool:
         key = cut.key()
@@ -293,7 +313,8 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     deadline = None if cfg.time_limit_s is None else t0 + cfg.time_limit_s
 
     incumbent, root_cuts = root_initialize(g, cfg)
-    root_bound = _packing_bound(root_cuts)
+    packing = list(_packing(root_cuts))
+    root_bound = sum(cut.rhs for _, cut in packing)
     if (root_bound >= len(incumbent)
             and (not incumbent or is_valid_completion(g, incumbent))):
         # chordal g (no fill, no cuts), or the root cuts prove the incumbent
@@ -306,7 +327,10 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     search.offer_incumbent(incumbent)
     for cut in root_cuts:
         search.add_cut(cut)
-    search.push(root_bound, {})
+    # the harvest holds each key once, so root cut i is pool row i
+    root_basis = packing_basis(search._matrix, [i for i, _ in packing])
+    search.kept = (root_basis, np.eye(len(packing)))
+    search.push(root_bound, {}, root_basis)
     status = OPTIMAL
 
     while search.heap:
@@ -339,23 +363,21 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     )
 
 
-def _packing_bounds(cuts):
-    """Yield, after each cut, the sum of rhs over the unit-coefficient cuts
-    so far packed greedily, in order, with pairwise disjoint supports: each
-    a lower bound on the optimum."""
+def _packing(cuts):
+    """Yield (position, cut) for each cut of the greedy packing: in order,
+    each unit-coefficient cut whose support is disjoint from those taken
+    before.  The sum of their rhs over any prefix bounds the optimum from
+    below (y = 1 on them is a feasible LP dual)."""
     used: set[int] = set()
-    bound = 0
-    for cut in cuts:
+    for i, cut in enumerate(cuts):
         if used.isdisjoint(cut.coeffs) and all(a == 1 for a in cut.coeffs.values()):
             used.update(cut.coeffs)
-            bound += cut.rhs
-        yield bound
+            yield i, cut
 
 
 def _packing_bound(cuts: list[Cut]) -> int:
-    """The greedy packing bound of all the cuts: the last, hence the
-    largest, of _packing_bounds."""
-    return max(_packing_bounds(cuts), default=0)
+    """The greedy packing bound of all the cuts."""
+    return sum(cut.rhs for _, cut in _packing(cuts))
 
 
 def _process_node(search: _Search, fixings: dict, bound: float,
@@ -367,8 +389,10 @@ def _process_node(search: _Search, fixings: dict, bound: float,
             search.push(bound, fixings, basis)  # cuts are global; nothing is lost
             return
         lp_basis = search.activate(basis)  # before build_lp: rows must be in
+        kept_basis, kept_inverse = search.kept
         res = solve_lp(search.build_lp(fixings), basis=lp_basis,
-                       cutoff=search.ub - 1 + BOUND_TOL, deadline=deadline)
+                       cutoff=search.ub - 1 + BOUND_TOL, deadline=deadline,
+                       inverse=kept_inverse if kept_basis == basis else None)
         if res.status in (INFEASIBLE, CUTOFF):
             return  # CUTOFF: ceil(objective - BOUND_TOL) >= ub, as a pruned bound
         if res.status == ITERATION_LIMIT:
@@ -380,6 +404,7 @@ def _process_node(search: _Search, fixings: dict, bound: float,
             return
         bound = res.objective  # the node's bound from here on: its last LP's
         basis = search.pool_basis(res.basis)
+        search.kept = (basis, res.inverse)
         # pull violated pooled rows back into the LP before separating anew
         if search.refresh_active(res.point.values):
             continue

