@@ -10,7 +10,8 @@ Three mechanisms:
 * exact separation for families I2 and I3 -- shortest-path searches over
   auxiliary weighted graphs whose path weights reproduce the inequality
   slack exactly, so a violated cut is found whenever one exists (for I2,
-  one Floyd-Warshall pass per call over every centre vertex at once).
+  one Floyd-Warshall pass per call over every centre vertex at once, then
+  one pass over the first hop of every centre).
 
 Every separator hands each cut it builds to SeparationReport.add, the one
 keep rule: kept iff strictly violated at the exact queried point and new by
@@ -19,6 +20,12 @@ the copies where families coincide on short cycles (see cuts.screen_cycle).
 Its scan is one generator, iter_threshold_cuts, which yields each cut as it
 is kept: separate_threshold drains it, and the solver's root harvest stops
 it once the cuts prove the incumbent.
+
+The threshold and integer scans take an optional memo, PooledCycles, of the
+cuts each canonical cycle has given.  A cycle whose screened cuts are all
+in the solver's pool is counted but not screened.  At a point where no
+pooled cut is violated, which is where the solver separates, the keep rule
+would keep none of them, so the report is the one without the memo.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .cuts import (
     cut_i2,
     cut_i3,
     cut_i4,
+    _screen_plan,
     evaluate,
     point_values,
     screen_cycle,
@@ -98,7 +106,60 @@ class SeparationReport:
         return len(self.cuts)
 
 
-def separate_integer(g: Graph, x: Point, families=FAMILIES) -> SeparationReport:
+class PooledCycles:
+    """Which screened cuts of each canonical cycle are in a cut pool.
+
+    Maps a canonical cycle's vertex tuple to {(family, screened positions):
+    Cut.key()}, and holds a reference to the pool's key set, which it only
+    reads.  A cut's key depends only on the graph, the cycle and the
+    positions, so any cut built on a canonical cycle at the positions
+    screen_cycle lists may be recorded: the scan records every cut it
+    builds, and the solver records the root harvest, which the same scan
+    built.  Exact I2 cuts are never recorded: their positions refer to a
+    rotation of the cycle that is not the canonical one.
+
+    covers(cycle, families) holds iff every cut screen_cycle would evaluate
+    on the cycle (one per entry of cuts._screen_plan) is recorded and its
+    key is pooled.  The scan then skips the cycle, and that is exact
+    wherever no pooled cut is violated at the point by more than
+    VIOLATION_TOL.  The solver separates only there: a node separates after
+    its LP, whose active rows hold at the point to within the LP's
+    feasibility tolerance (far below VIOLATION_TOL), and after
+    refresh_active has found no other pooled row violated by more than
+    VIOLATION_TOL.  report.add keeps only cuts violated by more than
+    VIOLATION_TOL, so it would keep none of the skipped cycle's cuts; the
+    other cycles are scanned as before, so the report keeps the same cuts
+    in the same order and stops at the same cycle.  The pool never
+    shrinks, so a covered cycle stays covered.
+    """
+
+    def __init__(self, pooled: set):
+        self.pooled = pooled
+        self._keys: dict[tuple, dict] = {}
+        self._covered: dict[tuple, tuple] = {}  # cycle -> families it is covered for
+
+    def record(self, cut: Cut) -> None:
+        """Note the key of a cut built on its canonical cycle at the
+        positions screen_cycle lists for its family."""
+        self._keys.setdefault(cut.cycle.vertices, {})[cut.family, cut.params or ()] = cut.key()
+
+    def covers(self, cyc: Cycle, families: tuple) -> bool:
+        vs = cyc.vertices
+        if self._covered.get(vs) == families:
+            return True
+        keys = self._keys.get(vs)
+        if keys is None:
+            return False
+        for fam, positions, _, _ in _screen_plan(len(vs), families)[1]:
+            key = keys.get((fam, positions))
+            if key is None or key not in self.pooled:
+                return False
+        self._covered[vs] = families
+        return True
+
+
+def separate_integer(g: Graph, x: Point, families=FAMILIES,
+                     memo: PooledCycles | None = None) -> SeparationReport:
     """Lazy cuts at an integer point; empty iff g + E(x) is chordal.
 
     Threshold separation of x: rounding an integral point at any threshold
@@ -108,11 +169,12 @@ def separate_integer(g: Graph, x: Point, families=FAMILIES) -> SeparationReport:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     if not x.is_integral():
         raise SeparationError("integer separation requires an integral point")
-    return separate_threshold(g, x, 0.5, families)
+    return separate_threshold(g, x, 0.5, families, memo)
 
 
 def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
-                       families=FAMILIES) -> SeparationReport:
+                       families=FAMILIES, memo: PooledCycles | None = None
+                       ) -> SeparationReport:
     """Round coordinates >= delta up, separate combinatorially, re-check at x.
 
     The report of iter_threshold_cuts run to its end.  May legitimately
@@ -120,13 +182,13 @@ def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
     the full families.
     """
     report = SeparationReport()
-    for _ in iter_threshold_cuts(g, x, delta, families, report):
+    for _ in iter_threshold_cuts(g, x, delta, families, report, memo):
         pass
     return report
 
 
 def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
-                        report: SeparationReport):
+                        report: SeparationReport, memo: PooledCycles | None = None):
     """Threshold separation as a generator: yield each cut as report.add
     keeps it, so a caller can stop the scan once it has the cuts it needs.
 
@@ -138,6 +200,12 @@ def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
     SCREEN_SLACK, so the report is the one building every cut would give.
     Each cycle is chordless in g, so no builder can refuse it: a CutError is
     a defect and propagates.
+
+    With a memo, every cut built is recorded in it, and a cycle the memo
+    covers is counted in stats.cycles_examined but not screened: its cuts
+    are all pooled, and where no pooled cut is violated at x the report
+    would keep none of them (see PooledCycles).  Without one (None) every
+    cycle is screened.
     """
     if not 0.0 < delta < 1.0:
         raise SeparationError(f"threshold must lie strictly inside (0, 1), got {delta}")
@@ -148,10 +216,15 @@ def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
     builders = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
     vals = point_values(x)
     floor = VIOLATION_TOL - SCREEN_SLACK
+    families = tuple(families)
     for cyc in iter_chordless_cycles(g, np.flatnonzero(x.values >= delta).tolist()):
         report.stats.cycles_examined += 1
+        if memo is not None and memo.covers(cyc, families):
+            continue
         for fam, positions in screen_cycle(g, cyc, vals, families, floor):
             cut = builders[fam](g, cyc, *positions)
+            if memo is not None:
+                memo.record(cut)
             if report.add(cut, vals):
                 yield cut
                 if len(report) >= MAX_CUTS_PER_CALL:
@@ -177,12 +250,16 @@ def separate_i2_exact(g: Graph, x: Point, deadline=None) -> SeparationReport:
     affine function of x at the triple; the path reconstructs the cycle.
     All triples are screened at once, and the paths of every centre with a
     triple that can be violated at all come from one Floyd-Warshall pass
-    per call (see _i2_shortest_paths); stats.dijkstra_calls counts these
-    centres.  That pass lets a walk return to q, but no walk that does is
-    ever violated, so every violated triple's walk is the simple path it
-    would be with q removed, and no fallback search is needed.  Past the
-    deadline (a time.perf_counter() reading), checked before each centre's
-    paths are scanned, the call returns the cuts found so far.
+    and one first-hop pass per call (see _i2_paths); stats.dijkstra_calls
+    counts these centres.  The triples violated by those paths are then
+    found for every centre at once.  The paths let a walk return to q, but
+    no walk that does is ever violated, so every violated triple's walk is
+    the simple path it would be with q removed, and no fallback search is
+    needed.  The clock is read once per centre, before its cycles are
+    rebuilt from the paths, and the first centre's read comes before any
+    path is computed: past the deadline (a time.perf_counter() reading) the
+    call returns the cuts found so far, without the paths if no centre has
+    been scanned.
     """
     if len(x) != g.mc:
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
@@ -197,13 +274,18 @@ def separate_i2_exact(g: Graph, x: Point, deadline=None) -> SeparationReport:
     cand[idx, idx, :] = cand[idx, :, idx] = False
     centres = np.flatnonzero(cand.any(axis=(1, 2)))
     report.stats.dijkstra_calls += len(centres)
-    for c, dist, first, nxt in _i2_shortest_paths(xt, centres):
-        if deadline is not None and time.perf_counter() > deadline:
-            break
-        for p, q in zip(*np.nonzero(cand[c] & (bound[c] - dist.T > VIOLATION_TOL))):
-            path = [int(q), int(first[q, p])]
+    if not len(centres) or (deadline is not None and time.perf_counter() > deadline):
+        return report
+    dist, first, nxt = _i2_paths(xt, centres)
+    viol = cand[centres] & (bound[centres] - dist.transpose(0, 2, 1) > VIOLATION_TOL)
+    for j, c in enumerate(centres.tolist()):
+        if j and deadline is not None and time.perf_counter() > deadline:
+            break  # the first centre's read came before the paths
+        fj, nj = first[j], nxt[j]
+        for p, q in zip(*np.nonzero(viol[j])):
+            path = [int(q), int(fj[q, p])]
             while path[-1] != p:
-                path.append(int(nxt[path[-1], p]))
+                path.append(int(nj[path[-1], p]))
             cyc = Cycle((c,) + tuple(path))
             report.stats.cycles_examined += 1
             try:
@@ -214,17 +296,21 @@ def separate_i2_exact(g: Graph, x: Point, deadline=None) -> SeparationReport:
     return report
 
 
-def _i2_shortest_paths(xt: np.ndarray, centres: np.ndarray):
+def _i2_paths(xt: np.ndarray, centres: np.ndarray):
     """Cheapest q-p walks of two or more hops avoiding the centre c, for
     every centre in centres and all endpoints, in the complete graph with
     edge weights w_c(a,b) = 1 - x(a,b) + (x(c,a) + x(c,b))/2 >= 0.
 
     One Floyd-Warshall over the (centres, n, n) array gives D[c], the
     all-pairs shortest paths of the graph minus c, and nxt[c, a, p], the
-    vertex after a on the a-p path.  Then, one centre at a time so that no
-    array exceeds n x n x n, dist[q, p] = min over a not in {p, q} of
-    w_c(q, a) + D[c, a, p], with first[q, p] its argmin: the first hop never
-    takes the direct q-p edge.  Yields (c, dist, first, nxt[c]) per centre.
+    vertex after a on the a-p path.  Then one pass over the first hop a, for
+    every centre at once, gives dist[c, q, p] = min over a not in {p, q} of
+    w_c(q, a) + D[c, a, p] and first[c, q, p], the a that attains it: the
+    first hop never takes the direct q-p edge.  The pass keeps an a only if
+    it is strictly better than every smaller one, so first is the argmin
+    over a, ties going to the smallest a.  No array exceeds
+    (centres, n, n).  Returns (dist, first, nxt), indexed by position in
+    centres.
 
     D may pass through q, so such a walk could in principle return to q; it
     never does on a violated triple.  Every edge at q weighs at least
@@ -236,8 +322,6 @@ def _i2_shortest_paths(xt: np.ndarray, centres: np.ndarray):
     triple dist is the shortest path of the graph minus {c, q}, and the walk
     is a simple path; Cycle's distinct-vertex check stays as the guard.
     """
-    if not len(centres):
-        return
     n = len(xt)
     idx = np.arange(n)
     xc = xt[centres]
@@ -254,13 +338,25 @@ def _i2_shortest_paths(xt: np.ndarray, centres: np.ndarray):
         np.less(via, D, out=better)
         np.copyto(D, via, where=better)
         np.copyto(nxt, nxt[:, :, v, None], where=better)
+    w[:, idx, idx] = np.inf  # no first hop to a == q
+    D[:, idx, idx] = np.inf  # nor to a == p: that would be the direct q-p edge
+    dist = np.full(D.shape, np.inf)
+    first = np.zeros(D.shape, dtype=np.intp)
+    for a in range(n):
+        np.add(w[:, :, a, None], D[:, None, a, :], out=via)  # via[j, q, p]: q -> a, then D
+        np.less(via, dist, out=better)
+        np.copyto(dist, via, where=better)
+        np.copyto(first, a, where=better)
+    return dist, first, nxt
+
+
+def _i2_shortest_paths(xt: np.ndarray, centres: np.ndarray):
+    """_i2_paths one centre at a time: yields (c, dist, first, nxt) for each
+    centre c, the centre's n x n slices, with the first hop of every centre
+    computed in the one pass before the first yield."""
+    dist, first, nxt = _i2_paths(xt, centres)
     for j, c in enumerate(centres):
-        total = w[j][:, :, None] + D[j]  # total[q, a, p]: first hop q -> a, then D
-        total[:, idx, idx] = np.inf  # a == p would be the direct q-p edge
-        total[idx, idx, :] = np.inf  # a == q
-        first = total.argmin(axis=1)
-        dist = np.take_along_axis(total, first[:, None, :], axis=1)[:, 0, :]
-        yield int(c), dist, first, nxt[j]
+        yield int(c), dist[j], first[j], nxt[j]
 
 
 def separate_i3_exact(g: Graph, x: Point) -> SeparationReport:

@@ -17,6 +17,15 @@ Integer separation is threshold separation of the integral point, so every
 call but exact I2 scans chordless cycles until it holds
 separation.MAX_CUTS_PER_CALL violated cuts or runs out of cycles.
 
+Those scans share one memo of the pool (separation.PooledCycles), and skip
+the cycles whose screened cuts are all pooled.  It is built when the search
+first separates and fed the root cuts then, so a search that never
+separates pays nothing for it; after that the scans feed it every cut they
+build.  Exact I2 cuts never feed it.  A node separates only after its LP
+and refresh_active leave no pooled row violated by more than VIOLATION_TOL,
+so no skipped cycle holds a cut the scan would keep, and the cuts, LPs and
+nodes are those of a search without the memo.
+
 Best-bound node selection; branching fixes the most fractional variable to
 0 and 1.  All cuts are globally valid, so the pool is shared by every node
 and never shrinks.  Objective values are sums of binaries, hence every node
@@ -95,6 +104,7 @@ from .lp import (
 )
 from .separation import (
     VIOLATION_TOL,
+    PooledCycles,
     SeparationReport,
     iter_threshold_cuts,
     separate_i2_exact,
@@ -215,6 +225,18 @@ class _Search:
         self.counter = 0
         self.heap: list = []  # (bound, counter, fixings, pool basis or None)
         self.kept: tuple = (None, None)  # the last OPTIMAL LP's pool basis, its inverse
+        self.root_cuts: list[Cut] = []
+        self._memo: PooledCycles | None = None
+
+    @property
+    def memo(self) -> PooledCycles:
+        """The scans' memo over pool_keys, made and fed the root cuts on
+        first use."""
+        if self._memo is None:
+            self._memo = PooledCycles(self.pool_keys)
+            for cut in self.root_cuts:
+                self._memo.record(cut)
+        return self._memo
 
     def add_cut(self, cut: Cut) -> bool:
         key = cut.key()
@@ -327,6 +349,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     search.offer_incumbent(incumbent)
     for cut in root_cuts:
         search.add_cut(cut)
+    search.root_cuts = root_cuts
     # the harvest holds each key once, so root cut i is pool row i
     root_basis = packing_basis(search._matrix, [i for i, _ in packing])
     search.kept = (root_basis, np.eye(len(packing)))
@@ -375,11 +398,6 @@ def _packing(cuts):
             yield i, cut
 
 
-def _packing_bound(cuts: list[Cut]) -> int:
-    """The greedy packing bound of all the cuts."""
-    return sum(cut.rhs for _, cut in _packing(cuts))
-
-
 def _process_node(search: _Search, fixings: dict, bound: float,
                   basis: Basis | None, deadline) -> None:
     g, cfg = search.g, search.cfg
@@ -412,7 +430,8 @@ def _process_node(search: _Search, fixings: dict, bound: float,
             return
         x = res.point
         if x.is_integral():
-            cuts = separate_integer(g, x, families=cfg.families_enabled).cuts
+            cuts = separate_integer(g, x, families=cfg.families_enabled,
+                                    memo=search.memo).cuts
             if not cuts:
                 search.offer_incumbent(x.fill_set())
                 return
@@ -439,7 +458,8 @@ def _fractional_cuts(search: _Search, x: Point, deadline=None) -> list:
         if rounded in tried:
             continue
         tried.add(rounded)
-        cuts = separate_threshold(g, x, d, families=cfg.families_enabled).cuts
+        cuts = separate_threshold(g, x, d, families=cfg.families_enabled,
+                                  memo=search.memo).cuts
         if cuts:
             break
     if not cuts and cfg.exact_i2:

@@ -4,14 +4,16 @@ families, vertex enumeration for LPs, per-triple Dijkstra for exact I2
 separation), the dual simplex ratio test that sorts every candidate,
 plus the pair-based chordless-cycle search, cut builders,
 threshold/integer separation and set-based heuristics that the
-adjacency-mask versions replaced, the per-centre exact I2 batches that one
-all-centres pass replaced, the loop form of the LP active-set refresh, an
-exact minimum fill-in by dynamic programming that reaches past brute force,
-and the cycle queries only tests make (one chordless cycle of a graph, a
-cycle's chords and its exterior pairs missing from a graph)."""
+adjacency-mask versions replaced, the per-centre exact I2 batches and first hops that all-centres passes
+replaced, the loop form of the LP active-set refresh, an exact minimum
+fill-in by dynamic programming that reaches past brute force, the cycle
+queries only tests make (one chordless cycle of a graph, a cycle's chords
+and its exterior pairs missing from a graph), and a digest of the search
+a set of solves makes."""
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import importlib.resources as importlib_resources
 from collections import deque
@@ -40,6 +42,7 @@ from fillin.graphs import (
 )
 from fillin.instances import parse_dimacs
 from fillin.lp import FEAS_TOL, PIVOT_TOL
+import fillin.solver
 from fillin.separation import (
     MAX_CUTS_PER_CALL,
     VIOLATION_TOL,
@@ -315,6 +318,31 @@ def per_centre_separate_i2(g: Graph, x: Point) -> SeparationReport:
     return report
 
 
+def per_centre_first_hops(xt: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(dist, first) of centre c as _i2_paths computed them before its one
+    pass over the first hop: a Floyd-Warshall of the graph minus c, then
+    one n x n x n batch whose argmin over the first hop a gives first[q, p]
+    and dist[q, p] = w_c(q, a) + D[a, p], with a outside {p, q}.  Also
+    returns the number of finite entries whose minimum more than one first
+    hop attains."""
+    n = len(xt)
+    idx = np.arange(n)
+    w = 1.0 - xt + 0.5 * (xt[c][:, None] + xt[c][None, :])
+    w[c, :] = w[:, c] = np.inf
+    D = w.copy()
+    D[idx, idx] = 0.0
+    for v in range(n):
+        via = D[:, v, None] + D[None, v, :]
+        D = np.where(via < D, via, D)
+    total = w[:, :, None] + D  # total[q, a, p]: first hop q -> a, then D
+    total[:, idx, idx] = np.inf  # a == p would be the direct q-p edge
+    total[idx, idx, :] = np.inf  # a == q
+    first = total.argmin(axis=1)
+    dist = np.take_along_axis(total, first[:, None, :], axis=1)[:, 0, :]
+    last = n - 1 - total[:, ::-1, :].argmin(axis=1)
+    return dist, first, int(((last != first) & np.isfinite(dist)).sum())
+
+
 def _reference_path(g: Graph, v: int, u: int, allowed_mask: int):
     """BFS path from v to u staying inside allowed_mask, or None."""
     if not ((allowed_mask >> v) & 1 and (allowed_mask >> u) & 1):
@@ -571,3 +599,30 @@ def min_fill_dp(g: Graph) -> int:
             if cost < best[s | low]:
                 best[s | low] = cost
     return best[full]
+
+
+def search_digest(instances, cfg) -> tuple[str, int, int]:
+    """Solve each graph of instances under cfg and return a digest of every
+    result's status, bounds, nodes, fill, cuts_by_family and total_cuts,
+    with the number of LPs solved and their pivots summed: two searches
+    with equal digests took the same path to the same answer."""
+    h = hashlib.sha256()
+    lps = [0, 0]
+    solve_lp = fillin.solver.solve_lp
+
+    def counting(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        lps[0] += 1
+        lps[1] += res.iterations
+        return res
+
+    fillin.solver.solve_lp = counting
+    try:
+        for g in instances:
+            r = fillin.solver.solve(g, cfg)
+            h.update(repr((r.status, r.lower_bound, r.upper_bound, r.nodes,
+                           sorted(r.best_fill), sorted(r.cuts_by_family.items()),
+                           r.total_cuts)).encode())
+    finally:
+        fillin.solver.solve_lp = solve_lp
+    return h.hexdigest(), lps[0], lps[1]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fillin.separation
 
-from fillin.cuts import Cut, CutError, cut_i1, cut_i3, evaluate
+from fillin.cuts import Cut, CutError, cut_i1, cut_i2, cut_i3, evaluate
 from fillin.graphs import (
     Cycle,
     Graph,
@@ -24,10 +24,12 @@ from fillin.instances import gen_grid
 from fillin.separation import (
     MAX_CUTS_PER_CALL,
     VIOLATION_TOL,
+    PooledCycles,
     SeparationCapabilityError,
     SeparationError,
     SeparationReport,
     _extended_values,
+    _i2_paths,
     _i2_shortest_paths,
     separate_i2_exact,
     separate_i3_exact,
@@ -42,6 +44,7 @@ from helpers import (
     exhaustive_i3_violation,
     fig_graph,
     myciel4,
+    per_centre_first_hops,
     per_centre_separate_i2,
     random_connected_graph,
     reference_separate,
@@ -362,6 +365,113 @@ class TestOneIdentity:
         assert len({c.key() for c in rep.cuts}) == len(rep) == m
 
 
+def counting_screens(monkeypatch) -> list:
+    """Route the scan's screen_cycle through a wrapper; the list it returns
+    fills with the vertices of each cycle screened."""
+    screened = []
+    screen = fillin.separation.screen_cycle
+
+    def counting(g, cyc, *args):
+        screened.append(cyc.vertices)
+        return screen(g, cyc, *args)
+
+    monkeypatch.setattr(fillin.separation, "screen_cycle", counting)
+    return screened
+
+
+class TestPooledCycles:
+    """The memo skips a cycle only when every cut the scan would screen on
+    it is pooled; at points that violate no pooled cut, the reports are the
+    ones without it."""
+
+    @staticmethod
+    def memo_of(pooled: set, cuts) -> PooledCycles:
+        memo = PooledCycles(pooled)
+        for cut in cuts:
+            memo.record(cut)
+        return memo
+
+    def test_same_reports_as_without_the_memo(self, monkeypatch):
+        screened = counting_screens(monkeypatch)
+        rng = np.random.default_rng(113)
+        skipped = compared = 0
+        for _ in range(40):
+            g = random_connected_graph(rng, int(rng.integers(6, 11)),
+                                       float(rng.uniform(0.2, 0.45)))
+            if g.mc == 0:
+                continue
+            # integer scans at 0/1 points build every screened cut of each
+            # cycle they reach
+            cuts = [c for _ in range(6) for c in
+                    separate_integer(g, Point(rng.integers(0, 2, g.mc).astype(float))).cuts]
+            fractional = Point(rng.choice([0.0, 0.3, 0.5, 0.7, 0.85, 1.0], size=g.mc))
+            integral = Point(rng.integers(0, 2, g.mc).astype(float))
+            for x, runs in ((fractional, [(separate_threshold, (d,)) for d in (0.8, 0.4, 0.9)]),
+                            (integral, [(separate_integer, ())])):
+                # the pool: every one of those cuts that x satisfies
+                memo = self.memo_of({c.key() for c in cuts if evaluate(c, x) <= VIOLATION_TOL},
+                                    cuts)
+                for sep, args in runs:
+                    screened.clear()
+                    ref = sep(g, x, *args)
+                    plain = len(screened)
+                    screened.clear()
+                    rep = sep(g, x, *args, memo=memo)
+                    assert_same_report(rep, ref)
+                    skipped += plain - len(screened)
+                    compared += 1
+        assert compared >= 100 and skipped > 100
+
+    def test_a_cycle_with_one_cut_unpooled_or_unrecorded_is_screened(self, monkeypatch):
+        # C6 at 1/2 on every chord, rounded at 0.8: the one cycle stays
+        # chordless and none of its four screened cuts is violated
+        screened = counting_screens(monkeypatch)
+        g = cycle_graph(6)
+        cuts = separate_integer(g, Point.zeros(g)).cuts
+        assert sorted(c.family for c in cuts) == ["I1", "I2", "I3", "I4"]
+        x = Point(np.full(g.mc, 0.5))
+        ref = separate_threshold(g, x, 0.8)
+        assert len(ref) == 0 and ref.stats.cycles_examined == 1
+        for missing in cuts:
+            rest = [c for c in cuts if c is not missing]
+            # unpooled, or never built and so never recorded
+            for memo in (self.memo_of({c.key() for c in rest}, cuts),
+                         self.memo_of({c.key() for c in cuts}, rest)):
+                screened.clear()
+                assert_same_report(separate_threshold(g, x, 0.8, memo=memo), ref)
+                assert screened == [cuts[0].cycle.vertices]
+        memo = self.memo_of({c.key() for c in cuts}, cuts)
+        screened.clear()
+        assert_same_report(separate_threshold(g, x, 0.8, memo=memo), ref)
+        assert screened == []
+
+    def test_an_exact_i2_cut_never_marks_its_canonical_cycle(self, monkeypatch):
+        # an exact I2 cut names its cycle from the centre, not from the
+        # canonical start: pooled, it does not stand in for the I2 cut the
+        # scan screens on that cycle, so the cycle is still screened
+        screened = counting_screens(monkeypatch)
+        rng = np.random.default_rng(127)
+        rotated = 0
+        for _ in range(60):
+            g = random_connected_graph(rng, int(rng.integers(6, 10)), 0.3)
+            if g.mc == 0:
+                continue
+            scan = separate_integer(g, Point.zeros(g)).cuts
+            on_scanned = {c.cycle.vertices: c for c in scan if c.family == "I2"}
+            for e in separate_i2_exact(g, random_i2_point(rng, g)).cuts:
+                screened_i2 = on_scanned.get(e.cycle.vertices)
+                if screened_i2 is None or screened_i2.key() == e.key():
+                    continue
+                rotated += 1
+                pooled = {c.key() for c in scan if c is not screened_i2} | {e.key()}
+                memo = self.memo_of(pooled, scan)
+                assert not memo.covers(e.cycle, ("I1", "I2", "I3", "I4"))
+                screened.clear()
+                separate_integer(g, Point.zeros(g), memo=memo)
+                assert e.cycle.vertices in screened
+        assert rotated > 20
+
+
 class TestExactI2:
     def test_c5_small_fractional_point(self):
         g = cycle_graph(5)
@@ -570,6 +680,38 @@ class TestBatchedExactI2:
             assert rep.stats.dijkstra_calls == ref.stats.dijkstra_calls
             kept += len(rep)
         assert kept > 100
+
+
+class TestOnePassFirstHop:
+    def test_matches_the_per_centre_argmin(self):
+        # zeros and ones give zero-weight edges and equal sums, so many
+        # minima are attained at several first hops: the pass must keep the
+        # smallest, as argmin does, and the same float sum
+        rng = np.random.default_rng(107)
+        ties = 0
+        for _ in range(40):
+            n = int(rng.integers(5, 14))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.15, 0.5)))
+            xt = _extended_values(g, random_i2_point(rng, g))
+            centres = np.flatnonzero(rng.random(n) < 0.7)
+            dist, first, _ = _i2_paths(xt, centres)
+            assert dist.shape == first.shape == (len(centres), n, n)
+            for j, c in enumerate(centres):
+                ref_dist, ref_first, tied = per_centre_first_hops(xt, int(c))
+                assert np.array_equal(dist[j], ref_dist)
+                assert np.array_equal(first[j], ref_first)
+                ties += tied
+        assert ties > 1000
+
+    def test_a_past_deadline_builds_no_path(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("paths built past the deadline")
+
+        monkeypatch.setattr(fillin.separation, "_i2_paths", refuse)
+        g = gen_grid(3, 4)
+        x = Point(np.full(g.mc, 0.3))
+        rep = separate_i2_exact(g, x, deadline=time.perf_counter() - 1.0)
+        assert rep.cuts == [] and rep.stats.dijkstra_calls > 0
 
 
 class TestExactI3:

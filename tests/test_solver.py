@@ -16,13 +16,13 @@ import fillin.graphs
 import fillin.heuristics
 import fillin.lp
 import fillin.solver
-from fillin.cuts import FAMILIES, Cut, evaluate
+from fillin.cuts import FAMILIES, Cut, CutError, cut_i1, cut_i2, cut_i3, cut_i4, evaluate
 from fillin.graphs import Graph, Point, is_valid_completion, new_graph
 from fillin.heuristics import chordalize_with_order, mdo_completion, mdo_order
 from fillin.instances import gen_grid, gen_mycielski, gen_queen
 from fillin.lp import packing_basis
 from fillin.oracle import brute_force_mccp, feasible_points
-from fillin.separation import separate_integer
+from fillin.separation import PooledCycles, separate_integer
 from fillin.solver import (
     BOUND_TOL,
     FEASIBLE,
@@ -31,7 +31,6 @@ from fillin.solver import (
     SolverConfig,
     SolveResult,
     _packing,
-    _packing_bound,
     _Search,
     root_initialize,
     solve,
@@ -45,6 +44,7 @@ from helpers import (
     myciel4,
     random_connected_graph,
     reference_refresh_active,
+    search_digest,
 )
 
 
@@ -330,7 +330,7 @@ class TestRootPackingBound:
         bad = frozenset(g.fill_index(u, u + 3) for u in range(3))
         assert not is_valid_completion(g, bad)
         cuts = root_initialize(g)[1]
-        assert _packing_bound(cuts) == len(bad)
+        assert sum(c.rhs for _, c in _packing(cuts)) == len(bad)
         monkeypatch.setattr(fillin.solver, "root_initialize", lambda g, cfg: (bad, cuts))
         res = solve(g)
         assert (res.status, res.lower_bound, res.upper_bound) == (OPTIMAL, 3, 3)
@@ -339,7 +339,7 @@ class TestRootPackingBound:
     def test_a_short_packing_still_runs_the_search(self, monkeypatch):
         # grid3_4: packing 7 against the incumbent 9
         g = gen_grid(3, 4)
-        assert _packing_bound(root_initialize(g)[1]) == 7
+        assert sum(c.rhs for _, c in _packing(root_initialize(g)[1])) == 7
         lps = recording_lps(monkeypatch)
         res = solve(g)
         assert (res.status, res.upper_bound, res.nodes, res.total_cuts) == (OPTIMAL, 9, 1, 24)
@@ -347,23 +347,24 @@ class TestRootPackingBound:
 
     @pytest.mark.parametrize("k", range(4, 10))
     def test_cycle_bound_is_k_minus_3(self, k):
-        assert _packing_bound(root_initialize(cycle_graph(k))[1]) == k - 3
+        assert sum(c.rhs for _, c in _packing(root_initialize(cycle_graph(k))[1])) == k - 3
 
     def test_never_above_the_optimum(self):
         rng = np.random.default_rng(103)
         for _ in range(60):
             g = random_connected_graph(rng, int(rng.integers(4, 9)),
                                        float(rng.uniform(0.2, 0.6)))
-            assert _packing_bound(root_initialize(g)[1]) <= len(brute_force_mccp(g))
+            bound = sum(c.rhs for _, c in _packing(root_initialize(g)[1]))
+            assert bound <= len(brute_force_mccp(g))
 
     def test_only_unit_rows_with_disjoint_supports_count(self):
         g = cycle_graph(6)
         chain = [Cut(g, {0: 1, 1: 1}, 1, "I1"), Cut(g, {1: 1, 2: 1}, 1, "I1"),
                  Cut(g, {2: 1, 3: 1}, 1, "I1")]
-        assert _packing_bound(chain) == 2  # the middle row meets the first
+        assert sum(c.rhs for _, c in _packing(chain)) == 2  # the middle row meets the first
         # 2 x_4 >= 2 says only x_4 >= 1: counting its rhs would claim 2
-        assert _packing_bound([Cut(g, {4: 2}, 2, "I1")]) == 0
-        assert _packing_bound([Cut(g, {4: 1, 5: -1}, 1, "I2")]) == 0
+        assert sum(c.rhs for _, c in _packing([Cut(g, {4: 2}, 2, "I1")])) == 0
+        assert sum(c.rhs for _, c in _packing([Cut(g, {4: 1, 5: -1}, 1, "I2")])) == 0
 
 
 def full_harvest(g: Graph, families=FAMILIES) -> list:
@@ -388,7 +389,7 @@ class TestLazyRootHarvest:
             incumbent, harvest = root_initialize(g)
             full = full_harvest(g) if incumbent else []
             k = next((k for k in range(1, len(full) + 1)
-                      if _packing_bound(full[:k]) >= len(incumbent)), len(full))
+                      if sum(c.rhs for _, c in _packing(full[:k])) >= len(incumbent)), len(full))
             assert [c.key() for c in harvest] == [c.key() for c in full[:k]]
             assert [c.family for c in harvest] == [c.family for c in full[:k]]
             short += k < len(full)
@@ -417,7 +418,8 @@ class TestLazyRootHarvest:
         g = gen_grid(3, 3)
         assert len(full_harvest(g)) == 8
         incumbent, harvest = root_initialize(g)
-        assert len(harvest) == 1 and _packing_bound(harvest) == len(incumbent) == 5
+        assert len(harvest) == 1
+        assert sum(c.rhs for _, c in _packing(harvest)) == len(incumbent) == 5
         lps = recording_lps(monkeypatch)
         res = solve(g)
         assert (res.status, res.lower_bound, res.nodes, res.total_cuts) == (OPTIMAL, 5, 0, 1)
@@ -576,7 +578,7 @@ class TestLimitsAndBounds:
                                        float(rng.uniform(0.3, 0.6)))
             incumbent, cuts = root_initialize(g)
             # small enough to enumerate every leaf
-            if g.mc <= 9 and _packing_bound(cuts) < len(incumbent):
+            if g.mc <= 9 and sum(c.rhs for _, c in _packing(cuts)) < len(incumbent):
                 graphs.append(g)
                 if len(graphs) == 5:
                     break
@@ -663,7 +665,7 @@ class TestLimitsAndBounds:
         g = gen_grid(4, 4)
         res = solve(g, SolverConfig(time_limit_s=0))
         assert (res.status, res.nodes) == (TIME_LIMIT, 0)
-        assert res.lower_bound == _packing_bound(root_initialize(g)[1]) > 0
+        assert res.lower_bound == sum(c.rhs for _, c in _packing(root_initialize(g)[1])) > 0
 
     def test_an_lp_past_the_deadline_requeues_its_node(self, monkeypatch):
         # the LP's clock runs half a second ahead of the solver's: the sixth
@@ -914,3 +916,60 @@ class TestLpRows:
 
         check()
         assert len(checked) >= 50
+
+
+class TestPooledCycleMemo:
+    """The scans skip cycles whose screened cuts are all pooled, and the
+    search stays the one without the skip, to the pivot."""
+
+    @staticmethod
+    def graphs() -> list:
+        rnd = random.Random(131)
+        # grid3_6 loses a cut if a cycle with any of its cuts recorded is skipped
+        return ([gen_grid(3, 5), gen_grid(3, 6), gen_queen(3, 5), gen_queen(4, 4), myciel3()]
+                + [tree_plus_pairs(rnd, rnd.randint(8, 12)) for _ in range(10)])
+
+    @pytest.mark.parametrize("exact_i2", [False, True])
+    def test_search_unchanged_without_the_skip(self, monkeypatch, exact_i2):
+        graphs, cfg = self.graphs(), SolverConfig(exact_i2=exact_i2)
+        covers, hits = PooledCycles.covers, []
+        monkeypatch.setattr(PooledCycles, "covers", lambda self, cyc, families: (
+            hits.append(covers(self, cyc, families)) or hits[-1]))
+        memo = search_digest(graphs, cfg)
+        assert sum(hits) > 1000 and sum(hits) < len(hits)
+        monkeypatch.setattr(PooledCycles, "covers", lambda self, cyc, families: False)
+        assert search_digest(graphs, cfg) == memo
+
+    def test_only_the_scans_cuts_feed_the_memo(self, monkeypatch):
+        # each cut recorded is the one its builder makes on the canonical
+        # cycle at the screened positions; exact I2 finds cuts that are not
+        # (a rotated start, or real chords off the support), and none of
+        # them is recorded
+        builders = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
+        record, recorded = PooledCycles.record, []
+
+        def checked(self, cut):
+            assert cut.cycle.canonical() is cut.cycle
+            rebuilt = builders[cut.family](cut.graph, cut.cycle, *(cut.params or ()))
+            assert rebuilt.key() == cut.key()
+            recorded.append(cut)
+            record(self, cut)
+
+        separate_i2_exact, exact = fillin.solver.separate_i2_exact, []
+
+        def collecting(g, x, deadline=None):
+            rep = separate_i2_exact(g, x, deadline=deadline)
+            exact.extend(rep.cuts)
+            return rep
+
+        monkeypatch.setattr(PooledCycles, "record", checked)
+        monkeypatch.setattr(fillin.solver, "separate_i2_exact", collecting)
+        for g in (gen_grid(3, 5), gen_queen(3, 5), myciel3()):
+            assert solve(g, SolverConfig(exact_i2=True)).status == OPTIMAL
+        not_screened = 0
+        for e in exact:
+            try:
+                not_screened += cut_i2(e.graph, e.cycle, 0).key() != e.key()
+            except CutError:
+                not_screened += 1
+        assert len(recorded) > 100 and not_screened > 20
