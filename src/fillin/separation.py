@@ -232,12 +232,12 @@ def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
 
 
 def _extended_values(g: Graph, x: Point) -> np.ndarray:
-    """Symmetric matrix of x extended with value one on real edges."""
-    xt = np.zeros((g.n, g.n))
-    for (u, v) in g.edges:
-        xt[u, v] = xt[v, u] = 1.0
-    for f, (u, v) in enumerate(g.fill_edges):
-        xt[u, v] = xt[v, u] = float(x.values[f])
+    """Symmetric matrix of x extended with value one on real edges and zero
+    on the diagonal.  g.fill_table holds -1 off the fill pairs, so indexing
+    x with one appended reads 1 there."""
+    table = np.fromiter(g.fill_table, np.intp, g.n * g.n).reshape(g.n, g.n)
+    xt = np.append(x.values, 1.0)[table]
+    np.fill_diagonal(xt, 0.0)
     return xt
 
 

@@ -71,9 +71,14 @@ coefficients.  On rows with pairwise disjoint supports y = 1 is a feasible
 LP dual, so the sum of their right-hand sides bounds the optimum from below;
 when it reaches a valid incumbent, the solve ends with no node, as it does
 on chordal input.  The incumbent comes first, and the harvest stops at the
-first cut after which this packing bound reaches it: a root that closes
-builds only the cuts that close it, and one that does not gets the whole
-harvest.
+first cut after which the greedy packing (_packing) reaches it: a root that
+closes builds only the cuts that close it, and one that does not gets the
+whole harvest.  When the greedy packing of the whole harvest is one short
+of the incumbent, a branch and bound over the same rows (_best_packing),
+capped at PACKING_WORK row visits, looks for a packing that reaches it, and
+the root closes the same way if one is found.  Any packing better than the
+greedy one reaches the incumbent, so a root the search leaves open keeps
+the greedy packing, its packing basis and the search it had without it.
 """
 
 from __future__ import annotations
@@ -127,6 +132,13 @@ BOUND_TOL = 1e-6  # LP-bound slack before rounding up; lp.py keeps its error bel
 # (0.5, 0.25, 0.75) found a cut in 312 of 1,109 calls at 0.5, 58 of 675 at
 # 0.25 and 353 of 738 at 0.75, the one tried last.
 THRESHOLDS = (0.8, 0.4, 0.9)
+# Row visits of _best_packing before it gives up.  On the 527 many-small
+# graphs (tuning pool) whose greedy root packing is one short, caps of 25, 50,
+# 100, 150, 300 and 1,000 visits closed 394, 414, 431, 438, 443 and 447 roots;
+# no cap closes 451, but its 89 failed searches took 0.35 s, 89 ms the worst.
+# At 150 the failed searches took 12 ms in all and 0.26 ms the worst, and
+# the 438 closes cut the pass's solve time by 0.13 s (1.37 -> 1.24 s).
+PACKING_WORK = 150
 
 
 @dataclass
@@ -337,6 +349,8 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     incumbent, root_cuts = root_initialize(g, cfg)
     packing = list(_packing(root_cuts))
     root_bound = sum(cut.rhs for _, cut in packing)
+    if len(incumbent) - root_bound == 1 and _best_packing(root_cuts, len(incumbent)):
+        root_bound = len(incumbent)  # a packing the greedy one missed reaches it
     if (root_bound >= len(incumbent)
             and (not incumbent or is_valid_completion(g, incumbent))):
         # chordal g (no fill, no cuts), or the root cuts prove the incumbent
@@ -390,12 +404,66 @@ def _packing(cuts):
     """Yield (position, cut) for each cut of the greedy packing: in order,
     each unit-coefficient cut whose support is disjoint from those taken
     before.  The sum of their rhs over any prefix bounds the optimum from
-    below (y = 1 on them is a feasible LP dual)."""
+    below: on covering rows with unit coefficients and pairwise disjoint
+    supports, y = 1 is a feasible LP dual, and its objective is that sum."""
     used: set[int] = set()
     for i, cut in enumerate(cuts):
         if used.isdisjoint(cut.coeffs) and all(a == 1 for a in cut.coeffs.values()):
             used.update(cut.coeffs)
             yield i, cut
+
+
+def _best_packing(cuts, target) -> list[int]:
+    """Positions of a packing of cuts whose rhs sum reaches target, or []
+    if none is found within PACKING_WORK row visits.
+
+    A packing is a set of unit-coefficient cuts (those _packing accepts)
+    with pairwise disjoint supports; as for _packing, y = 1 on its rows is a
+    feasible LP dual, so its rhs sum bounds the optimum from below.  A row
+    with rhs <= 0 never helps and is left out.
+
+    Depth-first branch and bound over the rows in the order (-rhs, support
+    size, position).  A search node branches on its first remaining row: it
+    first takes the row, which drops every remaining row whose support
+    meets it, then skips it.  A child whose value plus the rhs sum of its
+    remaining rows is below target is pruned before it is pushed; that sum
+    is kept incrementally (a take subtracts only the rows it drops).
+    """
+    rows = sorted((-c.rhs, len(c.coeffs), i) for i, c in enumerate(cuts)
+                  if c.rhs > 0 and max(c.coeffs.values()) == 1 == min(c.coeffs.values()))
+    supports = [cuts[i].coeffs for _, _, i in rows]
+    rhs = [-r for r, _, _ in rows]
+    if not 0 < target <= sum(rhs):
+        return []  # nothing reaches target, or the empty packing does
+    containing = [0] * cuts[0].graph.mc  # fill index -> mask of the rows holding it
+    for r, support in enumerate(supports):
+        for f in support:
+            containing[f] |= 1 << r
+    meets: list = [None] * len(rows)  # row -> mask of the rows its support meets
+    stack = [((1 << len(rows)) - 1, 0, sum(rhs), ())]  # (left, value, rest, taken)
+    work = 0
+    while stack and work < PACKING_WORK:
+        left, value, rest, taken = stack.pop()  # value + rest >= target > value
+        work += 1
+        low = left & -left
+        r = low.bit_length() - 1
+        if value + rest - rhs[r] >= target:
+            stack.append((left ^ low, value, rest - rhs[r], taken))  # skip r
+        if value + rhs[r] >= target:
+            return [rows[t][2] for t in taken + (r,)]
+        if meets[r] is None:
+            meets[r] = 0
+            for f in supports[r]:
+                meets[r] |= containing[f]
+        dropped = left & meets[r]  # r among them
+        lost = 0
+        while dropped:
+            bit = dropped & -dropped
+            lost += rhs[bit.bit_length() - 1]
+            dropped ^= bit
+        if value + rhs[r] + rest - lost >= target:
+            stack.append((left & ~meets[r], value + rhs[r], rest - lost, taken + (r,)))
+    return []
 
 
 def _process_node(search: _Search, fixings: dict, bound: float,

@@ -8,8 +8,9 @@ adjacency-mask versions replaced, the per-centre exact I2 batches and first hops
 replaced, the loop form of the LP active-set refresh, an exact minimum
 fill-in by dynamic programming that reaches past brute force, the cycle
 queries only tests make (one chordless cycle of a graph, a cycle's chords
-and its exterior pairs missing from a graph), and a digest of the search
-a set of solves makes."""
+and its exterior pairs missing from a graph), the loop form of the extended
+value matrix, a digest of the search a set of solves makes, and the
+solver's rule for closing a root without an LP."""
 
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from fillin.graphs import (
     apply_completion,
     edge,
     is_chordal,
+    is_valid_completion,
     iter_chordless_cycles,
     new_graph,
 )
@@ -316,6 +318,17 @@ def per_centre_separate_i2(g: Graph, x: Point) -> SeparationReport:
                 continue
             report.add(cut, vals)
     return report
+
+
+def loop_extended_values(g: Graph, x: Point) -> np.ndarray:
+    """The edge and fill pair loop _extended_values replaced: x on fill
+    pairs, one on real edges, zero on the diagonal."""
+    xt = np.zeros((g.n, g.n))
+    for (u, v) in g.edges:
+        xt[u, v] = xt[v, u] = 1.0
+    for f, (u, v) in enumerate(g.fill_edges):
+        xt[u, v] = xt[v, u] = float(x.values[f])
+    return xt
 
 
 def per_centre_first_hops(xt: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -626,3 +639,14 @@ def search_digest(instances, cfg) -> tuple[str, int, int]:
     finally:
         fillin.solver.solve_lp = solve_lp
     return h.hexdigest(), lps[0], lps[1]
+
+
+def root_closes(g: Graph) -> bool:
+    """Whether solve(g) ends at the root without an LP, by the solver's own
+    rule: the greedy packing of the root cuts reaches a valid incumbent, or
+    falls one short and the packing search reaches it."""
+    incumbent, cuts = fillin.solver.root_initialize(g)
+    bound = sum(c.rhs for _, c in fillin.solver._packing(cuts))
+    if len(incumbent) - bound == 1 and fillin.solver._best_packing(cuts, len(incumbent)):
+        bound = len(incumbent)
+    return bound >= len(incumbent) and (not incumbent or is_valid_completion(g, incumbent))

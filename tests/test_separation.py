@@ -43,6 +43,7 @@ from helpers import (
     exhaustive_i2_violation,
     exhaustive_i3_violation,
     fig_graph,
+    loop_extended_values,
     myciel4,
     per_centre_first_hops,
     per_centre_separate_i2,
@@ -586,6 +587,18 @@ def random_i2_point(rng, g):
         x[rng.random(g.mc) < 0.3] = 0.0
         x[rng.random(g.mc) < 0.1] = 1.0
     return Point(x)
+
+
+class TestExtendedValues:
+    def test_matches_the_loop(self):
+        rng = np.random.default_rng(167)
+        graphs = [complete_graph(5), cycle_graph(4)]
+        graphs += [random_connected_graph(rng, int(rng.integers(4, 15)),
+                                          float(rng.uniform(0.15, 0.9))) for _ in range(40)]
+        for g in graphs:
+            for _ in range(3):
+                x = random_i2_point(rng, g)
+                assert np.array_equal(_extended_values(g, x), loop_extended_values(g, x))
 
 
 class TestBatchedExactI2:

@@ -30,6 +30,7 @@ from fillin.solver import (
     TIME_LIMIT,
     SolverConfig,
     SolveResult,
+    _best_packing,
     _packing,
     _Search,
     root_initialize,
@@ -44,6 +45,7 @@ from helpers import (
     myciel4,
     random_connected_graph,
     reference_refresh_active,
+    root_closes,
     search_digest,
 )
 
@@ -426,6 +428,94 @@ class TestLazyRootHarvest:
         assert lps == []
 
 
+class TestBestPacking:
+    """When the greedy root packing is one short of the incumbent, a
+    bounded search over the same rows looks for a packing that reaches it."""
+
+    # tuning-pool graph 990 of many-small: greedy packing 2, incumbent 3
+    G990 = new_graph(8, [(0, 1), (0, 3), (1, 2), (2, 5), (2, 6), (3, 4), (3, 6), (4, 5),
+                         (4, 7)])
+
+    def test_only_unit_rows_with_disjoint_supports_count(self):
+        g = cycle_graph(6)
+        chain = [Cut(g, {1: 1, 2: 1}, 1, "I1"), Cut(g, {0: 1, 1: 1}, 1, "I1"),
+                 Cut(g, {2: 1, 3: 1}, 1, "I1")]
+        assert sum(c.rhs for _, c in _packing(chain)) == 1  # the first row meets both
+        assert _best_packing(chain, 2) == [1, 2]
+        assert _best_packing(chain, 3) == []
+        assert _best_packing([Cut(g, {4: 2}, 2, "I1")], 1) == []
+        assert _best_packing([Cut(g, {4: 1, 5: -1}, 1, "I2")], 1) == []
+
+    def test_a_packing_never_above_the_optimum(self, monkeypatch):
+        # at every target, the rows returned are unit and pairwise disjoint,
+        # reach the target, and sum to no more than the optimum; with the
+        # cap out of reach the search finds the exhaustive maximum
+        rng = np.random.default_rng(157)
+        exhaustive = 0
+        for _ in range(60):
+            g = random_connected_graph(rng, int(rng.integers(4, 9)),
+                                       float(rng.uniform(0.2, 0.6)))
+            cuts, opt = full_harvest(g), len(brute_force_mccp(g))
+            for target in range(1, opt + 2):
+                rows = _best_packing(cuts, target)
+                supports = [set(cuts[i].coeffs) for i in rows]
+                assert all(set(cuts[i].coeffs.values()) == {1} for i in rows)
+                assert sum(map(len, supports)) == len(set().union(*supports))
+                assert not rows or opt >= sum(cuts[i].rhs for i in rows) >= target
+            unit = [i for i, c in enumerate(cuts) if set(c.coeffs.values()) == {1}]
+            if len(unit) > 12:
+                continue
+            best = max(sum(cuts[i].rhs for i in s)
+                       for k in range(len(unit) + 1) for s in combinations(unit, k)
+                       if sum(len(cuts[i].coeffs) for i in s)
+                       == len(set().union(*(cuts[i].coeffs for i in s))))
+            with monkeypatch.context() as m:
+                m.setattr(fillin.solver, "PACKING_WORK", 1 << len(unit))
+                assert sum(cuts[i].rhs for i in _best_packing(cuts, best)) == best
+                assert _best_packing(cuts, best + 1) == []
+            exhaustive += 1
+        assert exhaustive > 30
+
+    def test_graph_990_closes_at_the_root(self, monkeypatch):
+        g = self.G990
+        incumbent, harvest = root_initialize(g)
+        assert sum(c.rhs for _, c in _packing(harvest)) == 2 and len(incumbent) == 3
+        lps = recording_lps(monkeypatch)
+        res = solve(g)
+        assert (res.status, res.lower_bound, res.upper_bound, res.nodes) == (OPTIMAL, 3, 3, 0)
+        assert is_valid_completion(g, res.best_fill) and lps == []
+        # the counts are those of the full harvest
+        assert [c.key() for c in harvest] == [c.key() for c in full_harvest(g)]
+        by_family = Counter(c.family for c in harvest)
+        assert res.total_cuts == len(harvest)
+        assert res.cuts_by_family == {fam: by_family[fam] for fam in FAMILIES}
+
+    def test_the_cap_sends_it_back_to_the_search(self, monkeypatch):
+        # one row reaches 3 alone, so a single visit would close it
+        monkeypatch.setattr(fillin.solver, "PACKING_WORK", 0)
+        lps = recording_lps(monkeypatch)
+        res = solve(self.G990)
+        assert (res.status, res.lower_bound, res.upper_bound) == (OPTIMAL, 3, 3)
+        assert res.nodes > 0 and lps
+
+    def test_same_search_where_it_does_not_close(self, monkeypatch):
+        # a root the packing search leaves open keeps the greedy packing,
+        # so its search is the one without the packing search, to the pivot
+        rnd = random.Random(163)
+        graphs = ([gen_grid(3, 5), gen_queen(3, 5), gen_queen(4, 4), myciel3()]
+                  + [tree_plus_pairs(rnd, rnd.randint(8, 12)) for _ in range(20)])
+        searched = fillin.solver._best_packing
+        calls = []
+        monkeypatch.setattr(fillin.solver, "_best_packing", lambda cuts, target: (
+            calls.append(searched(cuts, target)) or calls[-1]))
+        open_roots = [g for g in graphs if not root_closes(g)]
+        assert len(open_roots) >= 8 and [] in calls  # myciel3 among them: 9 against 10
+        cfg = SolverConfig()
+        digest = search_digest(open_roots, cfg)
+        monkeypatch.setattr(fillin.solver, "_best_packing", lambda cuts, target: [])
+        assert search_digest(open_roots, cfg) == digest
+
+
 class TestPastBruteForce:
     def test_matches_min_fill_dp(self):
         # connected graphs like many-small's: a random spanning tree plus
@@ -563,22 +653,20 @@ class TestLimitsAndBounds:
 
     def test_lp_pivot_cap_still_exact(self, monkeypatch):
         # Every LP stops at its pivot cap, so the search branches on parent
-        # bounds down to fully fixed leaves.  Each graph's root packing falls
-        # short of its incumbent, so the search runs.  On root_misses the
-        # root incumbent (3) misses the optimum (2): only the leaves can find
-        # it.
+        # bounds down to fully fixed leaves.  No graph closes at the root,
+        # so the search runs.  On root_misses the root incumbent (3) misses
+        # the optimum (2): only the leaves can find it.
         monkeypatch.setattr(fillin.lp, "PIVOTS_PER_DIM", 0)
         root_misses = new_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4),
                                     (2, 5), (3, 4), (3, 5), (4, 5)])
         assert len(root_initialize(root_misses)[0]) > len(brute_force_mccp(root_misses))
         graphs = [gen_queen(3, 3), root_misses]
         rng = np.random.default_rng(109)
-        for _ in range(100):
+        for _ in range(300):  # few graphs this small stay open at the root
             g = random_connected_graph(rng, int(rng.integers(6, 9)),
                                        float(rng.uniform(0.3, 0.6)))
-            incumbent, cuts = root_initialize(g)
             # small enough to enumerate every leaf
-            if g.mc <= 9 and sum(c.rhs for _, c in _packing(cuts)) < len(incumbent):
+            if g.mc <= 9 and not root_closes(g):
                 graphs.append(g)
                 if len(graphs) == 5:
                     break
@@ -890,12 +978,12 @@ class TestOneCutIdentity:
 
 class TestLpRows:
     def test_every_optimal_lp_point_satisfies_its_rows(self, monkeypatch):
-        # about half of these graphs close by the root packing bound; most of
-        # the others take one LP
+        # about seven in ten of these graphs close at the root; most of the
+        # others take one LP
         lps = recording_lps(monkeypatch)
         checked = []
 
-        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
         @given(random_tree_graphs())
         def check(g):
             lps.clear()
