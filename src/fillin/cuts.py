@@ -44,7 +44,13 @@ class FamilyInapplicableError(CutError):
 
 
 class Cut:
-    """Sparse inequality sum_f coeffs[f] * x_f >= rhs over g's fill space."""
+    """Sparse inequality sum_f coeffs[f] * x_f >= rhs over g's fill space.
+
+    A family's cut records where it comes from: cycle is the canonical form
+    of the cycle it was built on and params the positions on that canonical
+    cycle (None for I1 and I3), so the family's builder called with
+    (graph, cycle, *params) rebuilds it.
+    """
 
     __slots__ = ("graph", "coeffs", "rhs", "family", "cycle", "params", "_key")
 
@@ -191,8 +197,11 @@ def _build(family: str, g: Graph, c: Cycle, positions: tuple = ()) -> Cut:
     missing = _missing_ext(g, vs)
     for f in missing:
         coeffs[f] = -m
+    canon = c.canonical()
+    if canon is not c:  # name the same vertices by their positions on canon
+        positions = tuple(canon.vertices.index(vs[p]) for p in positions)
     return Cut(g, coeffs, m * (1 - len(missing)) - real, family,
-               cycle=c.canonical(), params=positions or None)
+               cycle=canon, params=positions or None)
 
 
 def cut_i1(g: Graph, c: Cycle) -> Cut:
@@ -249,6 +258,13 @@ def _screen_plan(k: int, families: tuple) -> tuple:
         support = [a * k + b for a, b in _support(fam, k, spec.screened)]
         plan.append((fam, spec.screened, spec.multiplier(k), itemgetter(*support)))
     return itemgetter(*(a * k + (a - 1) % k for a in range(k))), tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def screened_entries(k: int, families: tuple) -> frozenset:
+    """The (family, positions) of every cut screen_cycle evaluates on a
+    k-cycle with the given families enabled."""
+    return frozenset((fam, positions) for fam, positions, _, _ in _screen_plan(k, families)[1])
 
 
 def screen_cycle(g: Graph, c: Cycle, vals: list, families=FAMILIES,

@@ -149,10 +149,6 @@ class Cycle:
     def __repr__(self):
         return f"Cycle{self.vertices}"
 
-    def ext_pairs(self) -> list[tuple[int, int]]:
-        k = len(self.vertices)
-        return [edge(self.vertices[i], self.vertices[(i + 1) % k]) for i in range(k)]
-
     def dist(self, i: int, j: int) -> int:
         """Cyclic distance between two positions in the sequence."""
         k = len(self.vertices)

@@ -21,19 +21,21 @@ Its scan is one generator, iter_threshold_cuts, which yields each cut as it
 is kept: separate_threshold drains it, and the solver's root harvest stops
 it once the cuts prove the incumbent.
 
-The threshold and integer scans take an optional memo, PooledCycles, of the
-cuts each canonical cycle has given.  A cycle whose screened cuts are all
-in the solver's pool is counted but not screened.  At a point where no
-pooled cut is violated, which is where the solver separates, the keep rule
-would keep none of them, so the report is the one without the memo.
+The threshold and integer scans record nothing.  They read a map, pooled,
+from a canonical cycle's vertex tuple to the (family, positions) of the
+cuts on it that the caller holds and that the point satisfies, and a cycle
+whose screened cuts are all in it is counted but not screened: the keep
+rule would keep none of them, so the report is the one without the map.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import permutations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,10 +47,10 @@ from .cuts import (
     cut_i2,
     cut_i3,
     cut_i4,
-    _screen_plan,
     evaluate,
     point_values,
     screen_cycle,
+    screened_entries,
 )
 from .graphs import Cycle, Graph, Point, iter_chordless_cycles
 
@@ -64,6 +66,7 @@ MAX_CUTS_PER_CALL = 100
 # evaluated; the screen's rounding error is many orders of magnitude below.
 SCREEN_SLACK = 1e-9
 EXACT_MAX_N = 25  # largest graph exact I3 separation runs on
+NO_POOL: Mapping = MappingProxyType({})  # the scans' default pooled map: holds nothing
 
 
 class SeparationError(ValueError):
@@ -106,60 +109,8 @@ class SeparationReport:
         return len(self.cuts)
 
 
-class PooledCycles:
-    """Which screened cuts of each canonical cycle are in a cut pool.
-
-    Maps a canonical cycle's vertex tuple to {(family, screened positions):
-    Cut.key()}, and holds a reference to the pool's key set, which it only
-    reads.  A cut's key depends only on the graph, the cycle and the
-    positions, so any cut built on a canonical cycle at the positions
-    screen_cycle lists may be recorded: the scan records every cut it
-    builds, and the solver records the root harvest, which the same scan
-    built.  Exact I2 cuts are never recorded: their positions refer to a
-    rotation of the cycle that is not the canonical one.
-
-    covers(cycle, families) holds iff every cut screen_cycle would evaluate
-    on the cycle (one per entry of cuts._screen_plan) is recorded and its
-    key is pooled.  The scan then skips the cycle, and that is exact
-    wherever no pooled cut is violated at the point by more than
-    VIOLATION_TOL.  The solver separates only there: a node separates after
-    its LP, whose active rows hold at the point to within the LP's
-    feasibility tolerance (far below VIOLATION_TOL), and after
-    refresh_active has found no other pooled row violated by more than
-    VIOLATION_TOL.  report.add keeps only cuts violated by more than
-    VIOLATION_TOL, so it would keep none of the skipped cycle's cuts; the
-    other cycles are scanned as before, so the report keeps the same cuts
-    in the same order and stops at the same cycle.  The pool never
-    shrinks, so a covered cycle stays covered.
-    """
-
-    def __init__(self, pooled: set):
-        self.pooled = pooled
-        self._keys: dict[tuple, dict] = {}
-        self._covered: dict[tuple, tuple] = {}  # cycle -> families it is covered for
-
-    def record(self, cut: Cut) -> None:
-        """Note the key of a cut built on its canonical cycle at the
-        positions screen_cycle lists for its family."""
-        self._keys.setdefault(cut.cycle.vertices, {})[cut.family, cut.params or ()] = cut.key()
-
-    def covers(self, cyc: Cycle, families: tuple) -> bool:
-        vs = cyc.vertices
-        if self._covered.get(vs) == families:
-            return True
-        keys = self._keys.get(vs)
-        if keys is None:
-            return False
-        for fam, positions, _, _ in _screen_plan(len(vs), families)[1]:
-            key = keys.get((fam, positions))
-            if key is None or key not in self.pooled:
-                return False
-        self._covered[vs] = families
-        return True
-
-
 def separate_integer(g: Graph, x: Point, families=FAMILIES,
-                     memo: PooledCycles | None = None) -> SeparationReport:
+                     pooled: Mapping = NO_POOL) -> SeparationReport:
     """Lazy cuts at an integer point; empty iff g + E(x) is chordal.
 
     Threshold separation of x: rounding an integral point at any threshold
@@ -169,11 +120,11 @@ def separate_integer(g: Graph, x: Point, families=FAMILIES,
         raise SeparationError(f"point dimension {len(x)} != fill dimension {g.mc}")
     if not x.is_integral():
         raise SeparationError("integer separation requires an integral point")
-    return separate_threshold(g, x, 0.5, families, memo)
+    return separate_threshold(g, x, 0.5, families, pooled)
 
 
 def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
-                       families=FAMILIES, memo: PooledCycles | None = None
+                       families=FAMILIES, pooled: Mapping = NO_POOL
                        ) -> SeparationReport:
     """Round coordinates >= delta up, separate combinatorially, re-check at x.
 
@@ -182,13 +133,13 @@ def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
     the full families.
     """
     report = SeparationReport()
-    for _ in iter_threshold_cuts(g, x, delta, families, report, memo):
+    for _ in iter_threshold_cuts(g, x, delta, families, report, pooled):
         pass
     return report
 
 
 def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
-                        report: SeparationReport, memo: PooledCycles | None = None):
+                        report: SeparationReport, pooled: Mapping = NO_POOL):
     """Threshold separation as a generator: yield each cut as report.add
     keeps it, so a caller can stop the scan once it has the cuts it needs.
 
@@ -201,11 +152,15 @@ def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
     Each cycle is chordless in g, so no builder can refuse it: a CutError is
     a defect and propagates.
 
-    With a memo, every cut built is recorded in it, and a cycle the memo
-    covers is counted in stats.cycles_examined but not screened: its cuts
-    are all pooled, and where no pooled cut is violated at x the report
-    would keep none of them (see PooledCycles).  Without one (None) every
-    cycle is screened.
+    pooled maps a canonical cycle's vertex tuple to a set of (family,
+    positions), each naming a cut the caller holds, built on that cycle at
+    those positions (Cut.cycle and Cut.params), that x violates by at most
+    VIOLATION_TOL.  A cycle is counted in stats.cycles_examined, and it is
+    not screened iff every (family, positions) screen_cycle evaluates on it
+    (cuts.screened_entries) is in its set: report.add keeps only cuts
+    violated by more than VIOLATION_TOL, so it would keep none of the
+    skipped cycle's cuts, and the other cycles are scanned as before.  The
+    report is the one an empty map gives, cut for cut and in order.
     """
     if not 0.0 < delta < 1.0:
         raise SeparationError(f"threshold must lie strictly inside (0, 1), got {delta}")
@@ -217,14 +172,18 @@ def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
     vals = point_values(x)
     floor = VIOLATION_TOL - SCREEN_SLACK
     families = tuple(families)
+    screened = {}  # cycle length -> screened_entries on it
     for cyc in iter_chordless_cycles(g, np.flatnonzero(x.values >= delta).tolist()):
         report.stats.cycles_examined += 1
-        if memo is not None and memo.covers(cyc, families):
-            continue
+        held = pooled.get(cyc.vertices)
+        if held is not None:
+            k = len(cyc)
+            if k not in screened:
+                screened[k] = screened_entries(k, families)
+            if screened[k] <= held:
+                continue
         for fam, positions in screen_cycle(g, cyc, vals, families, floor):
             cut = builders[fam](g, cyc, *positions)
-            if memo is not None:
-                memo.record(cut)
             if report.add(cut, vals):
                 yield cut
                 if len(report) >= MAX_CUTS_PER_CALL:
@@ -348,15 +307,6 @@ def _i2_paths(xt: np.ndarray, centres: np.ndarray):
         np.copyto(dist, via, where=better)
         np.copyto(first, a, where=better)
     return dist, first, nxt
-
-
-def _i2_shortest_paths(xt: np.ndarray, centres: np.ndarray):
-    """_i2_paths one centre at a time: yields (c, dist, first, nxt) for each
-    centre c, the centre's n x n slices, with the first hop of every centre
-    computed in the one pass before the first yield."""
-    dist, first, nxt = _i2_paths(xt, centres)
-    for j, c in enumerate(centres):
-        yield int(c), dist[j], first[j], nxt[j]
 
 
 def separate_i3_exact(g: Graph, x: Point) -> SeparationReport:

@@ -17,14 +17,12 @@ Integer separation is threshold separation of the integral point, so every
 call but exact I2 scans chordless cycles until it holds
 separation.MAX_CUTS_PER_CALL violated cuts or runs out of cycles.
 
-Those scans share one memo of the pool (separation.PooledCycles), and skip
-the cycles whose screened cuts are all pooled.  It is built when the search
-first separates and fed the root cuts then, so a search that never
-separates pays nothing for it; after that the scans feed it every cut they
-build.  Exact I2 cuts never feed it.  A node separates only after its LP
-and refresh_active leave no pooled row violated by more than VIOLATION_TOL,
-so no skipped cycle holds a cut the scan would keep, and the cuts, LPs and
-nodes are those of a search without the memo.
+Those scans read the pool's index of its cuts by canonical cycle
+(_Search.by_cycle), and skip the cycles whose screened cuts are all pooled.
+A node separates only after its LP and refresh_active leave no pooled row
+violated by more than VIOLATION_TOL, so no skipped cycle holds a cut the
+scan would keep, and the cuts, LPs and nodes are those of a search without
+the index.
 
 Best-bound node selection; branching fixes the most fractional variable to
 0 and 1.  All cuts are globally valid, so the pool is shared by every node
@@ -92,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import FAMILIES, Cut, evaluate
+from .cuts import FAMILIES, evaluate
 # is_chordal is not called here (mdo_completion tests the input), but it stays
 # importable as fillin.solver.is_chordal: perfbench/layers.py traces the graphs
 # layer through that name and reports the layer absent without it.
@@ -109,7 +107,6 @@ from .lp import (
 )
 from .separation import (
     VIOLATION_TOL,
-    PooledCycles,
     SeparationReport,
     iter_threshold_cuts,
     separate_i2_exact,
@@ -214,7 +211,10 @@ class _Search:
     The pool keeps every cut ever found (they are valid everywhere).  Its
     dense matrix (one row and right-hand side per cut, in insertion order)
     is the only stored form of a cut: each LP takes its active rows straight
-    from it, and pool_keys only detects duplicates.  Each LP carries an
+    from it, and pool_keys only detects duplicates.  by_cycle indexes the
+    pool by provenance: a canonical cycle's vertex tuple maps to the
+    (family, positions) of each pooled cut built on it, which is what the
+    separation scans read to skip a cycle.  Each LP carries an
     active subset: pooled rows violated by the current relaxation point
     re-enter before any new separation runs, and rows that stay slack for
     many consecutive solves leave the LP again.
@@ -237,25 +237,15 @@ class _Search:
         self.counter = 0
         self.heap: list = []  # (bound, counter, fixings, pool basis or None)
         self.kept: tuple = (None, None)  # the last OPTIMAL LP's pool basis, its inverse
-        self.root_cuts: list[Cut] = []
-        self._memo: PooledCycles | None = None
+        self.by_cycle: dict[tuple, set] = {}
 
-    @property
-    def memo(self) -> PooledCycles:
-        """The scans' memo over pool_keys, made and fed the root cuts on
-        first use."""
-        if self._memo is None:
-            self._memo = PooledCycles(self.pool_keys)
-            for cut in self.root_cuts:
-                self._memo.record(cut)
-        return self._memo
-
-    def add_cut(self, cut: Cut) -> bool:
+    def add_cut(self, cut) -> bool:
         key = cut.key()
         if key in self.pool_keys:
             return False
         idx = len(self.pool_keys)
         self.pool_keys.add(key)
+        self.by_cycle.setdefault(cut.cycle.vertices, set()).add((cut.family, cut.params or ()))
         if idx >= self._matrix.shape[0]:
             grow = max(256, self._matrix.shape[0])
             self._matrix = np.vstack([self._matrix, np.zeros((grow, self.g.mc))])
@@ -363,7 +353,6 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     search.offer_incumbent(incumbent)
     for cut in root_cuts:
         search.add_cut(cut)
-    search.root_cuts = root_cuts
     # the harvest holds each key once, so root cut i is pool row i
     root_basis = packing_basis(search._matrix, [i for i, _ in packing])
     search.kept = (root_basis, np.eye(len(packing)))
@@ -400,15 +389,21 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     )
 
 
+def _unit(cut) -> bool:
+    """Whether every coefficient of the cut is one, as on a packing's rows."""
+    return all(a == 1 for a in cut.coeffs.values())
+
+
 def _packing(cuts):
     """Yield (position, cut) for each cut of the greedy packing: in order,
-    each unit-coefficient cut whose support is disjoint from those taken
-    before.  The sum of their rhs over any prefix bounds the optimum from
-    below: on covering rows with unit coefficients and pairwise disjoint
-    supports, y = 1 is a feasible LP dual, and its objective is that sum."""
+    each unit-coefficient cut (_unit) whose support is disjoint from those
+    taken before.  The sum of their rhs over any prefix bounds the optimum
+    from below: on covering rows with unit coefficients and pairwise
+    disjoint supports, y = 1 is a feasible LP dual, and its objective is
+    that sum."""
     used: set[int] = set()
     for i, cut in enumerate(cuts):
-        if used.isdisjoint(cut.coeffs) and all(a == 1 for a in cut.coeffs.values()):
+        if used.isdisjoint(cut.coeffs) and _unit(cut):
             used.update(cut.coeffs)
             yield i, cut
 
@@ -430,7 +425,7 @@ def _best_packing(cuts, target) -> list[int]:
     is kept incrementally (a take subtracts only the rows it drops).
     """
     rows = sorted((-c.rhs, len(c.coeffs), i) for i, c in enumerate(cuts)
-                  if c.rhs > 0 and max(c.coeffs.values()) == 1 == min(c.coeffs.values()))
+                  if c.rhs > 0 and _unit(c))
     supports = [cuts[i].coeffs for _, _, i in rows]
     rhs = [-r for r, _, _ in rows]
     if not 0 < target <= sum(rhs):
@@ -499,7 +494,7 @@ def _process_node(search: _Search, fixings: dict, bound: float,
         x = res.point
         if x.is_integral():
             cuts = separate_integer(g, x, families=cfg.families_enabled,
-                                    memo=search.memo).cuts
+                                    pooled=search.by_cycle).cuts
             if not cuts:
                 search.offer_incumbent(x.fill_set())
                 return
@@ -527,7 +522,7 @@ def _fractional_cuts(search: _Search, x: Point, deadline=None) -> list:
             continue
         tried.add(rounded)
         cuts = separate_threshold(g, x, d, families=cfg.families_enabled,
-                                  memo=search.memo).cuts
+                                  pooled=search.by_cycle).cuts
         if cuts:
             break
     if not cuts and cfg.exact_i2:

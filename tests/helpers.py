@@ -7,9 +7,10 @@ threshold/integer separation and set-based heuristics that the
 adjacency-mask versions replaced, the per-centre exact I2 batches and first hops that all-centres passes
 replaced, the loop form of the LP active-set refresh, an exact minimum
 fill-in by dynamic programming that reaches past brute force, the cycle
-queries only tests make (one chordless cycle of a graph, a cycle's chords
-and its exterior pairs missing from a graph), the loop form of the extended
-value matrix, a digest of the search a set of solves makes, and the
+queries only tests make (one chordless cycle of a graph, a cycle's
+exterior pairs, its chords and its exterior pairs missing from a graph),
+the loop form of the extended value matrix, exact I2's paths one centre at
+a time, a digest of the search a set of solves makes, and the
 solver's rule for closing a root without an LP."""
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from fillin.separation import (
     VIOLATION_TOL,
     SeparationReport,
     _extended_values,
+    _i2_paths,
 )
 
 # The running 5-vertex example: three chordless 4-cycles, optimum fill 1.
@@ -92,15 +94,21 @@ def find_chordless_cycle(g: Graph):
     return None
 
 
+def ext_pairs(c: Cycle) -> list[tuple[int, int]]:
+    """The cycle's exterior pairs, one per consecutive pair in order."""
+    vs, k = c.vertices, len(c)
+    return [edge(vs[i], vs[(i + 1) % k]) for i in range(k)]
+
+
 def int_pairs(c: Cycle) -> list[tuple[int, int]]:
     """The cycle's interior pairs (its chords), in sorted order."""
-    ext = set(c.ext_pairs())
+    ext = set(ext_pairs(c))
     return [p for p in combinations(sorted(c.vertices), 2) if p not in ext]
 
 
 def missing_ext(c: Cycle, g: Graph) -> list[tuple[int, int]]:
     """Exterior pairs that are not edges of g (the activation set F)."""
-    return [p for p in c.ext_pairs() if p not in g.edges]
+    return [p for p in ext_pairs(c) if p not in g.edges]
 
 
 def neighbours(g: Graph, v: int) -> list[int]:
@@ -331,6 +339,15 @@ def loop_extended_values(g: Graph, x: Point) -> np.ndarray:
     return xt
 
 
+def i2_shortest_paths(xt: np.ndarray, centres: np.ndarray):
+    """_i2_paths one centre at a time: yields (c, dist, first, nxt) for each
+    centre c, the centre's n x n slices, with the first hop of every centre
+    computed in the one pass before the first yield."""
+    dist, first, nxt = _i2_paths(xt, centres)
+    for j, c in enumerate(centres):
+        yield int(c), dist[j], first[j], nxt[j]
+
+
 def per_centre_first_hops(xt: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(dist, first) of centre c as _i2_paths computed them before its one
     pass over the first hop: a Floyd-Warshall of the graph minus c, then
@@ -396,14 +413,15 @@ def reference_chordless_cycles(g: Graph):
                 if cyc.vertices in seen:
                     continue
                 seen.add(cyc.vertices)
-                if all(p in g.edges for p in cyc.ext_pairs()) and not any(
+                if all(p in g.edges for p in ext_pairs(cyc)) and not any(
                         p in g.edges for p in int_pairs(cyc)):
                     yield cyc
 
 
 def reference_cut(g: Graph, c: Cycle, family: str, params=()) -> Cut:
     """A family's cut built pair by pair from the cycle's exterior and
-    interior pairs, the way cut_i1..cut_i4 did before the fill table."""
+    interior pairs, the way cut_i1..cut_i4 did before the fill table, with
+    its positions named on the canonical cycle."""
     k = len(c)
     vs = c.vertices
     missing = missing_ext(c, g)
@@ -442,6 +460,11 @@ def reference_cut(g: Graph, c: Cycle, family: str, params=()) -> Cut:
     for p in missing:
         coeffs[g.fill_index(*p)] = -weight
     rhs -= weight * len(missing)
+    # the positions on the canonical cycle: rotate the smallest vertex's
+    # position i0 to 0, and reflect if the canonical cycle runs backwards
+    i0 = vs.index(min(vs))
+    turn = 1 if vs[(i0 + 1) % k] < vs[(i0 - 1) % k] else -1
+    params = tuple((turn * (p - i0)) % k for p in params)
     return Cut(g, coeffs, rhs, family, cycle=c.canonical(), params=params or None)
 
 

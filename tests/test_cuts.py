@@ -205,6 +205,43 @@ class TestAgainstPairwiseReference:
         assert checked > 1000 and refused > 1000
 
 
+class TestProvenance:
+    BUILDERS = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
+
+    def test_every_cut_rebuilds_from_its_cycle_and_params(self):
+        # on every rotation and reflection of a cycle, each cut names the
+        # canonical cycle and the positions of the same vertices on it, and
+        # its builder makes the same cut from those
+        rng = np.random.default_rng(79)
+        rebuilt = moved = 0
+        for _ in range(25):
+            n = int(rng.integers(5, 9))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.1, 0.5)))
+            k = int(rng.integers(5, n + 1))
+            base = rng.permutation(n)[:k].tolist()
+            for r in range(k):
+                for vs in (base[r:] + base[:r], (base[r:] + base[:r])[::-1]):
+                    c = Cycle(vs)
+                    specs = [("I1", ()), ("I3", ())] + [("I2", (i,)) for i in range(k)]
+                    specs += [("I4", (i, j)) for j in range(k) for i in range(k)
+                              if c.dist(i, j) >= 2]
+                    for family, params in specs:
+                        try:
+                            cut = self.BUILDERS[family](g, c, *params)
+                        except CutError:
+                            continue
+                        positions = cut.params or ()
+                        assert cut.cycle == c.canonical()
+                        assert [cut.cycle.vertices[p] for p in positions] == [
+                            vs[p] for p in params]
+                        again = self.BUILDERS[family](g, cut.cycle, *positions)
+                        assert again.key() == cut.key()
+                        assert (again.cycle, again.params) == (cut.cycle, cut.params)
+                        rebuilt += 1
+                        moved += positions != params
+        assert rebuilt > 2000 and moved > 1000
+
+
 class TestScreenCycle:
     BUILDERS = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
 

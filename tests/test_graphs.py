@@ -20,6 +20,7 @@ from fillin.graphs import (
 from helpers import (
     complete_graph,
     cycle_graph,
+    ext_pairs,
     fig_graph,
     find_chordless_cycle,
     int_pairs,
@@ -140,7 +141,7 @@ class TestChordlessCycles:
             g = random_connected_graph(rng, int(rng.integers(4, 9)), 0.4)
             for cyc in iter_chordless_cycles(g):
                 assert len(cyc) >= 4
-                for p in cyc.ext_pairs():
+                for p in ext_pairs(cyc):
                     assert p in g.edges
                 for p in int_pairs(cyc):
                     assert p not in g.edges
@@ -188,7 +189,7 @@ class TestChordlessCycles:
         cycles = list(iter_chordless_cycles(g, fill))
         for cyc in cycles:
             induced = {tuple(sorted(e)) for e in h.subgraph(cyc.vertices).edges}
-            assert induced == set(cyc.ext_pairs())
+            assert induced == set(ext_pairs(cyc))
         assert (not cycles) == nx.is_chordal(h)
         assert is_valid_completion(g, fill) == nx.is_chordal(h)
         assert is_chordal(apply_completion(g, fill))[0] == nx.is_chordal(h)
@@ -264,7 +265,7 @@ class TestCycleType:
 
     def test_ext_int_partition(self):
         c = Cycle((0, 1, 2, 3, 4))
-        ext, inte = set(c.ext_pairs()), set(int_pairs(c))
+        ext, inte = set(ext_pairs(c)), set(int_pairs(c))
         assert not ext & inte
         assert len(ext) == 5
         assert len(ext) + len(inte) == 10

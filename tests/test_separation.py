@@ -24,13 +24,11 @@ from fillin.instances import gen_grid
 from fillin.separation import (
     MAX_CUTS_PER_CALL,
     VIOLATION_TOL,
-    PooledCycles,
     SeparationCapabilityError,
     SeparationError,
     SeparationReport,
     _extended_values,
     _i2_paths,
-    _i2_shortest_paths,
     separate_i2_exact,
     separate_i3_exact,
     separate_integer,
@@ -43,6 +41,7 @@ from helpers import (
     exhaustive_i2_violation,
     exhaustive_i3_violation,
     fig_graph,
+    i2_shortest_paths,
     loop_extended_values,
     myciel4,
     per_centre_first_hops,
@@ -380,17 +379,18 @@ def counting_screens(monkeypatch) -> list:
     return screened
 
 
-class TestPooledCycles:
-    """The memo skips a cycle only when every cut the scan would screen on
-    it is pooled; at points that violate no pooled cut, the reports are the
-    ones without it."""
+def pooled_map(cuts) -> dict:
+    """The scans' pooled map of cuts: canonical cycle -> {(family, positions)}."""
+    pooled = {}
+    for cut in cuts:
+        pooled.setdefault(cut.cycle.vertices, set()).add((cut.family, cut.params or ()))
+    return pooled
 
-    @staticmethod
-    def memo_of(pooled: set, cuts) -> PooledCycles:
-        memo = PooledCycles(pooled)
-        for cut in cuts:
-            memo.record(cut)
-        return memo
+
+class TestPooledCycles:
+    """A scan skips a cycle only when every cut it would screen on it is in
+    the pooled map; at points that violate no pooled cut, the reports are
+    the ones with no map."""
 
     def test_same_reports_as_without_the_memo(self, monkeypatch):
         screened = counting_screens(monkeypatch)
@@ -410,20 +410,19 @@ class TestPooledCycles:
             for x, runs in ((fractional, [(separate_threshold, (d,)) for d in (0.8, 0.4, 0.9)]),
                             (integral, [(separate_integer, ())])):
                 # the pool: every one of those cuts that x satisfies
-                memo = self.memo_of({c.key() for c in cuts if evaluate(c, x) <= VIOLATION_TOL},
-                                    cuts)
+                pooled = pooled_map(c for c in cuts if evaluate(c, x) <= VIOLATION_TOL)
                 for sep, args in runs:
                     screened.clear()
                     ref = sep(g, x, *args)
                     plain = len(screened)
                     screened.clear()
-                    rep = sep(g, x, *args, memo=memo)
+                    rep = sep(g, x, *args, pooled=pooled)
                     assert_same_report(rep, ref)
                     skipped += plain - len(screened)
                     compared += 1
         assert compared >= 100 and skipped > 100
 
-    def test_a_cycle_with_one_cut_unpooled_or_unrecorded_is_screened(self, monkeypatch):
+    def test_a_cycle_missing_one_screened_entry_is_screened(self, monkeypatch):
         # C6 at 1/2 on every chord, rounded at 0.8: the one cycle stays
         # chordless and none of its four screened cuts is violated
         screened = counting_screens(monkeypatch)
@@ -434,25 +433,22 @@ class TestPooledCycles:
         ref = separate_threshold(g, x, 0.8)
         assert len(ref) == 0 and ref.stats.cycles_examined == 1
         for missing in cuts:
-            rest = [c for c in cuts if c is not missing]
-            # unpooled, or never built and so never recorded
-            for memo in (self.memo_of({c.key() for c in rest}, cuts),
-                         self.memo_of({c.key() for c in cuts}, rest)):
-                screened.clear()
-                assert_same_report(separate_threshold(g, x, 0.8, memo=memo), ref)
-                assert screened == [cuts[0].cycle.vertices]
-        memo = self.memo_of({c.key() for c in cuts}, cuts)
+            screened.clear()
+            rest = pooled_map(c for c in cuts if c is not missing)
+            assert_same_report(separate_threshold(g, x, 0.8, pooled=rest), ref)
+            assert screened == [cuts[0].cycle.vertices]
         screened.clear()
-        assert_same_report(separate_threshold(g, x, 0.8, memo=memo), ref)
+        assert_same_report(separate_threshold(g, x, 0.8, pooled=pooled_map(cuts)), ref)
         assert screened == []
 
-    def test_an_exact_i2_cut_never_marks_its_canonical_cycle(self, monkeypatch):
-        # an exact I2 cut names its cycle from the centre, not from the
-        # canonical start: pooled, it does not stand in for the I2 cut the
-        # scan screens on that cycle, so the cycle is still screened
+    def test_an_exact_i2_cut_marks_only_its_own_position(self, monkeypatch):
+        # an exact I2 cut names its centre's position on the canonical
+        # cycle: off position 0 it does not stand in for the I2 cut the
+        # scan screens on that cycle, which is still screened; at position
+        # 0 it is that cut
         screened = counting_screens(monkeypatch)
         rng = np.random.default_rng(127)
-        rotated = 0
+        rotated = at_start = 0
         for _ in range(60):
             g = random_connected_graph(rng, int(rng.integers(6, 10)), 0.3)
             if g.mc == 0:
@@ -461,16 +457,19 @@ class TestPooledCycles:
             on_scanned = {c.cycle.vertices: c for c in scan if c.family == "I2"}
             for e in separate_i2_exact(g, random_i2_point(rng, g)).cuts:
                 screened_i2 = on_scanned.get(e.cycle.vertices)
-                if screened_i2 is None or screened_i2.key() == e.key():
+                if screened_i2 is None:
+                    continue
+                if e.params == (0,):
+                    assert e.key() == screened_i2.key()
+                    at_start += 1
                     continue
                 rotated += 1
-                pooled = {c.key() for c in scan if c is not screened_i2} | {e.key()}
-                memo = self.memo_of(pooled, scan)
-                assert not memo.covers(e.cycle, ("I1", "I2", "I3", "I4"))
+                pooled = pooled_map([c for c in scan if c is not screened_i2] + [e])
+                assert ("I2", (0,)) not in pooled[e.cycle.vertices]
                 screened.clear()
-                separate_integer(g, Point.zeros(g), memo=memo)
+                separate_integer(g, Point.zeros(g), pooled=pooled)
                 assert e.cycle.vertices in screened
-        assert rotated > 20
+        assert rotated > 20 and at_start > 5
 
 
 class TestExactI2:
@@ -562,7 +561,7 @@ class TestExactI2:
 
 
 def i2_walk(first, nxt, q, p):
-    """The q-p walk _i2_shortest_paths encodes: first hop, then nxt."""
+    """The q-p walk i2_shortest_paths encodes: first hop, then nxt."""
     walk = [q, int(first[q, p])]
     while walk[-1] != p:
         walk.append(int(nxt[walk[-1], p]))
@@ -617,7 +616,7 @@ class TestBatchedExactI2:
             x[rng.random(g.mc) < 0.1] = 1.0
             xt = _extended_values(g, Point(x))
             batched, reference = set(), set()
-            for c, dist, first, nxt in _i2_shortest_paths(xt, np.arange(n)):
+            for c, dist, first, nxt in i2_shortest_paths(xt, np.arange(n)):
                 for p in range(n):
                     for q in range(p + 1, n):
                         if c in (p, q):
@@ -648,7 +647,7 @@ class TestBatchedExactI2:
             n = int(rng.integers(6, 12))
             g = random_connected_graph(rng, n, float(rng.uniform(0.2, 0.5)))
             xt = _extended_values(g, random_i2_point(rng, g))
-            for c, dist, first, nxt in _i2_shortest_paths(xt, np.arange(n)):
+            for c, dist, first, nxt in i2_shortest_paths(xt, np.arange(n)):
                 for p in range(n):
                     for q in range(n):
                         if len({c, p, q}) < 3:
@@ -671,7 +670,7 @@ class TestBatchedExactI2:
             n = int(rng.integers(6, 14))
             g = random_connected_graph(rng, n, float(rng.uniform(0.15, 0.5)))
             xt = _extended_values(g, random_i2_point(rng, g))
-            for c, dist, first, nxt in _i2_shortest_paths(xt, np.arange(n)):
+            for c, dist, first, nxt in i2_shortest_paths(xt, np.arange(n)):
                 for p in range(n):
                     for q in range(p + 1, n):
                         if c in (p, q) or i2_bound(xt, c, p, q) - dist[q, p] <= VIOLATION_TOL:

@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 import fillin.graphs
 import fillin.heuristics
 import fillin.lp
+import fillin.separation
 import fillin.solver
-from fillin.cuts import FAMILIES, Cut, CutError, cut_i1, cut_i2, cut_i3, cut_i4, evaluate
+from fillin.cuts import FAMILIES, Cut, cut_i1, cut_i2, cut_i3, cut_i4, evaluate
 from fillin.graphs import Graph, Point, is_valid_completion, new_graph
 from fillin.heuristics import chordalize_with_order, mdo_completion, mdo_order
 from fillin.instances import gen_grid, gen_mycielski, gen_queen
 from fillin.lp import packing_basis
 from fillin.oracle import brute_force_mccp, feasible_points
-from fillin.separation import PooledCycles, separate_integer
+from fillin.separation import separate_integer
 from fillin.solver import (
     BOUND_TOL,
     FEASIBLE,
@@ -978,13 +979,13 @@ class TestOneCutIdentity:
 
 class TestLpRows:
     def test_every_optimal_lp_point_satisfies_its_rows(self, monkeypatch):
-        # about seven in ten of these graphs close at the root; most of the
-        # others take one LP
+        # only graphs whose root needs an LP, so the sample does not depend
+        # on how many roots close without one; most take one LP
         lps = recording_lps(monkeypatch)
         checked = []
 
-        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-        @given(random_tree_graphs())
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(random_tree_graphs().filter(lambda g: not root_closes(g)))
         def check(g):
             lps.clear()
             assert solve(g).status == OPTIMAL
@@ -1003,61 +1004,88 @@ class TestLpRows:
                 checked.append(x)
 
         check()
-        assert len(checked) >= 50
+        assert len(checked) >= 100
 
 
 class TestPooledCycleMemo:
-    """The scans skip cycles whose screened cuts are all pooled, and the
-    search stays the one without the skip, to the pivot."""
+    """The scans skip cycles whose screened cuts the pool's map holds, and
+    the search stays the one without the skip, to the pivot."""
 
     @staticmethod
     def graphs() -> list:
         rnd = random.Random(131)
-        # grid3_6 loses a cut if a cycle with any of its cuts recorded is skipped
+        # grid3_6 loses a cut if a cycle with any of its cuts pooled is skipped
         return ([gen_grid(3, 5), gen_grid(3, 6), gen_queen(3, 5), gen_queen(4, 4), myciel3()]
                 + [tree_plus_pairs(rnd, rnd.randint(8, 12)) for _ in range(10)])
+
+    @staticmethod
+    def counting_skips(monkeypatch) -> Counter:
+        """Count the cycles the scans enumerate and the ones they screen;
+        the difference is the cycles they skip."""
+        seen = Counter()
+        cycles, screen = fillin.separation.iter_chordless_cycles, fillin.separation.screen_cycle
+
+        def enumerating(*args):
+            for cyc in cycles(*args):
+                seen["cycles"] += 1
+                yield cyc
+
+        def screening(*args):
+            seen["screened"] += 1
+            return screen(*args)
+
+        monkeypatch.setattr(fillin.separation, "iter_chordless_cycles", enumerating)
+        monkeypatch.setattr(fillin.separation, "screen_cycle", screening)
+        return seen
 
     @pytest.mark.parametrize("exact_i2", [False, True])
     def test_search_unchanged_without_the_skip(self, monkeypatch, exact_i2):
         graphs, cfg = self.graphs(), SolverConfig(exact_i2=exact_i2)
-        covers, hits = PooledCycles.covers, []
-        monkeypatch.setattr(PooledCycles, "covers", lambda self, cyc, families: (
-            hits.append(covers(self, cyc, families)) or hits[-1]))
-        memo = search_digest(graphs, cfg)
-        assert sum(hits) > 1000 and sum(hits) < len(hits)
-        monkeypatch.setattr(PooledCycles, "covers", lambda self, cyc, families: False)
-        assert search_digest(graphs, cfg) == memo
+        seen = self.counting_skips(monkeypatch)
+        skipping = search_digest(graphs, cfg)
+        assert seen["cycles"] - seen["screened"] > 1000 and seen["screened"] > 0
+        # the scans' default: an empty map, which skips nothing
+        for name in ("separate_integer", "separate_threshold"):
+            monkeypatch.setattr(fillin.solver, name, lambda *args, sep=getattr(
+                fillin.solver, name), pooled=None, **kwargs: sep(*args, **kwargs))
+        seen.clear()
+        assert search_digest(graphs, cfg) == skipping
+        assert seen["cycles"] == seen["screened"] > 0
 
-    def test_only_the_scans_cuts_feed_the_memo(self, monkeypatch):
-        # each cut recorded is the one its builder makes on the canonical
-        # cycle at the screened positions; exact I2 finds cuts that are not
-        # (a rotated start, or real chords off the support), and none of
-        # them is recorded
+    def test_every_pooled_cut_rebuilds_from_its_cycle_and_params(self, monkeypatch):
+        # the map names each pooled cut by its canonical cycle and positions,
+        # and its builder makes the same cut from them: exact I2 cuts too,
+        # whose centre is rarely the canonical start
         builders = {"I1": cut_i1, "I2": cut_i2, "I3": cut_i3, "I4": cut_i4}
-        record, recorded = PooledCycles.record, []
+        add_cut, pooled = _Search.add_cut, []
 
-        def checked(self, cut):
-            assert cut.cycle.canonical() is cut.cycle
-            rebuilt = builders[cut.family](cut.graph, cut.cycle, *(cut.params or ()))
-            assert rebuilt.key() == cut.key()
-            recorded.append(cut)
-            record(self, cut)
+        def collecting(self, cut):
+            new = add_cut(self, cut)
+            if new:
+                pooled.append(cut)
+            return new
 
-        separate_i2_exact, exact = fillin.solver.separate_i2_exact, []
+        separate_i2_exact, exact = fillin.solver.separate_i2_exact, set()
 
-        def collecting(g, x, deadline=None):
+        def collecting_exact(g, x, deadline=None):
             rep = separate_i2_exact(g, x, deadline=deadline)
-            exact.extend(rep.cuts)
+            exact.update(c.key() for c in rep.cuts)
             return rep
 
-        monkeypatch.setattr(PooledCycles, "record", checked)
-        monkeypatch.setattr(fillin.solver, "separate_i2_exact", collecting)
+        monkeypatch.setattr(_Search, "add_cut", collecting)
+        monkeypatch.setattr(fillin.solver, "separate_i2_exact", collecting_exact)
+        total = off_start = 0
         for g in (gen_grid(3, 5), gen_queen(3, 5), myciel3()):
-            assert solve(g, SolverConfig(exact_i2=True)).status == OPTIMAL
-        not_screened = 0
-        for e in exact:
-            try:
-                not_screened += cut_i2(e.graph, e.cycle, 0).key() != e.key()
-            except CutError:
-                not_screened += 1
-        assert len(recorded) > 100 and not_screened > 20
+            pooled.clear()
+            res, search = solve_capturing(g, SolverConfig(exact_i2=True))
+            assert res.status == OPTIMAL
+            by_cycle = {}
+            for cut in pooled:
+                assert cut.cycle.canonical() is cut.cycle
+                rebuilt = builders[cut.family](cut.graph, cut.cycle, *(cut.params or ()))
+                assert rebuilt.key() == cut.key()
+                by_cycle.setdefault(cut.cycle.vertices, set()).add((cut.family, cut.params or ()))
+                off_start += cut.key() in exact and cut.params != (0,)
+            assert search.by_cycle == by_cycle
+            total += len(pooled)
+        assert total > 100 and off_start > 20
