@@ -48,14 +48,14 @@ class Cut:
 
     A family's cut records where it comes from: cycle is the canonical form
     of the cycle it was built on and params the positions on that canonical
-    cycle (None for I1 and I3), so the family's builder called with
+    cycle (() for I1 and I3), so the family's builder called with
     (graph, cycle, *params) rebuilds it.
     """
 
     __slots__ = ("graph", "coeffs", "rhs", "family", "cycle", "params", "_key")
 
     def __init__(self, graph: Graph, coeffs: dict[int, int], rhs: int,
-                 family: str, cycle: Cycle | None = None, params=None):
+                 family: str, cycle: Cycle | None = None, params: tuple = ()):
         mc = graph.mc
         for f, a in coeffs.items():
             if not 0 <= f < mc:
@@ -176,8 +176,26 @@ def _check_length(family: str, k: int) -> None:
         raise FamilyInapplicableError(f"family {family} needs |C| >= {min_k}, got {k}")
 
 
-def _build(family: str, g: Graph, c: Cycle, positions: tuple = ()) -> Cut:
-    """The family's cut on c at the given positions (see _TABLE)."""
+class Row(NamedTuple):
+    """A family's cut on a canonical cycle before it is built: its
+    coefficients and rhs as _row returns them, and its provenance.
+    Cut(graph, *row) is the cut, with the same key."""
+
+    coeffs: dict[int, int]
+    rhs: int
+    family: str
+    cycle: Cycle
+    params: tuple
+
+    def key(self) -> tuple:
+        """Cut.key() of the cut; _row returns no zero coefficient."""
+        return tuple(sorted(self.coeffs.items())), self.rhs
+
+
+def _row(family: str, g: Graph, c: Cycle, positions: tuple = ()) -> tuple[dict[int, int], int]:
+    """The coefficients and rhs of the family's cut on c at the given
+    positions (see _TABLE).  On a cycle the family exists on, every
+    coefficient is 1 or -m(k), and m(k) >= 1."""
     spec = _TABLE[family]
     vs = c.vertices
     k = len(vs)
@@ -197,11 +215,17 @@ def _build(family: str, g: Graph, c: Cycle, positions: tuple = ()) -> Cut:
     missing = _missing_ext(g, vs)
     for f in missing:
         coeffs[f] = -m
+    return coeffs, m * (1 - len(missing)) - real
+
+
+def _build(family: str, g: Graph, c: Cycle, positions: tuple = ()) -> Cut:
+    """The family's cut on c at the given positions, named by the canonical
+    cycle and the positions of the same vertices on it."""
+    coeffs, rhs = _row(family, g, c, positions)
     canon = c.canonical()
     if canon is not c:  # name the same vertices by their positions on canon
-        positions = tuple(canon.vertices.index(vs[p]) for p in positions)
-    return Cut(g, coeffs, m * (1 - len(missing)) - real, family,
-               cycle=canon, params=positions or None)
+        positions = tuple(canon.vertices.index(c.vertices[p]) for p in positions)
+    return Cut(g, coeffs, rhs, family, cycle=canon, params=positions)
 
 
 def cut_i1(g: Graph, c: Cycle) -> Cut:
@@ -265,6 +289,13 @@ def screened_entries(k: int, families: tuple) -> frozenset:
     """The (family, positions) of every cut screen_cycle evaluates on a
     k-cycle with the given families enabled."""
     return frozenset((fam, positions) for fam, positions, _, _ in _screen_plan(k, families)[1])
+
+
+def cycle_rows(g: Graph, c: Cycle, families=FAMILIES) -> list[Row]:
+    """The Row of every cut screen_cycle evaluates on the canonical cycle
+    c, in its order, without screening any."""
+    return [Row(*_row(fam, g, c, positions), fam, c, positions)
+            for fam, positions, _, _ in _screen_plan(len(c), tuple(families))[1]]
 
 
 def screen_cycle(g: Graph, c: Cycle, vals: list, families=FAMILIES,

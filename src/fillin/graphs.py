@@ -8,7 +8,8 @@ points, cuts and completions throughout the package.
 
 from __future__ import annotations
 
-from itertools import combinations
+from array import array
+from operator import index
 
 import numpy as np
 
@@ -31,53 +32,67 @@ class Graph:
     internal callers (lifting transforms) that need graphs without the
     connectivity requirement.
 
-    Adjacency has one form, bitmasks: bit u of ``adj_mask[v]`` is set iff
-    {u, v} is an edge.
+    Adjacency is stored once, as bitmasks: bit u of ``adj_mask[v]`` is set
+    iff {u, v} is an edge.  ``edges``, the set of (u, v) pairs with u < v,
+    is derived from the masks on first use and kept.
 
     ``fill_table[u * n + v]`` is the fill index of the pair {u, v}, or -1
     when it is an edge or u == v; it does not check its arguments, so
-    outside callers use :meth:`fill_index`.
+    outside callers use :meth:`fill_index`.  The fill pairs themselves sit
+    in one array of codes u * n + v, in fill-index order.
     """
 
-    __slots__ = ("n", "edges", "adj_mask", "fill_edges", "fill_table")
+    __slots__ = ("n", "adj_mask", "fill_table", "_fill", "_edges")
 
     def __init__(self, n: int, edges, require_connected: bool = True):
         if n < 1:
             raise GraphError(f"vertex count must be positive, got {n}")
-        seen: set[tuple[int, int]] = set()
+        mask = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"vertex out of range in edge ({u}, {v}) for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            seen.add(edge(u, v))
-        self.n = n
-        self.edges = frozenset(seen)
-        mask = [0] * n
-        for u, v in seen:
             mask[u] |= 1 << v
             mask[v] |= 1 << u
+        self.n = n
         self.adj_mask = tuple(mask)
+        self._edges = None
         if require_connected and not self.is_connected():
             raise GraphError("graph is disconnected")
-        self.fill_edges = tuple(
-            p for p in combinations(range(n), 2) if p not in self.edges
-        )
+        full = (1 << n) - 1
+        fill = array("H" if n <= 256 else "I")  # codes below n * n
         table = [-1] * (n * n)
-        for i, (u, v) in enumerate(self.fill_edges):
-            table[u * n + v] = table[v * n + u] = i
+        for u in range(n):
+            for v in _bits(full & ~mask[u] & ~((2 << u) - 1)):  # non-neighbours above u
+                table[u * n + v] = table[v * n + u] = len(fill)
+                fill.append(u * n + v)
+        self._fill = fill
         self.fill_table = tuple(table)
 
     @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            self._edges = frozenset((u, v) for u, mask in enumerate(self.adj_mask)
+                                    for v in _bits(mask >> u + 1 << u + 1))
+        return self._edges
+
+    @property
+    def fill_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(divmod(code, self.n) for code in self._fill)
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.adj_mask) // 2
 
     @property
     def mc(self) -> int:
-        return len(self.fill_edges)
+        return len(self._fill)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
+        n = self.n
+        # index(v): a numpy integer would cast the mask to int64 past 63 vertices
+        return 0 <= u < n and 0 <= v < n and self.adj_mask[u] >> index(v) & 1 == 1
 
     def fill_index(self, u: int, v: int) -> int:
         n = self.n
@@ -87,9 +102,9 @@ class Graph:
         return f
 
     def fill_pair(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < len(self.fill_edges):
+        if not 0 <= i < len(self._fill):
             raise GraphError(f"fill index {i} out of range [0, {self.mc})")
-        return self.fill_edges[i]
+        return divmod(self._fill[i], self.n)
 
     def is_connected(self) -> bool:
         seen = frontier = 1
@@ -105,11 +120,11 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.adj_mask == other.adj_mask
         )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj_mask))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, mc={self.mc})"

@@ -17,9 +17,13 @@ Every separator hands each cut it builds to SeparationReport.add, the one
 keep rule: kept iff strictly violated at the exact queried point and new by
 Cut.key(), the pool's identity.  Threshold separation does not even build
 the copies where families coincide on short cycles (see cuts.screen_cycle).
-Its scan is one generator, iter_threshold_cuts, which yields each cut as it
-is kept: separate_threshold drains it, and the solver's root harvest stops
-it once the cuts prove the incumbent.
+
+The solver's root reads integer separation at x = 0 as rows, not cuts:
+root_rows yields, in order, the cuts.Row of each cut that
+separate_integer(g, Point.zeros(g)) reports, and builds no Cut.  On a
+chordless cycle of g every support pair is a fill pair and every exterior
+pair an edge, so each screened cut is a unit row with rhs m(k) >= 1,
+violated at 0, and the keep rule keeps each one whose key is new.
 
 The threshold and integer scans record nothing.  They read a map, pooled,
 from a canonical cycle's vertex tuple to the (family, positions) of the
@@ -47,6 +51,7 @@ from .cuts import (
     cut_i2,
     cut_i3,
     cut_i4,
+    cycle_rows,
     evaluate,
     point_values,
     screen_cycle,
@@ -128,21 +133,6 @@ def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
                        ) -> SeparationReport:
     """Round coordinates >= delta up, separate combinatorially, re-check at x.
 
-    The report of iter_threshold_cuts run to its end.  May legitimately
-    return an empty report even when a fractional x violates some cut of
-    the full families.
-    """
-    report = SeparationReport()
-    for _ in iter_threshold_cuts(g, x, delta, families, report, pooled):
-        pass
-    return report
-
-
-def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
-                        report: SeparationReport, pooled: Mapping = NO_POOL):
-    """Threshold separation as a generator: yield each cut as report.add
-    keeps it, so a caller can stop the scan once it has the cuts it needs.
-
     Scans chordless cycles of g plus the fill rounded up at delta until the
     report holds MAX_CUTS_PER_CALL cuts or every cycle is scanned.  Only the
     cuts whose screened violation (cuts.screen_cycle) comes within
@@ -150,7 +140,8 @@ def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
     offered to the report; the screen's rounding error is far below
     SCREEN_SLACK, so the report is the one building every cut would give.
     Each cycle is chordless in g, so no builder can refuse it: a CutError is
-    a defect and propagates.
+    a defect and propagates.  May legitimately return an empty report even
+    when a fractional x violates some cut of the full families.
 
     pooled maps a canonical cycle's vertex tuple to a set of (family,
     positions), each naming a cut the caller holds, built on that cycle at
@@ -173,6 +164,7 @@ def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
     floor = VIOLATION_TOL - SCREEN_SLACK
     families = tuple(families)
     screened = {}  # cycle length -> screened_entries on it
+    report = SeparationReport()
     for cyc in iter_chordless_cycles(g, np.flatnonzero(x.values >= delta).tolist()):
         report.stats.cycles_examined += 1
         held = pooled.get(cyc.vertices)
@@ -183,11 +175,32 @@ def iter_threshold_cuts(g: Graph, x: Point, delta: float, families,
             if screened[k] <= held:
                 continue
         for fam, positions in screen_cycle(g, cyc, vals, families, floor):
-            cut = builders[fam](g, cyc, *positions)
-            if report.add(cut, vals):
-                yield cut
-                if len(report) >= MAX_CUTS_PER_CALL:
-                    return
+            report.add(builders[fam](g, cyc, *positions), vals)
+            if len(report) >= MAX_CUTS_PER_CALL:
+                return report
+    return report
+
+
+def root_rows(g: Graph, families=FAMILIES):
+    """Yield the cuts.Row of each cut separate_integer(g, Point.zeros(g),
+    families) reports, in the same order and with the same keys, building
+    no Cut: the rows of every cycle's screened cuts (cuts.cycle_rows), each
+    whose key is new, until MAX_CUTS_PER_CALL rows are yielded.
+
+    With no fill every cycle is chordless in g, so each of those rows has
+    unit coefficients and rhs m(k) >= 1 (see the module docstring): the
+    scan's screen and keep rule would keep each new one, and neither runs.
+    """
+    seen = set()
+    for cyc in iter_chordless_cycles(g):
+        for row in cycle_rows(g, cyc, families):
+            key = row.key()
+            if key in seen:
+                continue
+            seen.add(key)
+            yield row
+            if len(seen) >= MAX_CUTS_PER_CALL:
+                return
 
 
 def _extended_values(g: Graph, x: Point) -> np.ndarray:

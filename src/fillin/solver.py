@@ -37,7 +37,7 @@ idle rows, before it is dropped.
 
 Under a time limit the LP stops too once the deadline passes, and its node
 goes back on the heap.  A node re-queues at the objective of the last LP it
-solved, and the root is pushed at the packing bound of the root cuts, so
+solved, and the root is pushed at the packing bound of the root rows, so
 the lower bound a limited solve reports keeps what its LPs proved.
 
 A node has one bound: the bound it was pushed with, replaced by the
@@ -63,20 +63,23 @@ inverse to check and reuse instead of inverting the block again.  The root
 packing basis is kept with its inverse, the identity.  Open nodes keep no
 inverse: on queen5_5 that would be about a thousand k x k arrays.
 
-Before any LP the root cuts may prove the incumbent optimal.  Harvested at
-x = 0 from chordless cycles of G, each is a covering row with unit
+Before any LP the root rows may prove the incumbent optimal.  They are
+the cuts of integer separation at x = 0 (separation.root_rows), read as
+rows, not built: on chordless cycles of G each is a covering row with unit
 coefficients.  On rows with pairwise disjoint supports y = 1 is a feasible
 LP dual, so the sum of their right-hand sides bounds the optimum from below;
 when it reaches a valid incumbent, the solve ends with no node, as it does
-on chordal input.  The incumbent comes first, and the harvest stops at the
-first cut after which the greedy packing (_packing) reaches it: a root that
-closes builds only the cuts that close it, and one that does not gets the
-whole harvest.  When the greedy packing of the whole harvest is one short
-of the incumbent, a branch and bound over the same rows (_best_packing),
-capped at PACKING_WORK row visits, looks for a packing that reaches it, and
-the root closes the same way if one is found.  Any packing better than the
-greedy one reaches the incumbent, so a root the search leaves open keeps
-the greedy packing, its packing basis and the search it had without it.
+on chordal input.  The incumbent comes first, and the rows stop at the
+first one after which the greedy packing (_packing) reaches it: a root that
+closes reads only the rows that close it, and one that does not reads them
+all.  When the greedy packing of all the rows is one short of the
+incumbent, a branch and bound over the same rows (_best_packing), capped at
+PACKING_WORK row visits, looks for a packing that reaches it, and the root
+closes the same way if one is found.  Any packing better than the greedy
+one reaches the incumbent, so a root the search leaves open keeps the
+greedy packing, its packing basis and the search it had without it.  A
+root that closes builds no Cut; one that stays open builds the cut of each
+row, in order, as its first pool rows.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import FAMILIES, evaluate
+from .cuts import FAMILIES, Cut, evaluate
 # is_chordal is not called here (mdo_completion tests the input), but it stays
 # importable as fillin.solver.is_chordal: perfbench/layers.py traces the graphs
 # layer through that name and reports the layer absent without it.
@@ -107,8 +110,7 @@ from .lp import (
 )
 from .separation import (
     VIOLATION_TOL,
-    SeparationReport,
-    iter_threshold_cuts,
+    root_rows,
     separate_i2_exact,
     separate_integer,
     separate_threshold,
@@ -178,15 +180,14 @@ class SolveResult:
 
 
 def root_initialize(g: Graph, cfg: SolverConfig | None = None):
-    """Initial incumbent and initial cut pool (lazy cuts harvested from the
-    chordless cycles of the bare graph); no fill and no cuts when g is
-    chordal.  The incumbent is the smaller of the static and the dynamic
-    minimum-degree completions, the static one on a tie.
+    """(incumbent, rows): the initial incumbent and the root rows, the
+    cuts.Row of each lazy cut at x = 0 (separation.root_rows); no fill and
+    no rows when g is chordal.  The incumbent is the smaller of the static
+    and the dynamic minimum-degree completions, the static one on a tie.
 
-    The harvest is integer separation at x = 0, stopped at the first cut
-    after which the packing bound of the cuts so far reaches the incumbent's
-    size: those cuts prove it optimal, and solve needs no more.  A harvest
-    that never gets there is the whole report.
+    The rows stop at the first one after which the packing bound of the
+    rows so far reaches the incumbent's size: those rows prove it optimal,
+    and solve needs no more.  Rows that never get there are all of them.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -195,14 +196,13 @@ def root_initialize(g: Graph, cfg: SolverConfig | None = None):
         return incumbent, []  # g is chordal
     incumbent = min(incumbent, chordalize_with_order(g, mdo_order(g, dynamic=True)),
                     key=len)
-    report = SeparationReport()
-    harvest = iter_threshold_cuts(g, Point.zeros(g), 0.5, cfg.families_enabled, report)
+    rows: list = []  # every row the packing has read
     bound = 0
-    for _, cut in _packing(harvest):
-        bound += cut.rhs
+    for _, row in _packing(rows.append(r) or r for r in root_rows(g, cfg.families_enabled)):
+        bound += row.rhs
         if bound >= len(incumbent):
             break
-    return incumbent, list(report.cuts)
+    return incumbent, rows
 
 
 class _Search:
@@ -245,7 +245,7 @@ class _Search:
             return False
         idx = len(self.pool_keys)
         self.pool_keys.add(key)
-        self.by_cycle.setdefault(cut.cycle.vertices, set()).add((cut.family, cut.params or ()))
+        self.by_cycle.setdefault(cut.cycle.vertices, set()).add((cut.family, cut.params))
         if idx >= self._matrix.shape[0]:
             grow = max(256, self._matrix.shape[0])
             self._matrix = np.vstack([self._matrix, np.zeros((grow, self.g.mc))])
@@ -336,24 +336,25 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     t0 = time.perf_counter()
     deadline = None if cfg.time_limit_s is None else t0 + cfg.time_limit_s
 
-    incumbent, root_cuts = root_initialize(g, cfg)
-    packing = list(_packing(root_cuts))
-    root_bound = sum(cut.rhs for _, cut in packing)
-    if len(incumbent) - root_bound == 1 and _best_packing(root_cuts, len(incumbent)):
+    incumbent, rows = root_initialize(g, cfg)
+    packing = list(_packing(rows))
+    root_bound = sum(row.rhs for _, row in packing)
+    if len(incumbent) - root_bound == 1 and _best_packing(g, rows, len(incumbent)):
         root_bound = len(incumbent)  # a packing the greedy one missed reaches it
     if (root_bound >= len(incumbent)
             and (not incumbent or is_valid_completion(g, incumbent))):
-        # chordal g (no fill, no cuts), or the root cuts prove the incumbent
+        # chordal g (no fill, no rows), or the root rows prove the incumbent;
+        # counted as the pool would have counted their cuts
         ub = len(incumbent)
-        counts = {fam: sum(c.family == fam for c in root_cuts) for fam in FAMILIES}
-        return SolveResult(OPTIMAL, incumbent, ub, ub, 0, counts, len(root_cuts),
+        counts = {fam: sum(row.family == fam for row in rows) for fam in FAMILIES}
+        return SolveResult(OPTIMAL, incumbent, ub, ub, 0, counts, len(rows),
                            time.perf_counter() - t0)
 
     search = _Search(g, cfg)
     search.offer_incumbent(incumbent)
-    for cut in root_cuts:
-        search.add_cut(cut)
-    # the harvest holds each key once, so root cut i is pool row i
+    for row in rows:
+        search.add_cut(Cut(g, *row))
+    # the rows hold each key once, so root row i is pool row i
     root_basis = packing_basis(search._matrix, [i for i, _ in packing])
     search.kept = (root_basis, np.eye(len(packing)))
     search.push(root_bound, {}, root_basis)
@@ -389,30 +390,30 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     )
 
 
-def _unit(cut) -> bool:
-    """Whether every coefficient of the cut is one, as on a packing's rows."""
-    return all(a == 1 for a in cut.coeffs.values())
+def _unit(row) -> bool:
+    """Whether every coefficient of the row is one, as on a packing's rows."""
+    return all(a == 1 for a in row.coeffs.values())
 
 
-def _packing(cuts):
-    """Yield (position, cut) for each cut of the greedy packing: in order,
-    each unit-coefficient cut (_unit) whose support is disjoint from those
-    taken before.  The sum of their rhs over any prefix bounds the optimum
-    from below: on covering rows with unit coefficients and pairwise
-    disjoint supports, y = 1 is a feasible LP dual, and its objective is
-    that sum."""
+def _packing(rows):
+    """Yield (position, row) for each row of the greedy packing: in order,
+    each unit-coefficient row (_unit) whose support is disjoint from those
+    taken before.  A row is anything with coeffs and rhs, a cuts.Row or a
+    Cut.  The sum of their rhs over any prefix bounds the optimum from
+    below: on covering rows with unit coefficients and pairwise disjoint
+    supports, y = 1 is a feasible LP dual, and its objective is that sum."""
     used: set[int] = set()
-    for i, cut in enumerate(cuts):
-        if used.isdisjoint(cut.coeffs) and _unit(cut):
-            used.update(cut.coeffs)
-            yield i, cut
+    for i, row in enumerate(rows):
+        if used.isdisjoint(row.coeffs) and _unit(row):
+            used.update(row.coeffs)
+            yield i, row
 
 
-def _best_packing(cuts, target) -> list[int]:
-    """Positions of a packing of cuts whose rhs sum reaches target, or []
-    if none is found within PACKING_WORK row visits.
+def _best_packing(g: Graph, rows, target) -> list[int]:
+    """Positions of a packing of rows over g's fill space whose rhs sum
+    reaches target, or [] if none is found within PACKING_WORK row visits.
 
-    A packing is a set of unit-coefficient cuts (those _packing accepts)
+    A packing is a set of unit-coefficient rows (those _packing accepts)
     with pairwise disjoint supports; as for _packing, y = 1 on its rows is a
     feasible LP dual, so its rhs sum bounds the optimum from below.  A row
     with rhs <= 0 never helps and is left out.
@@ -424,18 +425,18 @@ def _best_packing(cuts, target) -> list[int]:
     remaining rows is below target is pruned before it is pushed; that sum
     is kept incrementally (a take subtracts only the rows it drops).
     """
-    rows = sorted((-c.rhs, len(c.coeffs), i) for i, c in enumerate(cuts)
-                  if c.rhs > 0 and _unit(c))
-    supports = [cuts[i].coeffs for _, _, i in rows]
-    rhs = [-r for r, _, _ in rows]
+    order = sorted((-row.rhs, len(row.coeffs), i) for i, row in enumerate(rows)
+                   if row.rhs > 0 and _unit(row))
+    supports = [rows[i].coeffs for _, _, i in order]
+    rhs = [-r for r, _, _ in order]
     if not 0 < target <= sum(rhs):
         return []  # nothing reaches target, or the empty packing does
-    containing = [0] * cuts[0].graph.mc  # fill index -> mask of the rows holding it
+    containing = [0] * g.mc  # fill index -> mask of the rows holding it
     for r, support in enumerate(supports):
         for f in support:
             containing[f] |= 1 << r
-    meets: list = [None] * len(rows)  # row -> mask of the rows its support meets
-    stack = [((1 << len(rows)) - 1, 0, sum(rhs), ())]  # (left, value, rest, taken)
+    meets: list = [None] * len(order)  # row -> mask of the rows its support meets
+    stack = [((1 << len(order)) - 1, 0, sum(rhs), ())]  # (left, value, rest, taken)
     work = 0
     while stack and work < PACKING_WORK:
         left, value, rest, taken = stack.pop()  # value + rest >= target > value
@@ -445,7 +446,7 @@ def _best_packing(cuts, target) -> list[int]:
         if value + rest - rhs[r] >= target:
             stack.append((left ^ low, value, rest - rhs[r], taken))  # skip r
         if value + rhs[r] >= target:
-            return [rows[t][2] for t in taken + (r,)]
+            return [order[t][2] for t in taken + (r,)]
         if meets[r] is None:
             meets[r] = 0
             for f in supports[r]:

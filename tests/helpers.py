@@ -465,7 +465,7 @@ def reference_cut(g: Graph, c: Cycle, family: str, params=()) -> Cut:
     i0 = vs.index(min(vs))
     turn = 1 if vs[(i0 + 1) % k] < vs[(i0 - 1) % k] else -1
     params = tuple((turn * (p - i0)) % k for p in params)
-    return Cut(g, coeffs, rhs, family, cycle=c.canonical(), params=params or None)
+    return Cut(g, coeffs, rhs, family, cycle=c.canonical(), params=params)
 
 
 def reference_separate(g: Graph, x: Point, on, families=("I1", "I2", "I3", "I4"),
@@ -666,10 +666,10 @@ def search_digest(instances, cfg) -> tuple[str, int, int]:
 
 def root_closes(g: Graph) -> bool:
     """Whether solve(g) ends at the root without an LP, by the solver's own
-    rule: the greedy packing of the root cuts reaches a valid incumbent, or
+    rule: the greedy packing of the root rows reaches a valid incumbent, or
     falls one short and the packing search reaches it."""
-    incumbent, cuts = fillin.solver.root_initialize(g)
-    bound = sum(c.rhs for _, c in fillin.solver._packing(cuts))
-    if len(incumbent) - bound == 1 and fillin.solver._best_packing(cuts, len(incumbent)):
+    incumbent, rows = fillin.solver.root_initialize(g)
+    bound = sum(r.rhs for _, r in fillin.solver._packing(rows))
+    if len(incumbent) - bound == 1 and fillin.solver._best_packing(g, rows, len(incumbent)):
         bound = len(incumbent)
     return bound >= len(incumbent) and (not incumbent or is_valid_completion(g, incumbent))

@@ -230,15 +230,14 @@ class TestProvenance:
                             cut = self.BUILDERS[family](g, c, *params)
                         except CutError:
                             continue
-                        positions = cut.params or ()
                         assert cut.cycle == c.canonical()
-                        assert [cut.cycle.vertices[p] for p in positions] == [
+                        assert [cut.cycle.vertices[p] for p in cut.params] == [
                             vs[p] for p in params]
-                        again = self.BUILDERS[family](g, cut.cycle, *positions)
+                        again = self.BUILDERS[family](g, cut.cycle, *cut.params)
                         assert again.key() == cut.key()
                         assert (again.cycle, again.params) == (cut.cycle, cut.params)
                         rebuilt += 1
-                        moved += positions != params
+                        moved += cut.params != params
         assert rebuilt > 2000 and moved > 1000
 
 
@@ -253,7 +252,7 @@ class TestScreenCycle:
         assert specs == [("I1", ()), ("I2", (0,)), ("I3", ()), ("I4", (2, 0))]
         for family, params in specs:
             cut = self.BUILDERS[family](g, c, *params)
-            assert (cut.family, cut.params) == (family, params or None)
+            assert (cut.family, cut.params) == (family, params)
         assert screen_cycle(g, c, vals, ("I2",), floor=-math.inf) == [("I2", (0,))]
         # with I1 enabled, the copies of I1 (I2 on a 4-cycle, I3 on a
         # 5-cycle) are not listed

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -56,6 +57,52 @@ class TestConstruction:
             assert g.fill_index(*pair) == i
             assert g.fill_pair(i) == pair
             assert pair not in g.edges
+
+    def test_views_agree_with_the_edge_list(self):
+        # adjacency is stored once, as masks; every view of it agrees with a
+        # reference built from the edge list
+        rng = np.random.default_rng(167)
+        for _ in range(100):
+            n = int(rng.integers(1, 15))
+            pairs = list(combinations(range(n), 2))
+            listed = [pairs[i] for i in rng.permutation(len(pairs))[
+                :int(rng.integers(0, len(pairs) + 1))]]
+            g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in listed],
+                      require_connected=False)
+            edges = frozenset(listed)
+            fill = tuple(p for p in pairs if p not in edges)
+            assert g.edges == edges and g.edges is g.edges  # derived once, then kept
+            assert (g.m, g.mc, g.fill_edges) == (len(edges), len(fill), fill)
+            assert [g.fill_pair(i) for i in range(g.mc)] == list(fill)
+            assert all(g.fill_index(*p) == i for i, p in enumerate(fill))
+            for u in range(-1, n + 1):
+                for v in range(-1, n + 1):
+                    assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+            same = Graph(n, sorted(edges), require_connected=False)
+            assert same == g and hash(same) == hash(g)
+            if fill:
+                other = Graph(n, sorted(edges | {fill[0]}), require_connected=False)
+                assert other != g and other.edges != g.edges
+
+    def test_has_edge_takes_numpy_integers_past_63_vertices(self):
+        g = Graph(70, [(68, 69), (1, 69)], require_connected=False)
+        assert g.has_edge(np.int64(68), np.int64(69)) and g.has_edge(np.int64(69), 1)
+        assert not g.has_edge(np.int64(67), np.int64(69))
+
+    def test_a_12_vertex_graph_takes_under_2_kb(self):
+        # the fill table (a tuple of n * n indices) is most of it
+        rng = np.random.default_rng(173)
+        specs = [[(u, v) for u, v in combinations(range(12), 2)
+                  if v == u + 1 or rng.random() < rng.uniform(0.2, 0.5)]
+                 for _ in range(200)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graphs = [new_graph(12, edges) for edges in specs]
+            per_graph = (tracemalloc.get_traced_memory()[0] - before) / len(graphs)
+        finally:
+            tracemalloc.stop()
+        assert per_graph < 2048
 
     def test_duplicate_edges_collapse(self):
         g = new_graph(3, [(0, 1), (1, 0), (1, 2), (0, 2)])

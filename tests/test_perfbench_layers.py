@@ -39,6 +39,6 @@ def test_every_traced_layer_is_reached():
     spans = ["solver", "lp", "sep.integer", "sep.threshold", "sep.exact_i2",
              "graphs.cycles", "graphs.chordal", "cuts.build", "cuts.evaluate", "heur"]
     assert [s for s in spans if tracer.calls[s] == 0] == []
-    # integer LP points of the search; the root harvest calls the threshold
-    # scan directly, so it is not counted here
+    # integer LP points of the search; the root reads its rows without
+    # separate_integer, so it is not counted here
     assert tracer.calls["sep.integer"] >= 2

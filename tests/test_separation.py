@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fillin.separation
 
-from fillin.cuts import Cut, CutError, cut_i1, cut_i2, cut_i3, evaluate
+from fillin.cuts import FAMILIES, Cut, CutError, cut_i1, cut_i2, cut_i3, evaluate
 from fillin.graphs import (
     Cycle,
     Graph,
@@ -20,7 +20,7 @@ from fillin.graphs import (
     iter_chordless_cycles,
     new_graph,
 )
-from fillin.instances import gen_grid
+from fillin.instances import gen_grid, gen_queen
 from fillin.separation import (
     MAX_CUTS_PER_CALL,
     VIOLATION_TOL,
@@ -29,6 +29,7 @@ from fillin.separation import (
     SeparationReport,
     _extended_values,
     _i2_paths,
+    root_rows,
     separate_i2_exact,
     separate_i3_exact,
     separate_integer,
@@ -43,6 +44,7 @@ from helpers import (
     fig_graph,
     i2_shortest_paths,
     loop_extended_values,
+    myciel3,
     myciel4,
     per_centre_first_hops,
     per_centre_separate_i2,
@@ -156,6 +158,42 @@ class TestIntegerSeparation:
         g = cycle_graph(5)
         rep = separate_integer(g, Point.zeros(g), families=("I1",))
         assert {c.family for c in rep.cuts} == {"I1"}
+
+
+class TestRootRows:
+    """The root's rows are integer separation at x = 0, cut for cut, with
+    no Cut built: on a chordless cycle of g each screened entry is a unit
+    row violated at 0, so the screen and the keep rule would keep it iff
+    its key is new."""
+
+    @staticmethod
+    def assert_rows_are_the_cuts(g, families=FAMILIES):
+        rows = list(root_rows(g, families))
+        cuts = separate_integer(g, Point.zeros(g), families=families).cuts
+        assert [(r.key(), r.family, r.cycle, r.params) for r in rows] == [
+            (c.key(), c.family, c.cycle, c.params) for c in cuts]
+        assert [Cut(g, *r).to_line() for r in rows] == [c.to_line() for c in cuts]
+        assert all(set(r.coeffs.values()) == {1} and r.rhs >= 1 for r in rows)
+        return rows
+
+    @pytest.mark.parametrize("name, g", [
+        *[(f"grid3_{c}", gen_grid(3, c)) for c in (3, 4, 5, 6)],
+        *[(f"queen{r}_{c}", gen_queen(r, c)) for r, c in ((3, 3), (3, 4), (3, 5), (4, 4))],
+        ("myciel3", myciel3()), ("myciel4", myciel4())])
+    def test_on_every_ladder_rung(self, name, g):
+        rows = self.assert_rows_are_the_cuts(g)
+        capped = name in ("queen3_5", "queen4_4", "myciel4")
+        assert (len(rows) == MAX_CUTS_PER_CALL) == capped
+
+    def test_on_random_graphs(self):
+        rng = np.random.default_rng(179)
+        families = [FAMILIES, ("I1",), ("I1", "I2"), ("I1", "I3", "I4")]
+        rows = 0
+        for i in range(200):
+            g = random_connected_graph(rng, int(rng.integers(4, 13)),
+                                       float(rng.uniform(0.1, 0.5)))
+            rows += len(self.assert_rows_are_the_cuts(g, families[i % 4]))
+        assert rows > 1000
 
 
 class TestThresholdSeparation:
@@ -383,7 +421,7 @@ def pooled_map(cuts) -> dict:
     """The scans' pooled map of cuts: canonical cycle -> {(family, positions)}."""
     pooled = {}
     for cut in cuts:
-        pooled.setdefault(cut.cycle.vertices, set()).add((cut.family, cut.params or ()))
+        pooled.setdefault(cut.cycle.vertices, set()).add((cut.family, cut.params))
     return pooled
 
 

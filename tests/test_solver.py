@@ -17,7 +17,7 @@ import fillin.heuristics
 import fillin.lp
 import fillin.separation
 import fillin.solver
-from fillin.cuts import FAMILIES, Cut, cut_i1, cut_i2, cut_i3, cut_i4, evaluate
+from fillin.cuts import FAMILIES, Cut, Row, cut_i1, cut_i2, cut_i3, cut_i4, evaluate
 from fillin.graphs import Graph, Point, is_valid_completion, new_graph
 from fillin.heuristics import chordalize_with_order, mdo_completion, mdo_order
 from fillin.instances import gen_grid, gen_mycielski, gen_queen
@@ -326,15 +326,32 @@ class TestRootPackingBound:
         by_family = Counter(c.family for c in harvest)
         assert res.cuts_by_family == {fam: by_family[fam] for fam in FAMILIES}
 
+    def test_a_root_that_closes_builds_no_cut(self, monkeypatch):
+        # it reads its rows only; an open root builds the cut of each
+        built = []
+        init = Cut.__init__
+
+        def counting(cut, *args, **kwargs):
+            built.append(args)
+            init(cut, *args, **kwargs)
+
+        monkeypatch.setattr(Cut, "__init__", counting)
+        for g in (cycle_graph(5), gen_grid(3, 3), TestBestPacking.G990):
+            res = solve(g)
+            assert (res.status, res.nodes) == (OPTIMAL, 0) and res.total_cuts > 0
+        assert built == []
+        res = solve(gen_grid(3, 4))
+        assert res.nodes > 0 and len(built) >= res.total_cuts
+
     def test_an_invalid_incumbent_is_not_proved(self, monkeypatch):
         # the three long diagonals of C6 leave the chordless 4-cycle
-        # 0-1-4-3, yet they meet the packing bound 3 of the root cuts
+        # 0-1-4-3, yet they meet the packing bound 3 of the root rows
         g = cycle_graph(6)
         bad = frozenset(g.fill_index(u, u + 3) for u in range(3))
         assert not is_valid_completion(g, bad)
-        cuts = root_initialize(g)[1]
-        assert sum(c.rhs for _, c in _packing(cuts)) == len(bad)
-        monkeypatch.setattr(fillin.solver, "root_initialize", lambda g, cfg: (bad, cuts))
+        rows = root_initialize(g)[1]
+        assert sum(r.rhs for _, r in _packing(rows)) == len(bad)
+        monkeypatch.setattr(fillin.solver, "root_initialize", lambda g, cfg: (bad, rows))
         res = solve(g)
         assert (res.status, res.lower_bound, res.upper_bound) == (OPTIMAL, 3, 3)
         assert is_valid_completion(g, res.best_fill)
@@ -361,18 +378,26 @@ class TestRootPackingBound:
             assert bound <= len(brute_force_mccp(g))
 
     def test_only_unit_rows_with_disjoint_supports_count(self):
-        g = cycle_graph(6)
-        chain = [Cut(g, {0: 1, 1: 1}, 1, "I1"), Cut(g, {1: 1, 2: 1}, 1, "I1"),
-                 Cut(g, {2: 1, 3: 1}, 1, "I1")]
-        assert sum(c.rhs for _, c in _packing(chain)) == 2  # the middle row meets the first
+        chain = [row({0: 1, 1: 1}, 1), row({1: 1, 2: 1}, 1), row({2: 1, 3: 1}, 1)]
+        assert sum(r.rhs for _, r in _packing(chain)) == 2  # the middle row meets the first
         # 2 x_4 >= 2 says only x_4 >= 1: counting its rhs would claim 2
-        assert sum(c.rhs for _, c in _packing([Cut(g, {4: 2}, 2, "I1")])) == 0
-        assert sum(c.rhs for _, c in _packing([Cut(g, {4: 1, 5: -1}, 1, "I2")])) == 0
+        assert sum(r.rhs for _, r in _packing([row({4: 2}, 2)])) == 0
+        assert sum(r.rhs for _, r in _packing([row({4: 1, 5: -1}, 1, "I2")])) == 0
+
+
+def row(coeffs: dict, rhs: int, family: str = "I1") -> Row:
+    """A row with no provenance."""
+    return Row(coeffs, rhs, family, None, ())
 
 
 def full_harvest(g: Graph, families=FAMILIES) -> list:
     """Every root cut: integer separation at x = 0."""
     return separate_integer(g, Point.zeros(g), families=families).cuts
+
+
+def as_rows(cuts) -> list:
+    """The rows of cuts, as root_initialize returns them."""
+    return [Row(c.coeffs, c.rhs, c.family, c.cycle, c.params) for c in cuts]
 
 
 class TestLazyRootHarvest:
@@ -404,7 +429,7 @@ class TestLazyRootHarvest:
         lazy = [solve(g) for g in graphs]
         root = fillin.solver.root_initialize
         monkeypatch.setattr(fillin.solver, "root_initialize", lambda g, cfg: (
-            root(g, cfg)[0], full_harvest(g, cfg.families_enabled)))
+            root(g, cfg)[0], as_rows(full_harvest(g, cfg.families_enabled))))
         closed = 0
         for g, a in zip(graphs, lazy):
             b = solve(g)
@@ -439,13 +464,12 @@ class TestBestPacking:
 
     def test_only_unit_rows_with_disjoint_supports_count(self):
         g = cycle_graph(6)
-        chain = [Cut(g, {1: 1, 2: 1}, 1, "I1"), Cut(g, {0: 1, 1: 1}, 1, "I1"),
-                 Cut(g, {2: 1, 3: 1}, 1, "I1")]
-        assert sum(c.rhs for _, c in _packing(chain)) == 1  # the first row meets both
-        assert _best_packing(chain, 2) == [1, 2]
-        assert _best_packing(chain, 3) == []
-        assert _best_packing([Cut(g, {4: 2}, 2, "I1")], 1) == []
-        assert _best_packing([Cut(g, {4: 1, 5: -1}, 1, "I2")], 1) == []
+        chain = [row({1: 1, 2: 1}, 1), row({0: 1, 1: 1}, 1), row({2: 1, 3: 1}, 1)]
+        assert sum(r.rhs for _, r in _packing(chain)) == 1  # the first row meets both
+        assert _best_packing(g, chain, 2) == [1, 2]
+        assert _best_packing(g, chain, 3) == []
+        assert _best_packing(g, [row({4: 2}, 2)], 1) == []
+        assert _best_packing(g, [row({4: 1, 5: -1}, 1, "I2")], 1) == []
 
     def test_a_packing_never_above_the_optimum(self, monkeypatch):
         # at every target, the rows returned are unit and pairwise disjoint,
@@ -456,9 +480,9 @@ class TestBestPacking:
         for _ in range(60):
             g = random_connected_graph(rng, int(rng.integers(4, 9)),
                                        float(rng.uniform(0.2, 0.6)))
-            cuts, opt = full_harvest(g), len(brute_force_mccp(g))
+            cuts, opt = as_rows(full_harvest(g)), len(brute_force_mccp(g))
             for target in range(1, opt + 2):
-                rows = _best_packing(cuts, target)
+                rows = _best_packing(g, cuts, target)
                 supports = [set(cuts[i].coeffs) for i in rows]
                 assert all(set(cuts[i].coeffs.values()) == {1} for i in rows)
                 assert sum(map(len, supports)) == len(set().union(*supports))
@@ -472,8 +496,8 @@ class TestBestPacking:
                        == len(set().union(*(cuts[i].coeffs for i in s))))
             with monkeypatch.context() as m:
                 m.setattr(fillin.solver, "PACKING_WORK", 1 << len(unit))
-                assert sum(cuts[i].rhs for i in _best_packing(cuts, best)) == best
-                assert _best_packing(cuts, best + 1) == []
+                assert sum(cuts[i].rhs for i in _best_packing(g, cuts, best)) == best
+                assert _best_packing(g, cuts, best + 1) == []
             exhaustive += 1
         assert exhaustive > 30
 
@@ -507,13 +531,13 @@ class TestBestPacking:
                   + [tree_plus_pairs(rnd, rnd.randint(8, 12)) for _ in range(20)])
         searched = fillin.solver._best_packing
         calls = []
-        monkeypatch.setattr(fillin.solver, "_best_packing", lambda cuts, target: (
-            calls.append(searched(cuts, target)) or calls[-1]))
+        monkeypatch.setattr(fillin.solver, "_best_packing", lambda g, rows, target: (
+            calls.append(searched(g, rows, target)) or calls[-1]))
         open_roots = [g for g in graphs if not root_closes(g)]
         assert len(open_roots) >= 8 and [] in calls  # myciel3 among them: 9 against 10
         cfg = SolverConfig()
         digest = search_digest(open_roots, cfg)
-        monkeypatch.setattr(fillin.solver, "_best_packing", lambda cuts, target: [])
+        monkeypatch.setattr(fillin.solver, "_best_packing", lambda g, rows, target: [])
         assert search_digest(open_roots, cfg) == digest
 
 
@@ -577,7 +601,7 @@ class TestPoolMatrix:
         graphs += [random_connected_graph(rng, 7, 0.35) for _ in range(2)]
         for g in graphs:
             search = _Search(g, SolverConfig())
-            _, cuts = root_initialize(g)
+            cuts = [Cut(g, *row) for row in root_initialize(g)[1]]  # as an open root builds them
             pooled = [c for c in cuts if search.add_cut(c)]
             assert pooled
             p = search.build_lp({})
@@ -1021,9 +1045,12 @@ class TestPooledCycleMemo:
     @staticmethod
     def counting_skips(monkeypatch) -> Counter:
         """Count the cycles the scans enumerate and the ones they screen;
-        the difference is the cycles they skip."""
+        the difference is the cycles they skip.  The root rows enumerate
+        cycles too, and read the rows of each (cycle_rows) unscreened: those
+        cycles are not the scans'."""
         seen = Counter()
-        cycles, screen = fillin.separation.iter_chordless_cycles, fillin.separation.screen_cycle
+        cycles = fillin.separation.iter_chordless_cycles
+        screen, rows = fillin.separation.screen_cycle, fillin.separation.cycle_rows
 
         def enumerating(*args):
             for cyc in cycles(*args):
@@ -1034,8 +1061,13 @@ class TestPooledCycleMemo:
             seen["screened"] += 1
             return screen(*args)
 
+        def reading(*args):
+            seen["cycles"] -= 1
+            return rows(*args)
+
         monkeypatch.setattr(fillin.separation, "iter_chordless_cycles", enumerating)
         monkeypatch.setattr(fillin.separation, "screen_cycle", screening)
+        monkeypatch.setattr(fillin.separation, "cycle_rows", reading)
         return seen
 
     @pytest.mark.parametrize("exact_i2", [False, True])
@@ -1082,9 +1114,9 @@ class TestPooledCycleMemo:
             by_cycle = {}
             for cut in pooled:
                 assert cut.cycle.canonical() is cut.cycle
-                rebuilt = builders[cut.family](cut.graph, cut.cycle, *(cut.params or ()))
+                rebuilt = builders[cut.family](cut.graph, cut.cycle, *cut.params)
                 assert rebuilt.key() == cut.key()
-                by_cycle.setdefault(cut.cycle.vertices, set()).add((cut.family, cut.params or ()))
+                by_cycle.setdefault(cut.cycle.vertices, set()).add((cut.family, cut.params))
                 off_start += cut.key() in exact and cut.params != (0,)
             assert search.by_cycle == by_cycle
             total += len(pooled)
