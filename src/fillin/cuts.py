@@ -50,6 +50,9 @@ class Cut:
     of the cycle it was built on and params the positions on that canonical
     cycle (() for I1 and I3), so the family's builder called with
     (graph, cycle, *params) rebuilds it.
+
+    Cut(...) checks every index and coefficient; the builders and cycle_rows
+    go through Cut._from_table, which skips the checks table input cannot fail.
     """
 
     __slots__ = ("graph", "coeffs", "rhs", "family", "cycle", "params", "_key")
@@ -62,13 +65,21 @@ class Cut:
                 raise CutError(f"coefficient index {f} outside fill space")
             if not isinstance(a, int):
                 raise CutError(f"coefficient for index {f} is not an integer")
-        self.graph = graph
-        self.coeffs = {f: a for f, a in sorted(coeffs.items()) if a != 0}
-        self.rhs = int(rhs)
-        self.family = family
-        self.cycle = cycle
-        self.params = params
-        self._key = (tuple(self.coeffs.items()), self.rhs)
+        self._set(graph, {f: a for f, a in coeffs.items() if a}, int(rhs),
+                  family, cycle, params)
+
+    @classmethod
+    def _from_table(cls, graph, coeffs, rhs, family, cycle, params) -> Cut:
+        """The cut of _row's output: its indices come from graph.fill_table,
+        and each coefficient is 1 or -m(k) with m(k) >= 1."""
+        cut = object.__new__(cls)
+        cut._set(graph, coeffs, rhs, family, cycle, params)
+        return cut
+
+    def _set(self, graph, coeffs, rhs, family, cycle, params) -> None:
+        self.graph, self.family, self.cycle, self.params = graph, family, cycle, params
+        items = sorted(coeffs.items())  # nonzero, in index order
+        self.coeffs, self.rhs, self._key = dict(items), rhs, (tuple(items), rhs)
 
     def key(self) -> tuple:
         """Structural identity: coefficient multiset and rhs, not provenance."""
@@ -176,22 +187,6 @@ def _check_length(family: str, k: int) -> None:
         raise FamilyInapplicableError(f"family {family} needs |C| >= {min_k}, got {k}")
 
 
-class Row(NamedTuple):
-    """A family's cut on a canonical cycle before it is built: its
-    coefficients and rhs as _row returns them, and its provenance.
-    Cut(graph, *row) is the cut, with the same key."""
-
-    coeffs: dict[int, int]
-    rhs: int
-    family: str
-    cycle: Cycle
-    params: tuple
-
-    def key(self) -> tuple:
-        """Cut.key() of the cut; _row returns no zero coefficient."""
-        return tuple(sorted(self.coeffs.items())), self.rhs
-
-
 def _row(family: str, g: Graph, c: Cycle, positions: tuple = ()) -> tuple[dict[int, int], int]:
     """The coefficients and rhs of the family's cut on c at the given
     positions (see _TABLE).  On a cycle the family exists on, every
@@ -225,7 +220,7 @@ def _build(family: str, g: Graph, c: Cycle, positions: tuple = ()) -> Cut:
     canon = c.canonical()
     if canon is not c:  # name the same vertices by their positions on canon
         positions = tuple(canon.vertices.index(c.vertices[p]) for p in positions)
-    return Cut(g, coeffs, rhs, family, cycle=canon, params=positions)
+    return Cut._from_table(g, coeffs, rhs, family, canon, positions)
 
 
 def cut_i1(g: Graph, c: Cycle) -> Cut:
@@ -291,10 +286,11 @@ def screened_entries(k: int, families: tuple) -> frozenset:
     return frozenset((fam, positions) for fam, positions, _, _ in _screen_plan(k, families)[1])
 
 
-def cycle_rows(g: Graph, c: Cycle, families=FAMILIES) -> list[Row]:
-    """The Row of every cut screen_cycle evaluates on the canonical cycle
-    c, in its order, without screening any."""
-    return [Row(*_row(fam, g, c, positions), fam, c, positions)
+def cycle_rows(g: Graph, c: Cycle, families=FAMILIES) -> list[Cut]:
+    """The cut of every (family, positions) screen_cycle evaluates on the
+    canonical cycle c, in its order, built as _build would without
+    screening any."""
+    return [Cut._from_table(g, *_row(fam, g, c, positions), fam, c, positions)
             for fam, positions, _, _ in _screen_plan(len(c), tuple(families))[1]]
 
 

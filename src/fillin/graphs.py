@@ -49,6 +49,10 @@ class Graph:
             raise GraphError(f"vertex count must be positive, got {n}")
         mask = [0] * n
         for u, v in edges:
+            try:  # a numpy integer would cast the masks to int64
+                u, v = index(u), index(v)
+            except TypeError:
+                raise GraphError(f"edge ({u}, {v}) has a non-integer endpoint") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"vertex out of range in edge ({u}, {v}) for n={n}")
             if u == v:

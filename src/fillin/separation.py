@@ -18,9 +18,9 @@ keep rule: kept iff strictly violated at the exact queried point and new by
 Cut.key(), the pool's identity.  Threshold separation does not even build
 the copies where families coincide on short cycles (see cuts.screen_cycle).
 
-The solver's root reads integer separation at x = 0 as rows, not cuts:
-root_rows yields, in order, the cuts.Row of each cut that
-separate_integer(g, Point.zeros(g)) reports, and builds no Cut.  On a
+The solver's root reads integer separation at x = 0 with no screen and no
+evaluation: root_rows yields, in order, each cut that separate_integer(g,
+Point.zeros(g)) reports, built from the table (cuts.cycle_rows).  On a
 chordless cycle of g every support pair is a fill pair and every exterior
 pair an edge, so each screened cut is a unit row with rhs m(k) >= 1,
 violated at 0, and the keep rule keeps each one whose key is new.
@@ -182,23 +182,23 @@ def separate_threshold(g: Graph, x: Point, delta: float = 0.5,
 
 
 def root_rows(g: Graph, families=FAMILIES):
-    """Yield the cuts.Row of each cut separate_integer(g, Point.zeros(g),
-    families) reports, in the same order and with the same keys, building
-    no Cut: the rows of every cycle's screened cuts (cuts.cycle_rows), each
-    whose key is new, until MAX_CUTS_PER_CALL rows are yielded.
+    """Yield each cut separate_integer(g, Point.zeros(g), families) reports,
+    in the same order: the cuts of every cycle's screened entries, built
+    from the table (cuts.cycle_rows), each whose key is new, until
+    MAX_CUTS_PER_CALL cuts are yielded.
 
-    With no fill every cycle is chordless in g, so each of those rows has
+    With no fill every cycle is chordless in g, so each of those cuts has
     unit coefficients and rhs m(k) >= 1 (see the module docstring): the
     scan's screen and keep rule would keep each new one, and neither runs.
     """
     seen = set()
     for cyc in iter_chordless_cycles(g):
-        for row in cycle_rows(g, cyc, families):
-            key = row.key()
+        for cut in cycle_rows(g, cyc, families):
+            key = cut.key()
             if key in seen:
                 continue
             seen.add(key)
-            yield row
+            yield cut
             if len(seen) >= MAX_CUTS_PER_CALL:
                 return
 

@@ -37,7 +37,7 @@ idle rows, before it is dropped.
 
 Under a time limit the LP stops too once the deadline passes, and its node
 goes back on the heap.  A node re-queues at the objective of the last LP it
-solved, and the root is pushed at the packing bound of the root rows, so
+solved, and the root is pushed at the packing bound of the root cuts, so
 the lower bound a limited solve reports keeps what its LPs proved.
 
 A node has one bound: the bound it was pushed with, replaced by the
@@ -63,23 +63,23 @@ inverse to check and reuse instead of inverting the block again.  The root
 packing basis is kept with its inverse, the identity.  Open nodes keep no
 inverse: on queen5_5 that would be about a thousand k x k arrays.
 
-Before any LP the root rows may prove the incumbent optimal.  They are
-the cuts of integer separation at x = 0 (separation.root_rows), read as
-rows, not built: on chordless cycles of G each is a covering row with unit
-coefficients.  On rows with pairwise disjoint supports y = 1 is a feasible
-LP dual, so the sum of their right-hand sides bounds the optimum from below;
-when it reaches a valid incumbent, the solve ends with no node, as it does
-on chordal input.  The incumbent comes first, and the rows stop at the
-first one after which the greedy packing (_packing) reaches it: a root that
-closes reads only the rows that close it, and one that does not reads them
-all.  When the greedy packing of all the rows is one short of the
-incumbent, a branch and bound over the same rows (_best_packing), capped at
-PACKING_WORK row visits, looks for a packing that reaches it, and the root
-closes the same way if one is found.  Any packing better than the greedy
-one reaches the incumbent, so a root the search leaves open keeps the
-greedy packing, its packing basis and the search it had without it.  A
-root that closes builds no Cut; one that stays open builds the cut of each
-row, in order, as its first pool rows.
+Before any LP the root cuts may prove the incumbent optimal.  They are
+the cuts of integer separation at x = 0 (separation.root_rows), built from
+the family table with no screen and no evaluation: on chordless cycles of
+G each is a covering row with unit coefficients.  On rows with pairwise
+disjoint supports y = 1 is a feasible LP dual, so the sum of their
+right-hand sides bounds the optimum from below; when it reaches a valid
+incumbent, the solve ends with no node, as it does on chordal input.  The
+incumbent comes first, and the cuts stop at the first one after which the
+greedy packing (_packing) reaches it: a root that closes builds only the
+cuts that close it, and one that does not builds them all.  When the greedy
+packing of all the cuts is one short of the incumbent, a branch and bound
+over the same cuts (_best_packing), capped at PACKING_WORK row visits,
+looks for a packing that reaches it, and the root closes the same way if
+one is found.  Any packing better than the greedy one reaches the
+incumbent, so a root the search leaves open keeps the greedy packing, its
+packing basis and the search it had without it.  A root that stays open
+pools its cuts, in order, as its first pool rows.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import FAMILIES, Cut, evaluate
+from .cuts import FAMILIES, evaluate
 # is_chordal is not called here (mdo_completion tests the input), but it stays
 # importable as fillin.solver.is_chordal: perfbench/layers.py traces the graphs
 # layer through that name and reports the layer absent without it.
@@ -180,14 +180,14 @@ class SolveResult:
 
 
 def root_initialize(g: Graph, cfg: SolverConfig | None = None):
-    """(incumbent, rows): the initial incumbent and the root rows, the
-    cuts.Row of each lazy cut at x = 0 (separation.root_rows); no fill and
-    no rows when g is chordal.  The incumbent is the smaller of the static
-    and the dynamic minimum-degree completions, the static one on a tie.
+    """(incumbent, cuts): the initial incumbent and the root cuts, the lazy
+    cuts at x = 0 (separation.root_rows); no fill and no cuts when g is
+    chordal.  The incumbent is the smaller of the static and the dynamic
+    minimum-degree completions, the static one on a tie.
 
-    The rows stop at the first one after which the packing bound of the
-    rows so far reaches the incumbent's size: those rows prove it optimal,
-    and solve needs no more.  Rows that never get there are all of them.
+    The cuts stop at the first one after which the packing bound of the
+    cuts so far reaches the incumbent's size: those cuts prove it optimal,
+    and solve needs no more.  Cuts that never get there are all of them.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -196,13 +196,13 @@ def root_initialize(g: Graph, cfg: SolverConfig | None = None):
         return incumbent, []  # g is chordal
     incumbent = min(incumbent, chordalize_with_order(g, mdo_order(g, dynamic=True)),
                     key=len)
-    rows: list = []  # every row the packing has read
+    cuts: list = []  # every cut the packing has read
     bound = 0
-    for _, row in _packing(rows.append(r) or r for r in root_rows(g, cfg.families_enabled)):
-        bound += row.rhs
+    for _, cut in _packing(cuts.append(c) or c for c in root_rows(g, cfg.families_enabled)):
+        bound += cut.rhs
         if bound >= len(incumbent):
             break
-    return incumbent, rows
+    return incumbent, cuts
 
 
 class _Search:
@@ -336,25 +336,25 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     t0 = time.perf_counter()
     deadline = None if cfg.time_limit_s is None else t0 + cfg.time_limit_s
 
-    incumbent, rows = root_initialize(g, cfg)
-    packing = list(_packing(rows))
-    root_bound = sum(row.rhs for _, row in packing)
-    if len(incumbent) - root_bound == 1 and _best_packing(g, rows, len(incumbent)):
+    incumbent, cuts = root_initialize(g, cfg)
+    packing = list(_packing(cuts))
+    root_bound = sum(cut.rhs for _, cut in packing)
+    if len(incumbent) - root_bound == 1 and _best_packing(g, cuts, len(incumbent)):
         root_bound = len(incumbent)  # a packing the greedy one missed reaches it
     if (root_bound >= len(incumbent)
             and (not incumbent or is_valid_completion(g, incumbent))):
-        # chordal g (no fill, no rows), or the root rows prove the incumbent;
-        # counted as the pool would have counted their cuts
+        # chordal g (no fill, no cuts), or the root cuts prove the incumbent;
+        # counted as the pool would have counted them
         ub = len(incumbent)
-        counts = {fam: sum(row.family == fam for row in rows) for fam in FAMILIES}
-        return SolveResult(OPTIMAL, incumbent, ub, ub, 0, counts, len(rows),
+        counts = {fam: sum(cut.family == fam for cut in cuts) for fam in FAMILIES}
+        return SolveResult(OPTIMAL, incumbent, ub, ub, 0, counts, len(cuts),
                            time.perf_counter() - t0)
 
     search = _Search(g, cfg)
     search.offer_incumbent(incumbent)
-    for row in rows:
-        search.add_cut(Cut(g, *row))
-    # the rows hold each key once, so root row i is pool row i
+    for cut in cuts:
+        search.add_cut(cut)
+    # the root cuts hold each key once, so root cut i is pool row i
     root_basis = packing_basis(search._matrix, [i for i, _ in packing])
     search.kept = (root_basis, np.eye(len(packing)))
     search.push(root_bound, {}, root_basis)
@@ -390,32 +390,31 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     )
 
 
-def _unit(row) -> bool:
-    """Whether every coefficient of the row is one, as on a packing's rows."""
-    return all(a == 1 for a in row.coeffs.values())
+def _unit(cut) -> bool:
+    """Whether every coefficient of the cut is one, as on a packing's cuts."""
+    return all(a == 1 for a in cut.coeffs.values())
 
 
-def _packing(rows):
-    """Yield (position, row) for each row of the greedy packing: in order,
-    each unit-coefficient row (_unit) whose support is disjoint from those
-    taken before.  A row is anything with coeffs and rhs, a cuts.Row or a
-    Cut.  The sum of their rhs over any prefix bounds the optimum from
-    below: on covering rows with unit coefficients and pairwise disjoint
+def _packing(cuts):
+    """Yield (position, cut) for each cut of the greedy packing: in order,
+    each unit-coefficient cut (_unit) whose support is disjoint from those
+    taken before.  The sum of their rhs over any prefix bounds the optimum
+    from below: on covering rows with unit coefficients and pairwise disjoint
     supports, y = 1 is a feasible LP dual, and its objective is that sum."""
     used: set[int] = set()
-    for i, row in enumerate(rows):
-        if used.isdisjoint(row.coeffs) and _unit(row):
-            used.update(row.coeffs)
-            yield i, row
+    for i, cut in enumerate(cuts):
+        if used.isdisjoint(cut.coeffs) and _unit(cut):
+            used.update(cut.coeffs)
+            yield i, cut
 
 
-def _best_packing(g: Graph, rows, target) -> list[int]:
-    """Positions of a packing of rows over g's fill space whose rhs sum
+def _best_packing(g: Graph, cuts, target) -> list[int]:
+    """Positions of a packing of cuts over g's fill space whose rhs sum
     reaches target, or [] if none is found within PACKING_WORK row visits.
 
-    A packing is a set of unit-coefficient rows (those _packing accepts)
+    A packing is a set of unit-coefficient cuts (those _packing accepts)
     with pairwise disjoint supports; as for _packing, y = 1 on its rows is a
-    feasible LP dual, so its rhs sum bounds the optimum from below.  A row
+    feasible LP dual, so its rhs sum bounds the optimum from below.  A cut
     with rhs <= 0 never helps and is left out.
 
     Depth-first branch and bound over the rows in the order (-rhs, support
@@ -425,9 +424,9 @@ def _best_packing(g: Graph, rows, target) -> list[int]:
     remaining rows is below target is pruned before it is pushed; that sum
     is kept incrementally (a take subtracts only the rows it drops).
     """
-    order = sorted((-row.rhs, len(row.coeffs), i) for i, row in enumerate(rows)
-                   if row.rhs > 0 and _unit(row))
-    supports = [rows[i].coeffs for _, _, i in order]
+    order = sorted((-cut.rhs, len(cut.coeffs), i) for i, cut in enumerate(cuts)
+                   if cut.rhs > 0 and _unit(cut))
+    supports = [cuts[i].coeffs for _, _, i in order]
     rhs = [-r for r, _, _ in order]
     if not 0 < target <= sum(rhs):
         return []  # nothing reaches target, or the empty packing does

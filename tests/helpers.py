@@ -147,10 +147,6 @@ def random_connected_graph(rng: np.random.Generator, n: int,
             return g
 
 
-def random_point(rng: np.random.Generator, g: Graph) -> Point:
-    return Point(rng.random(g.mc))
-
-
 def all_cycle_sequences(n: int, kmin: int = 4):
     """Every sequence of >= kmin distinct vertices, up to rotation and
     reflection (first element is the subset minimum, second < last)."""
@@ -666,10 +662,10 @@ def search_digest(instances, cfg) -> tuple[str, int, int]:
 
 def root_closes(g: Graph) -> bool:
     """Whether solve(g) ends at the root without an LP, by the solver's own
-    rule: the greedy packing of the root rows reaches a valid incumbent, or
+    rule: the greedy packing of the root cuts reaches a valid incumbent, or
     falls one short and the packing search reaches it."""
-    incumbent, rows = fillin.solver.root_initialize(g)
-    bound = sum(r.rhs for _, r in fillin.solver._packing(rows))
-    if len(incumbent) - bound == 1 and fillin.solver._best_packing(g, rows, len(incumbent)):
+    incumbent, cuts = fillin.solver.root_initialize(g)
+    bound = sum(c.rhs for _, c in fillin.solver._packing(cuts))
+    if len(incumbent) - bound == 1 and fillin.solver._best_packing(g, cuts, len(incumbent)):
         bound = len(incumbent)
     return bound >= len(incumbent) and (not incumbent or is_valid_completion(g, incumbent))

@@ -236,6 +236,13 @@ class TestProvenance:
                         again = self.BUILDERS[family](g, cut.cycle, *cut.params)
                         assert again.key() == cut.key()
                         assert (again.cycle, again.params) == (cut.cycle, cut.params)
+                        # the table's constructor gives the checked one's cut
+                        checked = Cut(g, cut.coeffs, cut.rhs, cut.family, cut.cycle, cut.params)
+                        assert list(cut.coeffs.items()) == list(checked.coeffs.items())
+                        assert type(cut.rhs) is int and cut.rhs == checked.rhs
+                        assert cut.key() == checked.key()
+                        assert (cut.family, cut.cycle, cut.params) == (
+                            checked.family, checked.cycle, checked.params)
                         rebuilt += 1
                         moved += cut.params != params
         assert rebuilt > 2000 and moved > 1000

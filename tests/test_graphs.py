@@ -89,6 +89,20 @@ class TestConstruction:
         assert g.has_edge(np.int64(68), np.int64(69)) and g.has_edge(np.int64(69), 1)
         assert not g.has_edge(np.int64(67), np.int64(69))
 
+    @pytest.mark.parametrize("n, edges", [(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+                                          (70, [(v, v + 1) for v in range(69)])])
+    def test_a_numpy_edge_array_gives_the_same_graph(self, n, edges):
+        # past 63 vertices too, where numpy masks would overflow int64
+        g, listed = new_graph(n, np.array(edges)), new_graph(n, edges)
+        assert g == listed and g.edges == listed.edges
+        assert (g.mc, g.fill_table, g.fill_edges) == (listed.mc, listed.fill_table,
+                                                      listed.fill_edges)
+        assert all(type(mask) is int for mask in g.adj_mask)
+
+    def test_non_integer_endpoint_rejected(self):
+        with pytest.raises(GraphError, match=r"edge \(0, 1.5\) has a non-integer endpoint"):
+            new_graph(3, [(0, 1.5), (1, 2)])
+
     def test_a_12_vertex_graph_takes_under_2_kb(self):
         # the fill table (a tuple of n * n indices) is most of it
         rng = np.random.default_rng(173)

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module,
 every function, class and method it defines is named somewhere else in
-the package or exported, and the README's library section names every
-export."""
+the package or exported, every test helper is named by a test or another
+helper, and the README's library section names every export."""
 
 import ast
 import re
@@ -92,6 +92,17 @@ def test_every_function_has_a_caller_in_the_package():
     assert found - set(UNCALLED_KEPT) == set()
     # a listed exception that has a caller after all no longer needs listing
     assert set(UNCALLED_KEPT) <= found
+
+
+def test_every_test_helper_has_a_caller():
+    # a helper is named by a test module or by another helper
+    tests = Path(__file__).resolve().parent
+    sources = {path.stem: path.read_text() for path in sorted(tests.glob("*.py"))}
+    assert len(sources) >= 10
+    helpers = {node.name for node in ast.parse(sources["helpers"]).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert len(helpers) >= 20
+    assert uncalled(sources, set()) & helpers == set()
 
 
 def test_uncalled_definitions_are_found():

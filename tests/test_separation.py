@@ -161,10 +161,10 @@ class TestIntegerSeparation:
 
 
 class TestRootRows:
-    """The root's rows are integer separation at x = 0, cut for cut, with
-    no Cut built: on a chordless cycle of g each screened entry is a unit
-    row violated at 0, so the screen and the keep rule would keep it iff
-    its key is new."""
+    """The root's cuts are integer separation at x = 0, cut for cut, built
+    from the table with no screen and no evaluation: on a chordless cycle
+    of g each screened entry is a unit row violated at 0, so the screen and
+    the keep rule would keep it iff its key is new."""
 
     @staticmethod
     def assert_rows_are_the_cuts(g, families=FAMILIES):
@@ -172,7 +172,7 @@ class TestRootRows:
         cuts = separate_integer(g, Point.zeros(g), families=families).cuts
         assert [(r.key(), r.family, r.cycle, r.params) for r in rows] == [
             (c.key(), c.family, c.cycle, c.params) for c in cuts]
-        assert [Cut(g, *r).to_line() for r in rows] == [c.to_line() for c in cuts]
+        assert [r.to_line() for r in rows] == [c.to_line() for c in cuts]
         assert all(set(r.coeffs.values()) == {1} and r.rhs >= 1 for r in rows)
         return rows
 
@@ -325,13 +325,13 @@ class TestStopRule:
             x = Point(rng.random(g.mc) * 0.6)
             run = lambda: separate_threshold(g, x, 0.5)  # noqa: E731
         built = []
-        init = Cut.__init__
+        table = Cut._from_table
 
-        def counting_init(self, *args, **kwargs):
+        def counting(cls, *args):
             built.append(args)
-            init(self, *args, **kwargs)
+            return table(*args)
 
-        monkeypatch.setattr(Cut, "__init__", counting_init)
+        monkeypatch.setattr(Cut, "_from_table", classmethod(counting))
         rep = run()
         assert len(built) == len(rep) > 0
         if separate == "threshold":

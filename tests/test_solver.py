@@ -17,7 +17,7 @@ import fillin.heuristics
 import fillin.lp
 import fillin.separation
 import fillin.solver
-from fillin.cuts import FAMILIES, Cut, Row, cut_i1, cut_i2, cut_i3, cut_i4, evaluate
+from fillin.cuts import FAMILIES, Cut, cut_i1, cut_i2, cut_i3, cut_i4, evaluate
 from fillin.graphs import Graph, Point, is_valid_completion, new_graph
 from fillin.heuristics import chordalize_with_order, mdo_completion, mdo_order
 from fillin.instances import gen_grid, gen_mycielski, gen_queen
@@ -326,32 +326,44 @@ class TestRootPackingBound:
         by_family = Counter(c.family for c in harvest)
         assert res.cuts_by_family == {fam: by_family[fam] for fam in FAMILIES}
 
-    def test_a_root_that_closes_builds_no_cut(self, monkeypatch):
-        # it reads its rows only; an open root builds the cut of each
-        built = []
-        init = Cut.__init__
+    def test_a_root_that_closes_screens_evaluates_and_checks_nothing(self, monkeypatch):
+        # it builds its cuts from the table, with no screen, no evaluation
+        # and no Cut(...) re-checking them; an open root's search screens
+        # and evaluates, and Cut(...) is counted where it is called
+        calls = Counter()
 
-        def counting(cut, *args, **kwargs):
-            built.append(args)
-            init(cut, *args, **kwargs)
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(Cut, "__init__", counting)
+        for module, name in ((fillin.separation, "screen_cycle"),
+                             (fillin.separation, "evaluate"), (fillin.solver, "evaluate")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(Cut, "__init__", counting("Cut", Cut.__init__))
+        table = counting("table", Cut._from_table)
+        monkeypatch.setattr(Cut, "_from_table", classmethod(lambda cls, *args: table(*args)))
         for g in (cycle_graph(5), gen_grid(3, 3), TestBestPacking.G990):
+            before = calls["table"]
             res = solve(g)
             assert (res.status, res.nodes) == (OPTIMAL, 0) and res.total_cuts > 0
-        assert built == []
+            assert calls["table"] - before >= res.total_cuts
+        assert set(calls) == {"table"}
         res = solve(gen_grid(3, 4))
-        assert res.nodes > 0 and len(built) >= res.total_cuts
+        assert res.nodes > 0 and calls["screen_cycle"] > 0 and calls["evaluate"] > 0
+        Cut(gen_grid(3, 4), {0: 1}, 1, "I1")
+        assert calls["Cut"] == 1
 
     def test_an_invalid_incumbent_is_not_proved(self, monkeypatch):
         # the three long diagonals of C6 leave the chordless 4-cycle
-        # 0-1-4-3, yet they meet the packing bound 3 of the root rows
+        # 0-1-4-3, yet they meet the packing bound 3 of the root cuts
         g = cycle_graph(6)
         bad = frozenset(g.fill_index(u, u + 3) for u in range(3))
         assert not is_valid_completion(g, bad)
-        rows = root_initialize(g)[1]
-        assert sum(r.rhs for _, r in _packing(rows)) == len(bad)
-        monkeypatch.setattr(fillin.solver, "root_initialize", lambda g, cfg: (bad, rows))
+        cuts = root_initialize(g)[1]
+        assert sum(c.rhs for _, c in _packing(cuts)) == len(bad)
+        monkeypatch.setattr(fillin.solver, "root_initialize", lambda g, cfg: (bad, cuts))
         res = solve(g)
         assert (res.status, res.lower_bound, res.upper_bound) == (OPTIMAL, 3, 3)
         assert is_valid_completion(g, res.best_fill)
@@ -385,19 +397,15 @@ class TestRootPackingBound:
         assert sum(r.rhs for _, r in _packing([row({4: 1, 5: -1}, 1, "I2")])) == 0
 
 
-def row(coeffs: dict, rhs: int, family: str = "I1") -> Row:
-    """A row with no provenance."""
-    return Row(coeffs, rhs, family, None, ())
+def row(coeffs: dict, rhs: int, family: str = "I1") -> Cut:
+    """A cut on C6 with no provenance: the packings read only its
+    coefficients and rhs."""
+    return Cut(cycle_graph(6), coeffs, rhs, family)
 
 
 def full_harvest(g: Graph, families=FAMILIES) -> list:
     """Every root cut: integer separation at x = 0."""
     return separate_integer(g, Point.zeros(g), families=families).cuts
-
-
-def as_rows(cuts) -> list:
-    """The rows of cuts, as root_initialize returns them."""
-    return [Row(c.coeffs, c.rhs, c.family, c.cycle, c.params) for c in cuts]
 
 
 class TestLazyRootHarvest:
@@ -429,7 +437,7 @@ class TestLazyRootHarvest:
         lazy = [solve(g) for g in graphs]
         root = fillin.solver.root_initialize
         monkeypatch.setattr(fillin.solver, "root_initialize", lambda g, cfg: (
-            root(g, cfg)[0], as_rows(full_harvest(g, cfg.families_enabled))))
+            root(g, cfg)[0], full_harvest(g, cfg.families_enabled)))
         closed = 0
         for g, a in zip(graphs, lazy):
             b = solve(g)
@@ -480,7 +488,7 @@ class TestBestPacking:
         for _ in range(60):
             g = random_connected_graph(rng, int(rng.integers(4, 9)),
                                        float(rng.uniform(0.2, 0.6)))
-            cuts, opt = as_rows(full_harvest(g)), len(brute_force_mccp(g))
+            cuts, opt = full_harvest(g), len(brute_force_mccp(g))
             for target in range(1, opt + 2):
                 rows = _best_packing(g, cuts, target)
                 supports = [set(cuts[i].coeffs) for i in rows]
@@ -601,8 +609,7 @@ class TestPoolMatrix:
         graphs += [random_connected_graph(rng, 7, 0.35) for _ in range(2)]
         for g in graphs:
             search = _Search(g, SolverConfig())
-            cuts = [Cut(g, *row) for row in root_initialize(g)[1]]  # as an open root builds them
-            pooled = [c for c in cuts if search.add_cut(c)]
+            pooled = [c for c in root_initialize(g)[1] if search.add_cut(c)]
             assert pooled
             p = search.build_lp({})
             assert p.rows.shape == (len(pooled), g.mc)
@@ -1045,8 +1052,8 @@ class TestPooledCycleMemo:
     @staticmethod
     def counting_skips(monkeypatch) -> Counter:
         """Count the cycles the scans enumerate and the ones they screen;
-        the difference is the cycles they skip.  The root rows enumerate
-        cycles too, and read the rows of each (cycle_rows) unscreened: those
+        the difference is the cycles they skip.  The root enumerates cycles
+        too, and builds the cuts of each (cycle_rows) unscreened: those
         cycles are not the scans'."""
         seen = Counter()
         cycles = fillin.separation.iter_chordless_cycles
