@@ -156,6 +156,14 @@ class Cycle:
             raise GraphError(f"cycle vertices must be distinct: {vs}")
         self.vertices = vs
 
+    @classmethod
+    def _from_scan(cls, vs: tuple) -> "Cycle":
+        """The cycle vs, unchecked: iter_chordless_cycles yields k >= 4
+        distinct vertices, in canonical order."""
+        cycle = object.__new__(cls)
+        cycle.vertices = vs
+        return cycle
+
     def __len__(self):
         return len(self.vertices)
 
@@ -321,32 +329,55 @@ def iter_chordless_cycles(g: Graph, fill=()):
     Duplicates are dropped by vertex set, before the cycle is built: a
     chordless cycle is the only cycle on its vertex set, which induces
     exactly that cycle, so two cycles share a vertex set iff they are the
-    same cycle.
+    same cycle.  A path's vertices are distinct, so each cycle is put in
+    canonical form and built unchecked (Cycle._from_scan).
     """
     adj = _completed_masks(g, fill)
     n = g.n
     full = (1 << n) - 1
     seen: set[int] = set()  # vertex sets of the cycles yielded
+    parent = [0] * n  # BFS tree of the current (v, w); read only where reached
     for v in range(n):
-        above_v = full ^ ((2 << v) - 1)
+        ends = (full ^ ((2 << v) - 1)) & ~adj[v]  # the non-neighbours above v
         ws = adj[v]
         while ws:
-            low = ws & -ws
-            ws ^= low
-            w = low.bit_length() - 1
-            targets = adj[w] & above_v & ~adj[v]
+            wbit = ws & -ws
+            ws ^= wbit
+            w = wbit.bit_length() - 1
+            targets = adj[w] & ends
             if not targets:
                 continue
-            allowed = full & ~(adj[w] | low)
-            parent = _bfs_parents(adj, v, allowed, targets)
-            while targets:
-                low = targets & -targets
-                targets ^= low
+            # breadth-first search from v through allowed, neighbours in
+            # ascending id order, until every target has a parent
+            allowed = full & ~(adj[w] | wbit)
+            reached = 0  # the targets with a parent
+            visited = 1 << v
+            queue = [v]
+            for a in queue:
+                hit = adj[a] & targets
+                if hit:
+                    targets ^= hit
+                    reached |= hit
+                    while hit:
+                        low = hit & -hit
+                        parent[low.bit_length() - 1] = a
+                        hit ^= low
+                    if not targets:
+                        break
+                new = adj[a] & allowed & ~visited
+                visited |= new
+                while new:
+                    low = new & -new
+                    b = low.bit_length() - 1
+                    parent[b] = a
+                    queue.append(b)
+                    new ^= low
+            while reached:
+                low = reached & -reached
+                reached ^= low
                 u = low.bit_length() - 1
-                if u not in parent:
-                    continue
                 path = [w, u]
-                vset = (1 << u) | (1 << v) | (1 << w)
+                vset = low | wbit | (1 << v)
                 a = parent[u]
                 while a != v:
                     path.append(a)
@@ -356,35 +387,7 @@ def iter_chordless_cycles(g: Graph, fill=()):
                     continue
                 seen.add(vset)
                 path.append(v)
-                yield Cycle(_canonical(tuple(path)))
-
-
-def _bfs_parents(adj, v: int, allowed: int, targets: int) -> dict[int, int]:
-    """Breadth-first search from v through the vertices of allowed,
-    neighbours in ascending id order.  Returns the parent of every vertex
-    reached, stopping once each target (never expanded) has one."""
-    parent = {v: -1}
-    seen = 1 << v
-    queue = [v]
-    for a in queue:
-        hit = adj[a] & targets
-        if hit:
-            targets ^= hit
-            while hit:
-                low = hit & -hit
-                parent[low.bit_length() - 1] = a
-                hit ^= low
-            if not targets:
-                break
-        new = adj[a] & allowed & ~seen
-        seen |= new
-        while new:
-            low = new & -new
-            b = low.bit_length() - 1
-            parent[b] = a
-            queue.append(b)
-            new ^= low
-    return parent
+                yield Cycle._from_scan(_canonical(tuple(path)))
 
 
 def apply_completion(g: Graph, fill) -> Graph:

@@ -11,11 +11,18 @@ rounds.  The cuts picked depend on the point.  At an integer point they
 come from integer separation: if there are none the point is a chordal
 completion, offered as the incumbent, and the node is done; otherwise the
 point's repair (primal_repair) is offered.  At a fractional point they come
-from threshold separation at each of THRESHOLDS in turn while nothing is
-found, then from exact I2 if enabled and still nothing is found.
-Integer separation is threshold separation of the integral point, so every
-call but exact I2 scans chordless cycles until it holds
+from a walk over the separators (_fractional_cuts): threshold separation at
+each of THRESHOLDS, then exact I2 if enabled, up to the first that finds a
+cut.  Integer separation is threshold separation of the integral point, so
+every call but exact I2 scans chordless cycles until it holds
 separation.MAX_CUTS_PER_CALL violated cuts or runs out of cycles.
+
+The walk backs off a separator that keeps finding nothing, as SCIP's
+separator delay and frequency do (Achterberg 2007).  Each solve counts, per
+entry, its calls and the calls that found a cut.  An entry with no cut in
+its first SEP_DELAY calls is called at only every SEP_PERIOD-th chance
+(each time the walk reaches it) after that; one that has found a cut is
+always called.
 
 Those scans read the pool's index of its cuts by canonical cycle
 (_Search.by_cycle), and skip the cycles whose screened cuts are all pooled.
@@ -131,6 +138,14 @@ BOUND_TOL = 1e-6  # LP-bound slack before rounding up; lp.py keeps its error bel
 # (0.5, 0.25, 0.75) found a cut in 312 of 1,109 calls at 0.5, 58 of 675 at
 # 0.25 and 353 of 738 at 0.75, the one tried last.
 THRESHOLDS = (0.8, 0.4, 0.9)
+# The back-off of the fractional walk (see the module docstring).  On
+# grid4_4, grid3_7, queen4_5, grid4_5, grid5_5 and queen5_5, delay 3 and
+# period 8 take grid4_5 from 119 nodes to 73 and keep the others' nodes,
+# while queen5_5 makes 1,156 calls at 0.4 where it made 1,212.  Period 4
+# leaves grid4_5 at 85 nodes, delay 4 at 109; delay 2 sets aside grid3_5's
+# 0.9 just before it starts finding cuts (7 nodes -> 11).
+SEP_DELAY = 3
+SEP_PERIOD = 8
 # Row visits of _best_packing before it gives up.  On the 527 many-small
 # graphs (tuning pool) whose greedy root packing is one short, caps of 25, 50,
 # 100, 150, 300 and 1,000 visits closed 394, 414, 431, 438, 443 and 447 roots;
@@ -205,6 +220,25 @@ def root_initialize(g: Graph, cfg: SolverConfig | None = None):
     return incumbent, cuts
 
 
+@dataclass
+class _Separator:
+    """An entry of the fractional walk (_fractional_cuts) and its counts in
+    one solve: threshold separation at delta, or exact I2 if delta is None."""
+    delta: float | None
+    calls: int = 0
+    found: int = 0  # calls that returned a cut
+    idle: int = 0  # chances since it went idle
+
+    def due(self) -> bool:
+        """Count a chance, the walk reaching this entry, and return whether
+        the entry is called at it: always until it is idle, having found no
+        cut in its first SEP_DELAY calls, then at every SEP_PERIOD-th chance."""
+        if self.found or self.calls < SEP_DELAY:
+            return True
+        self.idle += 1
+        return self.idle % SEP_PERIOD == 0
+
+
 class _Search:
     """Global search state: cut pool, LP active set, incumbent, node heap.
 
@@ -217,7 +251,9 @@ class _Search:
     separation scans read to skip a cycle.  Each LP carries an
     active subset: pooled rows violated by the current relaxation point
     re-enter before any new separation runs, and rows that stay slack for
-    many consecutive solves leave the LP again.
+    many consecutive solves leave the LP again.  separators holds the
+    entries of the fractional walk (_fractional_cuts) with their counts in
+    this solve.
     """
 
     IDLE_DROP = 30
@@ -238,6 +274,8 @@ class _Search:
         self.heap: list = []  # (bound, counter, fixings, pool basis or None)
         self.kept: tuple = (None, None)  # the last OPTIMAL LP's pool basis, its inverse
         self.by_cycle: dict[tuple, set] = {}
+        self.separators = tuple(_Separator(delta) for delta in THRESHOLDS) + (
+            (_Separator(None),) if cfg.exact_i2 else ())
 
     def add_cut(self, cut) -> bool:
         key = cut.key()
@@ -509,25 +547,37 @@ def _process_node(search: _Search, fixings: dict, bound: float,
 
 
 def _fractional_cuts(search: _Search, x: Point, deadline=None) -> list:
-    """Threshold separation at each of THRESHOLDS in turn, until one finds
-    a cut.  A threshold that rounds x to a set already tried is skipped: its
-    report would be the same.  Exact I2 separation, if enabled, runs only
-    when every threshold came back empty, and stops at the deadline."""
+    """The cuts of the first entry of the walk (_Search.separators) that
+    finds any, or []: threshold separation at each of THRESHOLDS in turn,
+    then exact I2 if enabled, which stops at the deadline.
+
+    A threshold that rounds x to a set already tried in this walk is passed
+    over, its report would be the same: that is neither a chance nor a call
+    of its entry.  Any other entry the walk reaches is called if it is due
+    (_Separator.due), so an entry that has found nothing in its first
+    SEP_DELAY calls of the solve is called at only every SEP_PERIOD-th chance
+    after that, and one that has found a cut is always called."""
     g, cfg = search.g, search.cfg
-    cuts = []
     tried = set()
-    for d in THRESHOLDS:
-        rounded = (x.values >= d).tobytes()
-        if rounded in tried:
+    for sep in search.separators:
+        if sep.delta is not None:
+            rounded = (x.values >= sep.delta).tobytes()
+            if rounded in tried:
+                continue
+        if not sep.due():
             continue
-        tried.add(rounded)
-        cuts = separate_threshold(g, x, d, families=cfg.families_enabled,
-                                  pooled=search.by_cycle).cuts
+        # both looked up here at each call, so a wrapper set on this module sees it
+        if sep.delta is None:
+            cuts = separate_i2_exact(g, x, deadline=deadline).cuts
+        else:
+            tried.add(rounded)
+            cuts = separate_threshold(g, x, sep.delta, families=cfg.families_enabled,
+                                      pooled=search.by_cycle).cuts
+        sep.calls += 1
         if cuts:
-            break
-    if not cuts and cfg.exact_i2:
-        cuts = separate_i2_exact(g, x, deadline=deadline).cuts
-    return cuts
+            sep.found += 1
+            return cuts
+    return []
 
 
 def _branch(search: _Search, x: Point | None, fixings: dict, bound: float,

@@ -2,7 +2,8 @@
 independent brute-force oracles (cycle/parameter enumeration for the cut
 families, vertex enumeration for LPs, per-triple Dijkstra for exact I2
 separation), the dual simplex ratio test that sorts every candidate,
-plus the pair-based chordless-cycle search, cut builders,
+plus the pair-based chordless-cycle search, the enumerator with its BFS
+in a helper, cut builders,
 threshold/integer separation and set-based heuristics that the
 adjacency-mask versions replaced, the per-centre exact I2 batches and first hops that all-centres passes
 replaced, the loop form of the LP active-set refresh, an exact minimum
@@ -412,6 +413,78 @@ def reference_chordless_cycles(g: Graph):
                 if all(p in g.edges for p in ext_pairs(cyc)) and not any(
                         p in g.edges for p in int_pairs(cyc)):
                     yield cyc
+
+
+def reference_bfs_chordless_cycles(g: Graph, fill=()):
+    """iter_chordless_cycles as it was with one BFS per (v, w) run by a
+    helper (_reference_bfs_parents) that returns its parents in a dict, and
+    every cycle built by the checking Cycle(...)."""
+    adj = list(g.adj_mask)
+    for f in fill:
+        u, v = g.fill_pair(f)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    n = g.n
+    full = (1 << n) - 1
+    seen: set[int] = set()
+    for v in range(n):
+        above_v = full ^ ((2 << v) - 1)
+        ws = adj[v]
+        while ws:
+            low = ws & -ws
+            ws ^= low
+            w = low.bit_length() - 1
+            targets = adj[w] & above_v & ~adj[v]
+            if not targets:
+                continue
+            allowed = full & ~(adj[w] | low)
+            parent = _reference_bfs_parents(adj, v, allowed, targets)
+            while targets:
+                low = targets & -targets
+                targets ^= low
+                u = low.bit_length() - 1
+                if u not in parent:
+                    continue
+                path = [w, u]
+                vset = (1 << u) | (1 << v) | (1 << w)
+                a = parent[u]
+                while a != v:
+                    path.append(a)
+                    vset |= 1 << a
+                    a = parent[a]
+                if vset in seen:
+                    continue
+                seen.add(vset)
+                path.append(v)
+                yield Cycle(path).canonical()
+
+
+def _reference_bfs_parents(adj, v: int, allowed: int, targets: int) -> dict[int, int]:
+    """Breadth-first search from v through the vertices of allowed,
+    neighbours in ascending id order.  Returns the parent of every vertex
+    reached, stopping once each target (never expanded) has one."""
+    parent = {v: -1}
+    seen = 1 << v
+    queue = [v]
+    for a in queue:
+        hit = adj[a] & targets
+        if hit:
+            targets ^= hit
+            while hit:
+                low = hit & -hit
+                parent[low.bit_length() - 1] = a
+                hit ^= low
+            if not targets:
+                break
+        new = adj[a] & allowed & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            b = low.bit_length() - 1
+            parent[b] = a
+            queue.append(b)
+            new ^= low
+    return parent
 
 
 def reference_cut(g: Graph, c: Cycle, family: str, params=()) -> Cut:

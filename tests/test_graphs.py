@@ -18,6 +18,7 @@ from fillin.graphs import (
     iter_chordless_cycles,
     new_graph,
 )
+from fillin.instances import gen_grid, gen_queen
 from helpers import (
     complete_graph,
     cycle_graph,
@@ -26,8 +27,11 @@ from helpers import (
     find_chordless_cycle,
     int_pairs,
     missing_ext,
+    myciel3,
+    myciel4,
     neighbours,
     random_connected_graph,
+    reference_bfs_chordless_cycles,
     reference_chordless_cycles,
 )
 
@@ -264,6 +268,44 @@ class TestChordlessCycles:
             ok, _ = is_chordal(g)
             assert ok == (find_chordless_cycle(g) is None)
 
+
+
+class TestScanMatchesItsReference:
+    """iter_chordless_cycles runs its BFS inline and builds its cycles
+    unchecked, and yields what the enumerator with its BFS in a helper
+    (helpers.reference_bfs_chordless_cycles) yields, in the same order."""
+
+    @staticmethod
+    def assert_same_scan(g, fill=()) -> int:
+        cycles = list(iter_chordless_cycles(g, fill))
+        assert [c.vertices for c in cycles] == [
+            c.vertices for c in reference_bfs_chordless_cycles(g, fill)]
+        # each would pass the checking constructor, and is canonical
+        assert all(Cycle(c.vertices).canonical() == c for c in cycles)
+        return len(cycles)
+
+    @pytest.mark.parametrize("name, g", [
+        *[(f"grid3_{c}", gen_grid(3, c)) for c in (3, 4, 5, 6)],
+        *[(f"queen{r}_{c}", gen_queen(r, c)) for r, c in ((3, 3), (3, 4), (3, 5), (4, 4))],
+        ("myciel3", myciel3()), ("myciel4", myciel4())])
+    def test_on_every_ladder_rung(self, name, g):
+        rng = np.random.default_rng(sum(map(ord, name)))
+        assert self.assert_same_scan(g) > 0
+        for share in (0.1, 0.3, 0.6):
+            self.assert_same_scan(g, [f for f in range(g.mc) if rng.random() < share])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(4, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+        st.floats(0.0, 0.6),
+        st.integers(0, 2 ** 32 - 1))))
+    def test_on_random_fills(self, case):
+        n, edge_bits, share, seed = case
+        g = Graph(n, [p for p, on in zip(combinations(range(n), 2), edge_bits) if on],
+                  require_connected=False)
+        rng = np.random.default_rng(seed)
+        self.assert_same_scan(g, [f for f in range(g.mc) if rng.random() < share])
 
 class TestCompletionOps:
     def test_apply_completion_adds_edges(self):

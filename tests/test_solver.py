@@ -290,6 +290,128 @@ class TestThresholdEscalation:
             assert len(exact) == 1
 
 
+class TestSeparatorSchedule:
+    """The fractional walk backs off an entry that finds nothing: after
+    SEP_DELAY empty calls in a solve it is called at every SEP_PERIOD-th
+    chance only, and an entry that has found a cut is always called."""
+
+    # C5 with values whose roundings at 0.8, 0.4 and 0.9 all differ
+    G = cycle_graph(5)
+    X = Point([0.95, 0.85, 0.6, 0.0, 0.0])
+
+    @staticmethod
+    def fake_separators(monkeypatch, finds) -> list:
+        """Replace both separators by fakes that record each call, by delta
+        or "exact", and return one cut when finds(entry, call) is true, call
+        counting that entry's calls from 1."""
+        calls, made = [], Counter()
+
+        def report(entry):
+            calls.append(entry)
+            made[entry] += 1
+            return SimpleNamespace(cuts=["cut"] if finds(entry, made[entry]) else [])
+
+        monkeypatch.setattr(fillin.solver, "separate_threshold",
+                            lambda g, x, delta, **kwargs: report(delta))
+        monkeypatch.setattr(fillin.solver, "separate_i2_exact",
+                            lambda g, x, **kwargs: report("exact"))
+        return calls
+
+    def walks(self, search, count: int, calls: list) -> list:
+        """The entries called in each of count walks at X."""
+        out = []
+        for _ in range(count):
+            calls.clear()
+            fillin.solver._fractional_cuts(search, self.X)
+            out.append(list(calls))
+        return out
+
+    def test_an_idle_entry_waits_for_its_period(self, monkeypatch):
+        delay, period = fillin.solver.SEP_DELAY, fillin.solver.SEP_PERIOD
+        calls = self.fake_separators(monkeypatch, lambda entry, call: False)
+        search = _Search(self.G, SolverConfig(exact_i2=True))
+        every = [0.8, 0.4, 0.9, "exact"]
+        assert self.walks(search, delay, calls) == [every] * delay
+        chances = self.walks(search, 3 * period, calls)
+        assert chances == [every if c % period == 0 else [] for c in range(1, 3 * period + 1)]
+        assert [(s.calls, s.found) for s in search.separators] == [(delay + 3, 0)] * 4
+
+    def test_an_entry_that_found_a_cut_is_never_skipped(self, monkeypatch):
+        # 0.8 finds a cut at its first call only, and 0.9 at its second
+        delay, period = fillin.solver.SEP_DELAY, fillin.solver.SEP_PERIOD
+        calls = self.fake_separators(monkeypatch, lambda entry, call: (entry, call) in (
+            (0.8, 1), (0.9, 2)))
+        search = _Search(self.G, SolverConfig())
+        walks = self.walks(search, 1 + delay + 4 * period, calls)
+        assert walks[:3] == [[0.8], [0.8, 0.4, 0.9], [0.8, 0.4, 0.9]]
+        assert all(w[0] == 0.8 and w[-1] == 0.9 for w in walks[1:])
+        # 0.4 finds nothing in its first calls, the ones at walks 2 to delay + 1
+        assert [i for i, w in enumerate(walks) if 0.4 in w] == [
+            *range(1, delay + 1), *range(delay + period, len(walks), period)]
+
+    def test_each_solve_starts_with_fresh_counts(self, monkeypatch):
+        # on queen4_4 the 0.4 threshold finds nothing in its first calls, so
+        # counts kept from one solve would skip it in the next one at once
+        g = gen_queen(4, 4)
+        assert all((s.calls, s.found, s.idle) == (0, 0, 0)
+                   for s in _Search(g, SolverConfig()).separators)
+        deltas = []
+        sep = fillin.solver.separate_threshold
+
+        def recording(g, x, delta, **kwargs):
+            deltas.append(delta)
+            return sep(g, x, delta, **kwargs)
+
+        monkeypatch.setattr(fillin.solver, "separate_threshold", recording)
+        scheduled, runs = fillin.solver.SEP_DELAY, []
+        for delay in (scheduled, scheduled, 10 ** 9):
+            monkeypatch.setattr(fillin.solver, "SEP_DELAY", delay)
+            deltas.clear()
+            assert solve(g).upper_bound == 26
+            runs.append(list(deltas))
+        assert runs[0] == runs[1] != runs[2]
+        assert runs[0].count(0.4) == runs[1].count(0.4) < runs[2].count(0.4)
+
+    def test_a_threshold_passed_over_is_not_a_call(self, monkeypatch):
+        # C5 at 0.4 everywhere: 0.9 rounds like 0.8 and is passed over, so
+        # it is neither called nor given a chance
+        delay = fillin.solver.SEP_DELAY
+        g = cycle_graph(5)
+        search = _Search(g, SolverConfig())
+        for _ in range(delay):
+            assert fillin.solver._fractional_cuts(search, Point(np.full(g.mc, 0.4))) == []
+        assert [(s.calls, s.idle) for s in search.separators] == [
+            (delay, 0), (delay, 0), (0, 0)]
+
+    def test_exact_i2_is_an_entry_only_under_exact_i2(self):
+        g = cycle_graph(5)
+        thresholds = list(fillin.solver.THRESHOLDS)
+        assert [s.delta for s in _Search(g, SolverConfig()).separators] == thresholds
+        assert [s.delta for s in _Search(g, SolverConfig(exact_i2=True)).separators] == [
+            *thresholds, None]
+
+    @pytest.mark.parametrize("exact_i2", [False, True])
+    def test_search_unchanged_without_the_schedule(self, monkeypatch, exact_i2):
+        # a delay past any call count turns the back-off off.  Under exact I2
+        # grid3_6 is left out: its 0.4 threshold finds its first cut at its
+        # sixth call, after the schedule has set it aside, and the search
+        # changes (38 LPs where it took 41, to the same optimum)
+        graphs = [gen_grid(3, 5), gen_queen(3, 5), gen_queen(4, 4)]
+        if not exact_i2:
+            graphs.insert(1, gen_grid(3, 6))
+        cfg, calls = SolverConfig(exact_i2=exact_i2), Counter()
+        for name in ("separate_threshold", "separate_i2_exact"):
+            def counting(*args, sep=getattr(fillin.solver, name), **kwargs):
+                calls["all"] += 1
+                return sep(*args, **kwargs)
+            monkeypatch.setattr(fillin.solver, name, counting)
+        scheduled = search_digest(graphs, cfg)
+        backing_off = calls.pop("all")
+        monkeypatch.setattr(fillin.solver, "SEP_DELAY", 10 ** 9)
+        assert search_digest(graphs, cfg) == scheduled
+        assert backing_off < calls["all"]
+
+
 class TestRootBound:
     """Separation scans until it holds violated cuts, so the root loop does
     not stop on an unlucky first few cycles."""
